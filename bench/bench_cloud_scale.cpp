@@ -16,8 +16,11 @@
 //
 // Host-perf trajectory: `cloud_tenant_iops` = simulated commands
 // retired per host second across the whole sweep (the sharded event
-// loop is the hot path being sized).  `--quick` runs a reduced sweep
-// for CI.
+// loop is the hot path being sized).  `loop_idle_stream_overhead` =
+// sequential-loop host time per command of the victim + attacker script
+// with 1022 idle queue pairs attached, over the same script without
+// them: what idle streams cost arbitration.  `--quick` runs a reduced
+// sweep for CI.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -91,6 +94,25 @@ struct ScaleResult {
 /// chunk, so 8 distinct DRAM rows get hammered (16 victim neighbours).
 constexpr std::uint64_t kAggressors = 8;
 
+/// Victim script: read-only hot/cold over its partition.
+std::vector<WorkloadOp> VictimScript(const CloudHost& host, bool quick) {
+  WorkloadConfig wc;
+  wc.pattern = AccessPattern::kHotCold;
+  wc.working_set = host.tenant(CloudHost::kVictimId).blocks();
+  wc.write_fraction = 0.0;
+  wc.seed = 1;
+  return WorkloadGenerator(wc).generate(quick ? 1500 : 4000);
+}
+
+/// Attacker script: round-robin reads of the aggressor set.
+std::vector<WorkloadOp> AttackerScript(bool quick) {
+  std::vector<WorkloadOp> script;
+  for (std::uint64_t i = 0; i < (quick ? 4000 : 20000); ++i) {
+    script.push_back({false, (i % kAggressors) * 128});
+  }
+  return script;
+}
+
 ScaleResult RunScale(std::uint32_t tenants, exec::ThreadPool& pool,
                      bool quick, bool mitigated = false,
                      bool limited = false) {
@@ -155,24 +177,12 @@ ScaleResult RunScale(std::uint32_t tenants, exec::ThreadPool& pool,
     loop.attach(*qps[t], t < 2 ? 2 : 1);
   }
 
-  // Scripts.  Victim: read-only hot/cold over its partition.  Attacker:
-  // round-robin reads of the aggressor set.  Background: Zipfian /
-  // bursty mixes with 10% writes.
-  const std::uint64_t victim_ops = quick ? 1500 : 4000;
-  const std::uint64_t attacker_ops = quick ? 4000 : 20000;
+  // Scripts: the victim and attacker scripts above, plus Zipfian /
+  // bursty background mixes with 10% writes.
   const std::uint64_t bg_ops = quick ? 256 : 512;
   std::vector<std::vector<WorkloadOp>> scripts(tenants);
-  {
-    WorkloadConfig wc;
-    wc.pattern = AccessPattern::kHotCold;
-    wc.working_set = host.tenant(CloudHost::kVictimId).blocks();
-    wc.write_fraction = 0.0;
-    wc.seed = 1;
-    scripts[0] = WorkloadGenerator(wc).generate(victim_ops);
-  }
-  for (std::uint64_t i = 0; i < attacker_ops; ++i) {
-    scripts[1].push_back({false, (i % kAggressors) * 128});
-  }
+  scripts[0] = VictimScript(host, quick);
+  scripts[1] = AttackerScript(quick);
   for (std::uint32_t t = 2; t < tenants; ++t) {
     WorkloadConfig wc;
     wc.pattern = t % 2 == 0 ? AccessPattern::kZipfLike
@@ -191,7 +201,7 @@ ScaleResult RunScale(std::uint32_t tenants, exec::ThreadPool& pool,
   std::vector<std::uint16_t> cid(tenants, 0);
   std::vector<std::uint64_t> victim_submit_ns(kDepth, 0);
   std::vector<std::uint64_t> latencies;
-  latencies.reserve(victim_ops);
+  latencies.reserve(scripts[0].size());
   ScaleResult res;
   for (;;) {
     bool pending = false;
@@ -439,6 +449,68 @@ FaultDomainResult RunFaultDomains(exec::ThreadPool& pool) {
   return res;
 }
 
+// ---- arbitration cost of idle streams: sequential-loop A/B ----
+
+struct IdleStreamResult {
+  std::uint64_t commands = 0;
+  double loop_s = 0.0;       // host time inside run_until_idle only
+  std::uint64_t digest = 0;  // every completion, in poll order
+};
+
+/// The victim + attacker scripts on a 2-tenant host through the
+/// sequential loop, with `idle` extra queue pairs attached that never
+/// submit.  The simulated outputs cannot depend on `idle`; the host
+/// time per command shows what idle streams cost arbitration.
+IdleStreamResult RunIdleStreams(std::uint32_t idle, bool quick) {
+  CloudHost host(ScaleConfig(2));
+  NvmeController& ctrl = host.ssd().controller();
+  EventLoopConfig lc;
+  lc.policy = ArbitrationPolicy::kRoundRobin;
+  lc.seed = 7;
+  lc.sharded = false;
+  NvmeEventLoop loop(ctrl, lc);
+  constexpr std::uint32_t kDepth = 16;
+  std::vector<std::unique_ptr<NvmeQueuePair>> qps;
+  for (std::uint32_t t = 0; t < 2 + idle; ++t) {
+    qps.push_back(std::make_unique<NvmeQueuePair>(
+        ctrl, static_cast<std::uint16_t>(t + 1), kDepth));
+    loop.attach(*qps[t], t < 2 ? 2 : 1);
+  }
+  const std::vector<std::vector<WorkloadOp>> scripts = {
+      VictimScript(host, quick), AttackerScript(quick)};
+  std::vector<std::vector<std::uint8_t>> bufs(
+      2, std::vector<std::uint8_t>(kBlockSize));
+  std::size_t next[2] = {0, 0};
+  IdleStreamResult res;
+  for (;;) {
+    bool pending = false;
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      while (next[t] < scripts[t].size() &&
+             qps[t]
+                 ->submit(NvmeCommand::Read(
+                     static_cast<std::uint16_t>(next[t]), t + 1,
+                     scripts[t][next[t]].slba, bufs[t]))
+                 .ok()) {
+        ++next[t];
+      }
+      pending = pending || next[t] < scripts[t].size() ||
+                qps[t]->sq_inflight() > 0;
+    }
+    if (!pending) break;
+    const double t0 = bench::HostSeconds();
+    res.commands += loop.run_until_idle();
+    res.loop_s += bench::HostSeconds() - t0;
+    for (std::uint32_t t = 0; t < 2; ++t) {
+      while (auto cqe = qps[t]->poll()) {
+        res.digest = Mix64(res.digest ^ (std::uint64_t{t} << 16 | cqe->cid) ^
+                           Mix64(cqe->completed_ns) ^
+                           static_cast<std::uint64_t>(cqe->status.code()));
+      }
+    }
+  }
+  return res;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -604,7 +676,37 @@ int main(int argc, char** argv) {
   std::printf("  device transitions   %10llu\n",
               static_cast<unsigned long long>(fd.loop.device_transitions));
 
+  // Idle streams: what 1022 attached-but-idle queue pairs cost the
+  // sequential loop per command of a 2-tenant workload.  Runs alternate
+  // and each side keeps its fastest, which filters host noise.
+  constexpr std::uint32_t kIdle = 1022;
+  constexpr int kReps = 5;
+  IdleStreamResult lean;
+  IdleStreamResult crowded;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const IdleStreamResult a = RunIdleStreams(0, quick);
+    const IdleStreamResult b = RunIdleStreams(kIdle, quick);
+    RHSD_CHECK_MSG(a.digest == b.digest && a.commands == b.commands,
+                   "idle streams changed the simulated outputs");
+    if (rep == 0 || a.loop_s < lean.loop_s) lean = a;
+    if (rep == 0 || b.loop_s < crowded.loop_s) crowded = b;
+  }
+  const double lean_ns = lean.loop_s * 1e9 / lean.commands;
+  const double crowded_ns = crowded.loop_s * 1e9 / crowded.commands;
+  std::printf("\n== idle streams: sequential loop, victim + attacker "
+              "script (%llu cmds) ==\n\n",
+              static_cast<unsigned long long>(lean.commands));
+  std::printf("  loop ns/cmd, 2 streams              %8.1f\n", lean_ns);
+  std::printf("  loop ns/cmd, 2 + %u idle streams  %8.1f\n", kIdle,
+              crowded_ns);
+  std::printf("  idle-stream overhead                %8.2fx  (best of %d "
+              "alternating runs, outputs identical)\n",
+              crowded_ns / lean_ns, kReps);
+
   bench::BenchReport report;
+  report.set("loop_ns_per_cmd_2", lean_ns);
+  report.set("loop_ns_per_cmd_2_plus_1022_idle", crowded_ns);
+  report.set("loop_idle_stream_overhead", crowded_ns / lean_ns);
   report.set("cloud_tenant_iops", total_commands / elapsed_s);
   report.set("cloud_mitigated_iops", mit_commands / mit_elapsed_s);
   report.set("cloud_mitigated_sharded_commands",

@@ -32,7 +32,7 @@ int main() {
   const double mc_s = bench::HostSeconds() - t0;
   std::printf("paper example (C_a = C_v = PB/2, F_v = C_v/4, F_a = C_a):\n");
   std::printf("  closed form : %.4f   (paper: ~0.07)\n", p);
-  std::printf("  monte carlo : %.4f   (4M trials, %zu threads, %.1fM trials/s)\n\n",
+  std::printf("  monte carlo : %.4f   (4M trials, %u threads, %.1fM trials/s)\n\n",
               mc, pool.size(), kTrials / mc_s / 1e6);
 
   std::printf("cumulative success over attack cycles (1-(1-p)^n):\n");

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, then a ThreadSanitizer smoke of
-# the parallel experiment engine (tests/exec_smoke.cpp) built with
-# -DRHSD_SANITIZE=thread.
+# CI entry point: tier-1 build (warnings are errors) + tests, then a
+# ThreadSanitizer smoke of the parallel experiment engine
+# (tests/exec_smoke.cpp) built with -DRHSD_SANITIZE=thread.
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -10,7 +10,7 @@ cd "$(dirname "$0")"
 JOBS="${1:-$(nproc)}"
 
 echo "== tier-1: build + ctest =="
-cmake -B build -S .
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
@@ -64,10 +64,12 @@ mkdir -p "${PERF_DIR}"
 (cd "${PERF_DIR}" && ../bench/bench_mitigations >/dev/null)
 # The N-tenant event-loop sweeps (--quick keeps them small): the
 # read-heavy scale sweep merges cloud_tenant_iops, the TRR+PARA sweep
-# merges cloud_mitigated_iops, and the mixed read/write sweep merges
-# cloud_write_iops into the same report.  The binary itself asserts the
-# mixed sweep engaged the sharded write path and the mitigated sweep
-# engaged TRR/PARA and the rate limiter on the shard path.
+# merges cloud_mitigated_iops, the mixed read/write sweep merges
+# cloud_write_iops, and the idle-stream A/B merges
+# loop_idle_stream_overhead into the same report.  The binary itself
+# asserts the mixed sweep engaged the sharded write path, the mitigated
+# sweep engaged TRR/PARA and the rate limiter on the shard path, and
+# the idle streams left the simulated outputs unchanged.
 (cd "${PERF_DIR}" && ../bench/bench_cloud_scale --quick >/dev/null)
 REPORT="${PERF_DIR}/BENCH_hotpath.json"
 if [[ ! -f "${REPORT}" ]]; then
@@ -123,6 +125,20 @@ gate_floor() {  # gate_floor <key> <floor>
   }
 }
 
+gate_ceiling() {  # gate_ceiling <key> <ceiling>
+  local VALUE
+  VALUE="$(extract_metric "${REPORT}" "$1")"
+  if [[ -z "${VALUE}" ]]; then
+    echo "perf gate: $1 missing from ${REPORT}" >&2
+    exit 1
+  fi
+  echo "$1 = ${VALUE} (gate: <= $2)"
+  awk -v v="${VALUE}" -v c="$2" 'BEGIN { exit !(v + 0 <= c + 0) }' || {
+    echo "perf gate: $1 ${VALUE} > $2" >&2
+    exit 1
+  }
+}
+
 gate_floor hammer_batched_speedup 3.0
 gate_floor hammer_batched_trr_speedup 2.0
 # >=20x over the ~0.056 scenarios/s the scalar round loop managed at
@@ -139,5 +155,9 @@ gate_floor cloud_write_iops 40000
 # shard path (~550k on a single idle core; the floor is the point —
 # sequential fallback would land far below it).
 gate_floor cloud_mitigated_iops 50000
+# Sequential-loop host time per command with 1022 idle queue pairs
+# attached, over the same 2-tenant script without them (~1.3-1.7x with
+# the work bitmap; a per-pick scan of every stream lands at 10-17x).
+gate_ceiling loop_idle_stream_overhead 2.0
 
 echo "== ci.sh: all green =="

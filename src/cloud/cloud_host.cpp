@@ -9,6 +9,7 @@ CloudHost::CloudHost(SsdConfig config, const fs::FormatOptions& fs_options) {
   RHSD_CHECK_MSG(config.partition_blocks.size() >= 2,
                  "cloud host needs victim and attacker partitions");
   ssd_ = std::make_unique<SsdDevice>(std::move(config));
+  claimed_.assign(ssd_->controller().namespace_count() + 1ull, false);
   auto victim = add_tenant(
       TenantConfig{"victim-vm", 1, /*direct_access=*/false}, fs_options);
   RHSD_CHECK_MSG(victim.ok(), "victim tenant: " << victim.status());
@@ -22,31 +23,25 @@ StatusOr<TenantId> CloudHost::add_tenant(
   NvmeController& controller = ssd_->controller();
   if (config.nsid == TenantConfig::kAutoNsid) {
     // Lowest namespace no registered tenant claims yet.
-    for (std::uint32_t nsid = 1; nsid <= controller.namespace_count();
-         ++nsid) {
-      const auto taken = [&](const TenantSlot& s) {
-        return s.tenant->nsid() == nsid;
-      };
-      if (std::none_of(slots_.begin(), slots_.end(), taken)) {
-        config.nsid = nsid;
-        break;
-      }
-    }
-    if (config.nsid == TenantConfig::kAutoNsid) {
+    const auto free = std::find(claimed_.begin() + 1, claimed_.end(), false);
+    if (free == claimed_.end()) {
       return ResourceExhausted("no free namespace for tenant '" +
                                config.name + "'");
     }
+    config.nsid = static_cast<std::uint32_t>(free - claimed_.begin());
   } else {
     if (config.nsid < 1 || config.nsid > controller.namespace_count()) {
       return InvalidArgument("namespace " + std::to_string(config.nsid) +
                              " does not exist");
     }
-    for (const TenantSlot& s : slots_) {
-      if (s.tenant->nsid() == config.nsid) {
-        return AlreadyExists("namespace " + std::to_string(config.nsid) +
-                             " already claimed by tenant '" +
-                             s.tenant->name() + "'");
-      }
+    if (claimed_[config.nsid]) {
+      const auto owner = std::find_if(
+          slots_.begin(), slots_.end(), [&](const TenantSlot& s) {
+            return s.tenant->nsid() == config.nsid;
+          });
+      return AlreadyExists("namespace " + std::to_string(config.nsid) +
+                           " already claimed by tenant '" +
+                           owner->tenant->name() + "'");
     }
   }
 
@@ -59,6 +54,8 @@ StatusOr<TenantId> CloudHost::add_tenant(
                           fs::FileSystem::Format(*slot.bdev, fs_options));
   }
   slots_.push_back(std::move(slot));
+  // Claimed only now: a failed Format above leaves the namespace free.
+  claimed_[config.nsid] = true;
   return static_cast<TenantId>(slots_.size() - 1);
 }
 

@@ -101,6 +101,10 @@ class CloudHost {
 
   std::unique_ptr<SsdDevice> ssd_;
   std::vector<TenantSlot> slots_;
+  /// claimed_[nsid]: a registered tenant owns namespace `nsid` (index 0
+  /// unused).  Keeps add_tenant() O(namespaces) instead of scanning
+  /// every slot per candidate.
+  std::vector<bool> claimed_;
 };
 
 }  // namespace rhsd

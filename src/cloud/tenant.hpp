@@ -55,26 +55,6 @@ class Tenant {
   /// write_blocks() loop under the same bounds (writes mutate FTL
   /// state, so there is no closed-form replay to take).
   Status submit(const PatternRequest& req);
-  /// Deprecated single-round form of submit().
-  [[deprecated("use submit()")]] Status read_pattern(
-      std::span<const std::uint64_t> slbas, std::span<std::uint8_t> out) {
-    return submit({.slbas = slbas, .out = out, .rounds = 1});
-  }
-  /// Deprecated round-bound form of submit().
-  [[deprecated("use submit()")]] Status read_pattern_repeat(
-      std::span<const std::uint64_t> slbas, std::span<std::uint8_t> out,
-      std::uint64_t rounds) {
-    return submit({.slbas = slbas, .out = out, .rounds = rounds});
-  }
-  /// Deprecated deadline-bound form of submit().
-  [[deprecated("use submit()")]] Status read_pattern_until(
-      std::span<const std::uint64_t> slbas, std::span<std::uint8_t> out,
-      std::uint64_t deadline_ns, std::uint64_t* rounds_done) {
-    return submit({.slbas = slbas,
-                   .out = out,
-                   .deadline_ns = deadline_ns,
-                   .rounds_done = rounds_done});
-  }
   Status write_blocks(std::uint64_t slba,
                       std::span<const std::uint8_t> data);
   Status trim_blocks(std::uint64_t slba, std::uint64_t nblocks);

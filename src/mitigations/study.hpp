@@ -28,9 +28,9 @@ namespace rhsd {
 struct MitigationScenario {
   std::string name;
   std::string paper_note;  // what §5 says about it
-  std::function<void(SsdConfig&)> configure_ssd;
-  std::function<void(fs::FormatOptions&)> configure_fs;
-  std::function<void(EndToEndConfig&)> configure_attack;
+  std::function<void(SsdConfig&)> configure_ssd = nullptr;
+  std::function<void(fs::FormatOptions&)> configure_fs = nullptr;
+  std::function<void(EndToEndConfig&)> configure_attack = nullptr;
   /// If true, the attacker is assumed NOT to know the device's L2P
   /// randomization key and plans against a linear layout.
   bool attacker_blind_to_layout = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <map>
 #include <unordered_map>
@@ -132,42 +133,69 @@ bool NvmeEventLoop::sharding_supported() const {
   return true;
 }
 
+bool NvmeEventLoop::has_work(
+    std::size_t i, const std::vector<std::uint32_t>& drafted) const {
+  const NvmeQueuePair& qp = *streams_[i].qp;
+  return qp.sq_inflight() > 0 && qp.cq_pending() + drafted[i] < qp.depth();
+}
+
+std::size_t NvmeEventLoop::next_with_work(
+    std::size_t from, std::size_t end,
+    const std::vector<std::uint32_t>& drafted) {
+  while (from < end) {
+    const std::size_t w = from / 64;
+    std::uint64_t bits = work_[w] & (~0ull << (from % 64));
+    for (; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + std::countr_zero(bits);
+      if (i >= end) return end;
+      if (has_work(i, drafted)) return i;
+      work_[w] &= ~(1ull << (i % 64));  // ran dry; stays dry this call
+    }
+    from = (w + 1) * 64;
+  }
+  return end;
+}
+
 int NvmeEventLoop::pick_stream(const std::vector<std::uint32_t>& drafted) {
   const std::size_t n = streams_.size();
   if (n == 0) return -1;
-  // A stream is ready when it has a queued submission, its virtual
-  // completion-ring occupancy (posted + drafted-but-uncommitted) leaves
-  // space — exactly the state the sequential loop would see after
-  // executing every draft so far — and it is not serving a quarantine
-  // penalty.
-  const auto has_work = [&](std::size_t i) {
-    const NvmeQueuePair& qp = *streams_[i].qp;
-    return qp.sq_inflight() > 0 && qp.cq_pending() + drafted[i] < qp.depth();
-  };
-  const auto ready = [&](std::size_t i) {
-    return streams_[i].penalty == 0 && has_work(i);
-  };
+  // A stream is ready when it has work — a queued submission and
+  // virtual completion-ring space (posted + drafted-but-uncommitted),
+  // exactly the state the sequential loop would see after executing
+  // every draft so far — and it is not serving a quarantine penalty.
+  // Only streams with their work_ bit set can have work.
   const auto arbitrate = [&]() -> int {
     if (config_.policy == ArbitrationPolicy::kRoundRobin) {
-      for (std::size_t k = 1; k <= n; ++k) {
-        const std::size_t i = (cursor_ + k) % n;
-        if (ready(i)) {
-          cursor_ = i;
-          return static_cast<int>(i);
+      // The first ready stream after cursor_, wrapping through cursor_
+      // itself: the cyclic order (cursor_ + k) % n for k = 1..n.
+      const auto first_ready = [&](std::size_t from, std::size_t end) {
+        std::size_t i = next_with_work(from, end, drafted);
+        while (i < end && streams_[i].penalty != 0) {
+          i = next_with_work(i + 1, end, drafted);
         }
+        return i;
+      };
+      std::size_t i = first_ready(cursor_ + 1, n);
+      if (i == n) {
+        i = first_ready(0, cursor_ + 1);
+        if (i == cursor_ + 1) return -1;
       }
-      return -1;
+      cursor_ = i;
+      return static_cast<int>(i);
     }
     // kWeighted: one seeded draw per successful pick, proportional to
-    // the attach weights of the currently ready streams.
+    // the attach weights of the currently ready streams, walked in
+    // index order.
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ready(i)) total += streams_[i].weight;
+    for (std::size_t i = next_with_work(0, n, drafted); i < n;
+         i = next_with_work(i + 1, n, drafted)) {
+      if (streams_[i].penalty == 0) total += streams_[i].weight;
     }
     if (total == 0) return -1;
     std::uint64_t r = rng_.next_below(total);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!ready(i)) continue;
+    for (std::size_t i = next_with_work(0, n, drafted); i < n;
+         i = next_with_work(i + 1, n, drafted)) {
+      if (streams_[i].penalty != 0) continue;
       if (r < streams_[i].weight) {
         cursor_ = i;
         return static_cast<int>(i);
@@ -181,12 +209,14 @@ int NvmeEventLoop::pick_stream(const std::vector<std::uint32_t>& drafted) {
   if (pick < 0) {
     // Forward progress: when every stream with work is quarantined, the
     // loop must not report idle with commands still queued.  Force the
-    // smallest remaining penalty open (lowest index on ties — a
-    // deterministic choice) and re-arbitrate.
+    // smallest remaining penalty open (lowest index on ties — explicit,
+    // since penalized_ is not in index order) and re-arbitrate.
     std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (streams_[i].penalty == 0 || !has_work(i)) continue;
-      if (best == n || streams_[i].penalty < streams_[best].penalty) {
+    for (const std::uint32_t i : penalized_) {
+      if (!has_work(i, drafted)) continue;
+      const std::uint64_t p = streams_[i].penalty;
+      if (best == n || p < streams_[best].penalty ||
+          (p == streams_[best].penalty && i < best)) {
         best = i;
       }
     }
@@ -199,15 +229,18 @@ int NvmeEventLoop::pick_stream(const std::vector<std::uint32_t>& drafted) {
   }
   // Serving a pick burns exactly one quarantine tick on every penalized
   // stream — including picks that needed a forced release.  The drain
-  // sits at the function's single exit so it cannot run twice per pick;
-  // the previous structure re-entered pick_stream() after a forced
-  // release, which made the one-tick-per-pick invariant depend on the
-  // recursion depth being exactly one.
-  for (std::size_t i = 0; i < n; ++i) {
-    Stream& st = streams_[i];
-    if (st.penalty > 0 && --st.penalty == 0) {
+  // sits at the function's single exit so it cannot run twice per pick.
+  for (std::size_t k = 0; k < penalized_.size();) {
+    Stream& st = streams_[penalized_[k]];
+    if (st.penalty > 0) {  // 0: a forced release already counted it
+      if (--st.penalty > 0) {
+        ++k;
+        continue;
+      }
       ++stats_.quarantine_releases;
     }
+    penalized_[k] = penalized_.back();
+    penalized_.pop_back();
   }
   return pick;
 }
@@ -576,6 +609,7 @@ void NvmeEventLoop::apply_quarantine(std::uint32_t stream) {
                       (0xBF58476D1CE4E5B9ull * st.failures);
   penalty += SplitMix64(mix) % (config_.quarantine_base_picks + 1ull);
   st.penalty = penalty;
+  if (penalty > 0) penalized_.push_back(stream);
   ++stats_.quarantines;
 }
 
@@ -625,7 +659,13 @@ bool NvmeEventLoop::fault_blocks_draft(bool flash, bool is_write,
 
 std::uint64_t NvmeEventLoop::run_until_idle() {
   std::uint64_t retired = 0;
-  std::vector<std::uint32_t> drafted(streams_.size(), 0);
+  const std::size_t n = streams_.size();
+  std::vector<std::uint32_t> drafted(n, 0);
+  // The one O(N) pass per call: which streams start out with work.
+  work_.assign((n + 63) / 64, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (has_work(i, drafted)) work_[i / 64] |= 1ull << (i % 64);
+  }
   const bool can_shard =
       config_.sharded && config_.pool != nullptr && sharding_supported();
   if (!can_shard) {
@@ -661,12 +701,12 @@ std::uint64_t NvmeEventLoop::run_until_idle() {
     if (batch.empty()) return;
     retired += run_batch(batch, lim_draft);
     lim_draft.reset();
+    for (const Planned& p : batch) drafted[p.stream] = 0;
     batch.clear();
     batch_flash_reads = 0;
     batch_programs = 0;
     pending_write_lbas.clear();
     aliases.clear();
-    std::fill(drafted.begin(), drafted.end(), 0);
   };
   for (;;) {
     const int s = pick_stream(drafted);

@@ -172,9 +172,8 @@ class NvmeEventLoop {
   struct Stream {
     NvmeQueuePair* qp = nullptr;
     std::uint32_t weight = 1;
-    /// Quarantine state: remaining picks to skip, consecutive failures
-    /// (drives the exponential backoff), and the retry_exhausted count
-    /// last observed (delta detection).
+    /// Quarantine state: remaining picks to skip and consecutive
+    /// failures (drives the exponential backoff).
     std::uint64_t penalty = 0;
     std::uint32_t failures = 0;
   };
@@ -208,7 +207,22 @@ class NvmeEventLoop {
   /// Next stream per the arbitration policy; -1 when none is ready.
   /// `drafted[i]` counts completions stream i will receive when the
   /// current batch commits (its virtual completion-ring occupancy).
+  /// Walks the set bits of work_ (64 streams per word) and the entries
+  /// of penalized_, never all of streams_: a round-robin pick costs
+  /// O(1) amortized plus O(quarantined streams); a weighted pick visits
+  /// the streams with work twice (total, then the draw's walk).
   int pick_stream(const std::vector<std::uint32_t>& drafted);
+
+  /// True when stream `i` has a queued submission and room in its
+  /// virtual completion ring (posted + drafted < depth).
+  [[nodiscard]] bool has_work(
+      std::size_t i, const std::vector<std::uint32_t>& drafted) const;
+
+  /// First stream in [from, end) whose work_ bit is set and that still
+  /// has work, or `end`.  Clears the bits of streams found idle on the
+  /// way (see the work_ invariant).
+  std::size_t next_with_work(std::size_t from, std::size_t end,
+                             const std::vector<std::uint32_t>& drafted);
 
   /// Classify the head submission of `stream` and, if it is shardable,
   /// fill `plan` (everything except the timing fields).  Pure peek.
@@ -251,6 +265,22 @@ class NvmeEventLoop {
   NvmeController& controller_;
   EventLoopConfig config_;
   std::vector<Stream> streams_;
+  /// Work bitmap, one bit per stream (bit i % 64 of word i / 64): set
+  /// when stream i may have work.  run_until_idle() rebuilds it in O(N)
+  /// on entry — the host submits and polls only between calls.  Within
+  /// one call a stream can only *lose* work: nothing inside the loop
+  /// submits, so sq_inflight only drains, and posted + drafted
+  /// completions only grow (a flush posts exactly the completions it
+  /// un-drafts, on commit and rollback alike).  So arbitration clears a
+  /// set bit whose stream has run dry, and a cleared bit never has to
+  /// be set again during that call.  Bits of quarantined streams stay
+  /// set while they have work; arbitration skips them by penalty.
+  std::vector<std::uint64_t> work_;
+  /// Streams serving a quarantine penalty (penalty > 0), in no
+  /// particular order.  The per-pick drain and the forced release walk
+  /// this list instead of every stream; an entry a forced release
+  /// zeroed leaves the list at that pick's drain.
+  std::vector<std::uint32_t> penalized_;
   std::size_t cursor_ = 0;  // last stream served (round-robin)
   Rng rng_;                 // kWeighted draws
   int last_health_ = -1;    // observe_device() latch (-1 = unobserved)

@@ -57,7 +57,8 @@ struct NvmeStats {
 /// of `slbas` per round, repeated until a bound is hit.  At least one
 /// of `rounds` / `deadline_ns` must be set; when both are, whichever
 /// trips first ends the run — bit-exact with the scalar shape
-/// `while (now < deadline && r < rounds) read_pattern(...)`.
+/// `while (now < deadline && r < rounds)` issuing one single-round
+/// submit_pattern() per iteration.
 ///
 /// With `data` empty (the default) every command is a read into `out`.
 /// With `data` set (exactly one 4 KiB block) every command instead
@@ -69,7 +70,7 @@ struct PatternRequest {
   static constexpr std::uint64_t kNoDeadline = ~0ull;
 
   std::span<const std::uint64_t> slbas;
-  std::span<std::uint8_t> out;  // reads: exactly one 4 KiB block, shared
+  std::span<std::uint8_t> out = {};  // reads: exactly one 4 KiB block, shared
   /// Non-empty turns the pattern into writes of this one 4 KiB block.
   std::span<const std::uint8_t> data = {};
   std::uint64_t rounds = kNoRounds;
@@ -103,29 +104,6 @@ class NvmeController {
   /// scalar loop under the same bounds: every write mutates FTL state,
   /// so there is no invariant stretch to replay in closed form.
   Status submit_pattern(std::uint32_t nsid, const PatternRequest& req);
-  /// Deprecated single-round form of submit_pattern().
-  [[deprecated("use submit_pattern()")]] Status read_pattern(
-      std::uint32_t nsid, std::span<const std::uint64_t> slbas,
-      std::span<std::uint8_t> out) {
-    return submit_pattern(nsid, {.slbas = slbas, .out = out, .rounds = 1});
-  }
-  /// Deprecated round-bound form of submit_pattern().
-  [[deprecated("use submit_pattern()")]] Status read_pattern_repeat(
-      std::uint32_t nsid, std::span<const std::uint64_t> slbas,
-      std::span<std::uint8_t> out, std::uint64_t rounds) {
-    return submit_pattern(nsid,
-                          {.slbas = slbas, .out = out, .rounds = rounds});
-  }
-  /// Deprecated deadline-bound form of submit_pattern().
-  [[deprecated("use submit_pattern()")]] Status read_pattern_until(
-      std::uint32_t nsid, std::span<const std::uint64_t> slbas,
-      std::span<std::uint8_t> out, std::uint64_t deadline_ns,
-      std::uint64_t* rounds_done) {
-    return submit_pattern(nsid, {.slbas = slbas,
-                                 .out = out,
-                                 .deadline_ns = deadline_ns,
-                                 .rounds_done = rounds_done});
-  }
   Status write(std::uint32_t nsid, std::uint64_t slba,
                std::span<const std::uint8_t> data);
   /// Dataset-management deallocate (TRIM).

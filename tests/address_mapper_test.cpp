@@ -176,8 +176,8 @@ TEST(Mappers, DecodeOutOfRangeThrows) {
   const DramGeometry g = DramGeometry::Tiny();
   LinearMapper linear(g);
   XorMapper xormap(g, {});
-  EXPECT_THROW(linear.decode(DramAddr(g.total_bytes())), CheckFailure);
-  EXPECT_THROW(xormap.decode(DramAddr(g.total_bytes())), CheckFailure);
+  EXPECT_THROW((void)linear.decode(DramAddr(g.total_bytes())), CheckFailure);
+  EXPECT_THROW((void)xormap.decode(DramAddr(g.total_bytes())), CheckFailure);
 }
 
 }  // namespace

@@ -22,10 +22,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <deque>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exec/thread_pool.hpp"
 #include "nvme/event_loop.hpp"
 #include "ssd/ssd_device.hpp"
 #include "test_util.hpp"
@@ -404,6 +408,433 @@ TEST(ArbitrationFairness, ForcedReleaseKeepsFullyQuarantinedLoopFlowing) {
   const Result r2 = run();
   EXPECT_EQ(r1.completions_ns, r2.completions_ns);
   EXPECT_EQ(r1.loop.quarantine_releases, r2.loop.quarantine_releases);
+}
+
+// ---------------------------------------------------------------------
+// Differential arbitration.  A reference arbiter, written as the plain
+// linear scan over every stream, predicts the loop's pick sequence:
+// the ready test and round-robin cursor, the two-pass weighted walk on
+// its own Rng(seed), the per-pick penalty drain over all streams, the
+// forced release of the smallest penalty (lowest index on ties), and
+// the penalty formula PenaltyDrainsExactlyOneTickPerPick replicates.
+// The reference executes every pick at once — the sequential
+// interleaving both loop modes must reproduce.  Each seed draws the
+// stream count (1, 63, 64, 65 and > 1024 among them), per-stream
+// depths and weights, the policy, partial polling (completion rings
+// left full across calls), transport drop storms against mostly
+// 1-attempt retry policies (forced releases), quarantine_base_picks
+// = 0, and sequential vs sharded execution on a 2-thread pool.  The
+// loop's picks are recovered by sorting completions by completed_ns;
+// the retryable final statuses feed the reference's quarantine
+// triggers.  RHSD_ARB_SEED=<n> re-runs one seed.
+
+constexpr std::uint64_t kArbSeeds = 45;
+
+struct ArbCase {
+  std::uint64_t seed = 0;
+  std::uint32_t streams = 0;
+  ArbitrationPolicy policy = ArbitrationPolicy::kRoundRobin;
+  bool sharded = false;
+  bool quarantine = true;
+  std::uint32_t base = 0;
+  std::uint32_t cap = 0;
+  std::uint32_t max_batch = 0;
+  bool vulnerable = false;
+  std::uint32_t per_stream = 0;  // command budget per stream
+  std::vector<std::uint32_t> depth;
+  std::vector<std::uint32_t> weight;
+  std::vector<std::uint32_t> attempts;
+};
+
+ArbCase DrawArbCase(std::uint64_t seed) {
+  Rng rng(0xA7B1 + seed);
+  ArbCase c;
+  c.seed = seed;
+  constexpr std::uint32_t kSpecial[] = {1, 63, 64, 65, 1100};
+  c.streams = seed % 3 == 0
+                  ? kSpecial[(seed / 3) % 5]
+                  : static_cast<std::uint32_t>(rng.next_in(2, 130));
+  c.policy = rng.next_bool(0.5) ? ArbitrationPolicy::kWeighted
+                                : ArbitrationPolicy::kRoundRobin;
+  c.sharded = seed % 2 == 1;
+  c.quarantine = rng.next_bool(0.85);
+  c.base = rng.next_bool(0.25) ? 0
+                               : static_cast<std::uint32_t>(
+                                     rng.next_in(1, 24));
+  c.cap = static_cast<std::uint32_t>(rng.next_in(1, 200));
+  c.max_batch = static_cast<std::uint32_t>(rng.next_in(1, 64));
+  c.vulnerable = rng.next_bool(0.3);
+  c.per_stream = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(2, rng.next_in(1500, 3000) / c.streams));
+  for (std::uint32_t i = 0; i < c.streams; ++i) {
+    c.depth.push_back(static_cast<std::uint32_t>(rng.next_in(2, 16)));
+    c.weight.push_back(static_cast<std::uint32_t>(rng.next_in(1, 8)));
+    c.attempts.push_back(rng.next_bool(0.7)
+                             ? 1
+                             : static_cast<std::uint32_t>(
+                                   rng.next_in(2, 4)));
+  }
+  return c;
+}
+
+/// The arbitration spec as a linear scan over every stream.
+class ReferenceArbiter {
+ public:
+  struct Pick {
+    std::uint32_t stream = 0;
+    std::uint16_t cid = 0;
+  };
+
+  explicit ReferenceArbiter(const ArbCase& c)
+      : c_(c), rng_(c.seed), streams_(c.streams) {}
+
+  void submit(std::uint32_t s, std::uint16_t cid) {
+    streams_[s].sq.push_back(cid);
+  }
+  void poll(std::uint32_t s) { --streams_[s].cq; }
+
+  /// One run_until_idle() call.  `retryable(pick)` is the pick's final
+  /// status class, read off the loop's completion.
+  template <typename Retryable>
+  void run(std::vector<Pick>* picks, Retryable retryable) {
+    for (;;) {
+      const int s = pick();
+      if (s < 0) return;
+      St& st = streams_[s];
+      const Pick p{static_cast<std::uint32_t>(s), st.sq.front()};
+      st.sq.pop_front();
+      ++st.cq;
+      picks->push_back(p);
+      if (c_.quarantine && retryable(p)) quarantine(p.stream);
+    }
+  }
+
+  std::uint64_t quarantines = 0;
+  std::uint64_t releases = 0;
+  std::uint64_t forced_releases = 0;
+
+ private:
+  struct St {
+    std::deque<std::uint16_t> sq;
+    std::uint32_t cq = 0;
+    std::uint64_t penalty = 0;
+    std::uint32_t failures = 0;
+  };
+
+  bool has_work(std::size_t i) const {
+    return !streams_[i].sq.empty() && streams_[i].cq < c_.depth[i];
+  }
+  bool ready(std::size_t i) const {
+    return streams_[i].penalty == 0 && has_work(i);
+  }
+
+  int arbitrate() {
+    const std::size_t n = streams_.size();
+    if (c_.policy == ArbitrationPolicy::kRoundRobin) {
+      for (std::size_t k = 1; k <= n; ++k) {
+        const std::size_t i = (cursor_ + k) % n;
+        if (ready(i)) {
+          cursor_ = i;
+          return static_cast<int>(i);
+        }
+      }
+      return -1;
+    }
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ready(i)) total += c_.weight[i];
+    }
+    if (total == 0) return -1;
+    std::uint64_t r = rng_.next_below(total);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!ready(i)) continue;
+      if (r < c_.weight[i]) {
+        cursor_ = i;
+        return static_cast<int>(i);
+      }
+      r -= c_.weight[i];
+    }
+    ADD_FAILURE() << "reference weighted draw out of range";
+    return -1;
+  }
+
+  int pick() {
+    const std::size_t n = streams_.size();
+    int p = arbitrate();
+    if (p < 0) {
+      std::size_t best = n;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (streams_[i].penalty == 0 || !has_work(i)) continue;
+        if (best == n || streams_[i].penalty < streams_[best].penalty) {
+          best = i;
+        }
+      }
+      if (best == n) return -1;
+      streams_[best].penalty = 0;
+      streams_[best].failures = 0;
+      ++releases;
+      ++forced_releases;
+      p = arbitrate();
+    }
+    for (St& st : streams_) {
+      if (st.penalty > 0 && --st.penalty == 0) ++releases;
+    }
+    return p;
+  }
+
+  void quarantine(std::uint32_t s) {
+    St& st = streams_[s];
+    ++st.failures;
+    const std::uint32_t shift = std::min(st.failures - 1, 31u);
+    std::uint64_t penalty = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(c_.base) << shift, c_.cap);
+    std::uint64_t mix = c_.seed ^ (0x9E3779B97F4A7C15ull * (s + 1ull)) ^
+                        (0xBF58476D1CE4E5B9ull * st.failures);
+    penalty += SplitMix64(mix) % (c_.base + 1ull);
+    st.penalty = penalty;
+    ++quarantines;
+  }
+
+  const ArbCase& c_;
+  Rng rng_;
+  std::vector<St> streams_;
+  std::size_t cursor_ = 0;
+};
+
+struct ArbOutcome {
+  bool match = true;
+  std::uint64_t picks = 0;
+  std::uint64_t forced_releases = 0;
+  std::uint64_t quarantines = 0;
+  std::uint64_t sharded_batches = 0;
+};
+
+/// Drives one seeded case through the loop, replays it through the
+/// reference, and reports the first diverging pick.
+ArbOutcome RunArbCase(std::uint64_t seed) {
+  const ArbCase c = DrawArbCase(seed);
+  Rng rng(0x5EED0 + seed);
+  SsdConfig cfg = test::SmallSsd();
+  cfg.seed = seed + 1;
+  if (!c.vulnerable) cfg.dram_profile = DramProfile::Invulnerable();
+  FaultPlan plan;
+  const std::uint64_t horizon =
+      2ull * c.streams * c.per_stream + 64;  // transport ops, roughly
+  for (std::uint64_t at = rng.next_below(32); at < horizon;) {
+    const std::uint64_t count = rng.next_in(1, 4);
+    plan.add(rng.next_bool(0.8) ? FaultClass::kNvmeDrop
+                                : FaultClass::kNvmeTimeout,
+             at, count);
+    at += count + 1 + rng.next_below(horizon / 24 + 8);
+  }
+  cfg.fault_plan = plan;
+  SsdDevice ssd(cfg);
+  exec::ThreadPool pool(2);
+
+  EventLoopConfig lc;
+  lc.policy = c.policy;
+  lc.seed = seed;
+  lc.sharded = c.sharded;
+  lc.pool = c.sharded ? &pool : nullptr;
+  lc.max_batch = c.max_batch;
+  lc.quarantine = c.quarantine;
+  lc.quarantine_base_picks = c.base;
+  lc.quarantine_cap_picks = c.cap;
+  NvmeEventLoop loop(ssd.controller(), lc);
+
+  std::vector<std::unique_ptr<NvmeQueuePair>> qps;
+  std::vector<std::vector<std::uint8_t>> bufs(
+      c.streams, std::vector<std::uint8_t>(kBlockSize));
+  for (std::uint32_t i = 0; i < c.streams; ++i) {
+    qps.push_back(std::make_unique<NvmeQueuePair>(
+        ssd.controller(), static_cast<std::uint16_t>(i + 1), c.depth[i]));
+    NvmeRetryPolicy rp;
+    rp.max_attempts = c.attempts[i];
+    qps.back()->set_retry_policy(rp);
+    loop.attach(*qps.back(), c.weight[i]);
+  }
+
+  // Host actions in order, replayed through the reference afterwards
+  // (it needs the final statuses, known only once polled).
+  struct Event {
+    enum Kind { kSubmit, kPoll, kRun } kind;
+    std::uint32_t stream = 0;
+    std::uint16_t cid = 0;
+    std::uint64_t retired = 0;
+  };
+  struct Done {
+    std::uint32_t stream = 0;
+    std::uint16_t cid = 0;
+    std::uint64_t completed_ns = 0;
+    bool retryable = false;
+  };
+  std::vector<Event> events;
+  std::vector<Done> done;
+  std::vector<std::uint32_t> submitted(c.streams, 0);
+  const auto poll = [&](std::uint32_t s, std::uint32_t max) {
+    for (std::uint32_t k = 0; k < max; ++k) {
+      const auto cqe = qps[s]->poll();
+      if (!cqe.has_value()) return;
+      const StatusCode code = cqe->status.code();
+      done.push_back({s, cqe->cid, cqe->completed_ns,
+                      code == StatusCode::kUnavailable ||
+                          code == StatusCode::kDeadlineExceeded});
+      events.push_back({Event::kPoll, s, 0, 0});
+    }
+  };
+  const auto submit = [&](std::uint32_t s) {
+    NvmeQueuePair& qp = *qps[s];
+    const std::uint64_t room = qp.depth() - qp.sq_inflight();
+    std::uint64_t k = rng.next_below(room + 1);
+    k = std::min<std::uint64_t>(k, c.per_stream - submitted[s]);
+    for (; k > 0; --k) {
+      const auto cid = static_cast<std::uint16_t>(submitted[s]++);
+      const std::uint32_t nsid = 1 + s % 2;
+      const std::uint64_t slba = rng.next_below(2048);
+      const std::uint64_t op = rng.next_below(20);
+      NvmeCommand cmd =
+          op == 0   ? NvmeCommand::Flush(cid, nsid)
+          : op <= 2 ? NvmeCommand::Write(cid, nsid, slba,
+                                         std::vector<std::uint8_t>(
+                                             kBlockSize,
+                                             static_cast<std::uint8_t>(s)))
+                    : NvmeCommand::Read(cid, nsid, slba, bufs[s]);
+      EXPECT_TRUE(qp.submit(std::move(cmd)).ok());
+      events.push_back({Event::kSubmit, s, cid, 0});
+    }
+  };
+  const auto run = [&] {
+    events.push_back({Event::kRun, 0, 0, loop.run_until_idle()});
+  };
+  for (int wave = 0; wave < 120; ++wave) {
+    if (rng.next_bool(0.3)) {
+      for (std::uint32_t s = 0; s < c.streams; ++s) submit(s);
+    } else {
+      for (std::uint64_t k = rng.next_in(1, 8); k > 0; --k) {
+        submit(static_cast<std::uint32_t>(rng.next_below(c.streams)));
+      }
+    }
+    run();
+    // Partial polling: some completion rings stay full across calls.
+    for (std::uint32_t s = 0; s < c.streams; ++s) {
+      const std::uint32_t pending = qps[s]->cq_pending();
+      if (pending == 0) continue;
+      poll(s, rng.next_bool(0.5) ? pending
+                                 : static_cast<std::uint32_t>(
+                                       rng.next_below(pending + 1)));
+    }
+  }
+  for (;;) {
+    bool queued = false;
+    for (std::uint32_t s = 0; s < c.streams; ++s) {
+      poll(s, ~0u);
+      queued |= qps[s]->sq_inflight() > 0;
+    }
+    if (!queued) break;
+    run();
+  }
+
+  // The loop's picks: completions in completed_ns order (every command
+  // advances the simulated clock, so the order is strict).
+  std::vector<Done> actual = done;
+  std::sort(actual.begin(), actual.end(), [](const Done& a, const Done& b) {
+    return a.completed_ns < b.completed_ns;
+  });
+  ArbOutcome out;
+  for (std::size_t i = 1; i < actual.size(); ++i) {
+    if (actual[i].completed_ns == actual[i - 1].completed_ns) {
+      ADD_FAILURE() << "RHSD_ARB_SEED=" << seed
+                    << ": two completions at one completed_ns";
+      out.match = false;
+      return out;
+    }
+  }
+  std::unordered_map<std::uint64_t, bool> retryable;
+  for (const Done& d : done) {
+    retryable[(std::uint64_t{d.stream} << 16) | d.cid] = d.retryable;
+  }
+
+  ReferenceArbiter ref(c);
+  std::vector<ReferenceArbiter::Pick> expected;
+  std::uint64_t call = 0;
+  for (const Event& e : events) {
+    if (e.kind == Event::kSubmit) {
+      ref.submit(e.stream, e.cid);
+      continue;
+    }
+    if (e.kind == Event::kPoll) {
+      ref.poll(e.stream);
+      continue;
+    }
+    const std::size_t first = expected.size();
+    ref.run(&expected, [&](const ReferenceArbiter::Pick& p) {
+      const auto it = retryable.find((std::uint64_t{p.stream} << 16) | p.cid);
+      return it != retryable.end() && it->second;
+    });
+    const std::size_t predicted = expected.size() - first;
+    for (std::size_t k = first; k < expected.size(); ++k) {
+      const bool have = k < actual.size();
+      if (have && actual[k].stream == expected[k].stream &&
+          actual[k].cid == expected[k].cid) {
+        continue;
+      }
+      ADD_FAILURE() << "RHSD_ARB_SEED=" << seed << ": call " << call
+                    << " pick " << (k - first) << " (global " << k
+                    << "): reference stream " << expected[k].stream
+                    << " cid " << expected[k].cid << ", loop "
+                    << (have ? ::testing::Message()
+                                   << "stream " << actual[k].stream
+                                   << " cid " << actual[k].cid
+                             : ::testing::Message() << "nothing");
+      out.match = false;
+      return out;
+    }
+    if (predicted != e.retired) {
+      ADD_FAILURE() << "RHSD_ARB_SEED=" << seed << ": call " << call
+                    << " retired " << e.retired << ", reference picked "
+                    << predicted;
+      out.match = false;
+      return out;
+    }
+    ++call;
+  }
+  EXPECT_EQ(expected.size(), actual.size()) << "RHSD_ARB_SEED=" << seed;
+  const EventLoopStats& st = loop.stats();
+  EXPECT_EQ(st.commands, actual.size()) << "RHSD_ARB_SEED=" << seed;
+  EXPECT_EQ(st.quarantines, ref.quarantines) << "RHSD_ARB_SEED=" << seed;
+  EXPECT_EQ(st.quarantine_releases, ref.releases)
+      << "RHSD_ARB_SEED=" << seed;
+  out.match = !::testing::Test::HasFailure();
+  out.picks = expected.size();
+  out.forced_releases = ref.forced_releases;
+  out.quarantines = ref.quarantines;
+  out.sharded_batches = st.batches;
+  return out;
+}
+
+TEST(ArbitrationFairness, DifferentialPicksMatchLinearScanReference) {
+  if (const char* env = std::getenv("RHSD_ARB_SEED")) {
+    const std::uint64_t seed = std::strtoull(env, nullptr, 10);
+    EXPECT_TRUE(RunArbCase(seed).match) << "RHSD_ARB_SEED=" << seed;
+    return;
+  }
+  std::uint64_t picks = 0;
+  std::uint64_t forced = 0;
+  std::uint64_t quarantines = 0;
+  std::uint64_t batches = 0;
+  for (std::uint64_t seed = 0; seed < kArbSeeds; ++seed) {
+    const ArbOutcome o = RunArbCase(seed);
+    if (!o.match) return;  // the failure names the seed to re-run
+    picks += o.picks;
+    forced += o.forced_releases;
+    quarantines += o.quarantines;
+    batches += o.sharded_batches;
+  }
+  // The draws exercised what they are for.
+  EXPECT_GT(picks, 0u);
+  EXPECT_GT(quarantines, 0u);
+  EXPECT_GT(forced, 0u);
+  EXPECT_GT(batches, 0u);
 }
 
 }  // namespace

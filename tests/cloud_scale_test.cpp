@@ -54,6 +54,36 @@ TEST(TenantRegistry, RejectsNamespaceCollisionAndBadNsid) {
       StatusCode::kInvalidArgument);
 }
 
+TEST(TenantRegistry, ExplicitNsidIsSkippedByAutoAssignment) {
+  CloudHost host(ScaleSsd(4));
+  auto t4 = host.add_tenant(TenantConfig{.name = "t4", .nsid = 4});
+  ASSERT_TRUE(t4.ok()) << t4.status();
+  EXPECT_EQ(host.tenant(*t4).nsid(), 4u);
+  auto t3 = host.add_tenant(TenantConfig{.name = "t3"});
+  ASSERT_TRUE(t3.ok()) << t3.status();
+  EXPECT_EQ(host.tenant(*t3).nsid(), 3u);
+  EXPECT_EQ(host.add_tenant(TenantConfig{.name = "t5"}).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(TenantRegistry, RejectedAddsClaimNothing) {
+  CloudHost host(ScaleSsd(4));
+  EXPECT_EQ(
+      host.add_tenant(TenantConfig{.name = "alias", .nsid = 2})
+          .status()
+          .code(),
+      StatusCode::kAlreadyExists);
+  EXPECT_EQ(
+      host.add_tenant(TenantConfig{.name = "ghost", .nsid = 9})
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(host.tenant_count(), 2u);
+  auto next = host.add_tenant(TenantConfig{.name = "next"});
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(host.tenant(*next).nsid(), 3u);
+}
+
 TEST(TenantRegistry, PartitionsAreDisjoint) {
   CloudHost host(ScaleSsd(4));
   (void)host.add_tenant(TenantConfig{.name = "t2"});

@@ -64,7 +64,7 @@ TEST(DramCoord, GlobalRowAdjacencyWithinBank) {
 
 TEST(DramCoord, FromFlatBankRejectsOutOfRange) {
   const DramGeometry g = DramGeometry::Tiny();
-  EXPECT_THROW(DramCoord::FromFlatBank(g, g.total_banks(), 0, 0),
+  EXPECT_THROW((void)DramCoord::FromFlatBank(g, g.total_banks(), 0, 0),
                CheckFailure);
 }
 

@@ -583,11 +583,11 @@ TEST(HammerParity, AliasedOppositeCellsFallBackExactly) {
   ASSERT_TRUE(found) << "no aliasing seed found; widen the search";
 }
 
-// ---- Full-stack pattern replay parity (read_pattern_repeat) ----
+// ---- Full-stack pattern replay parity (submit_pattern) ----
 //
 // Two identically configured SSDs: one pushes `rounds` whole pattern
-// submissions down the stack in a single read_pattern_repeat() call,
-// the other loops scalar read_pattern() round by round.  Everything
+// submissions down the stack in a single submit_pattern() call, the
+// other loops single-round submit_pattern() calls round by round.  Everything
 // observable must match: the returned status, the simulated clock, the
 // DRAM stats / flip events / memory image, the FTL and NVMe stats, the
 // read buffer, and the fault injector's per-class op counters and log.
@@ -982,7 +982,8 @@ TEST(PatternReplayParity, RepeatAcrossThreadCounts) {
 }
 
 TEST(PatternReplayParity, UntilMatchesScalarDeadlineLoop) {
-  // read_pattern_until == "while (now < deadline) read_pattern()".
+  // A deadline-bound submit_pattern() == "while (now < deadline)
+  // submit_pattern(rounds = 1)".
   const std::vector<std::uint64_t> pattern = {100, 228};
   SsdConfig c = test::SmallSsd();
   c.seed = 18;
