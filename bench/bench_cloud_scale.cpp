@@ -3,7 +3,7 @@
 //
 // One shared SSD hosts the paper's victim/attacker pair plus N-2
 // background tenants.  All of them push traffic through the async NVMe
-// event loop (per-bank sharded execution on a thread pool): the victim
+// event loop (deterministic round-robin arbitration): the victim
 // issues hot/cold reads whose p50/p99 completion latency we measure in
 // simulated time, the attacker hammers a fixed set of aggressor L2P
 // rows in its own partition, and the background tenants generate
@@ -15,9 +15,9 @@
 // end to end).
 //
 // Host-perf trajectory: `cloud_tenant_iops` = simulated commands
-// retired per host second across the whole sweep (the sharded event
-// loop is the hot path being sized).  `loop_idle_stream_overhead` =
-// sequential-loop host time per command of the victim + attacker script
+// retired per host second across the whole sweep (the event loop is
+// the hot path being sized).  `loop_idle_stream_overhead` = loop host
+// time per command of the victim + attacker script
 // with 1022 idle queue pairs attached, over the same script without
 // them: what idle streams cost arbitration.  `--quick` runs a reduced
 // sweep for CI.
@@ -32,7 +32,6 @@
 
 #include "bench_report.hpp"
 #include "cloud/cloud_host.hpp"
-#include "exec/thread_pool.hpp"
 #include "nvme/event_loop.hpp"
 #include "sim/workload.hpp"
 
@@ -75,24 +74,24 @@ SsdConfig ScaleConfig(std::uint32_t tenants) {
 
 struct ScaleResult {
   std::uint64_t commands = 0;
-  std::uint64_t sharded = 0;
   double sim_seconds = 0.0;
   double sim_iops = 0.0;
   double victim_p50_us = 0.0;
   double victim_p99_us = 0.0;
   std::uint64_t flips = 0;
   double flip_probability = 0.0;  // flipped rows / hammered victim rows
-  // Mitigated-sweep engagement counters (zero when mitigations are off).
-  std::uint64_t mitigated_sharded = 0;
-  std::uint64_t trr_merges = 0;
-  std::uint64_t para_draws = 0;
+  // Mitigation engagement counters (zero when mitigations are off).
   std::uint64_t trr_refreshes = 0;
-  std::uint64_t plan_stalls = 0;
+  std::uint64_t para_refreshes = 0;
 };
 
 /// The attacker's aggressor set: 8 slbas, one per 128-entry L2P row
 /// chunk, so 8 distinct DRAM rows get hammered (16 victim neighbours).
 constexpr std::uint64_t kAggressors = 8;
+
+/// The rate-limited point's §5 token bucket: sustained cap and depth.
+constexpr double kRateCapIops = 50e3;
+constexpr double kRateBurst = 16;
 
 /// Victim script: read-only hot/cold over its partition.
 std::vector<WorkloadOp> VictimScript(const CloudHost& host, bool quick) {
@@ -113,22 +112,18 @@ std::vector<WorkloadOp> AttackerScript(bool quick) {
   return script;
 }
 
-ScaleResult RunScale(std::uint32_t tenants, exec::ThreadPool& pool,
-                     bool quick, bool mitigated = false,
-                     bool limited = false) {
+ScaleResult RunScale(std::uint32_t tenants, bool quick,
+                     bool mitigated = false, bool limited = false) {
   SsdConfig cfg = ScaleConfig(tenants);
   if (limited) {
     // §5's IO rate cap, low enough that the token bucket actually
-    // stalls commands; the stalls are computed serially at plan time
-    // on a limiter copy so the batch still shards.
-    cfg.rate_limit = RateLimiterConfig{50e3, 16};
+    // stalls commands.
+    cfg.rate_limit = RateLimiterConfig{kRateCapIops, kRateBurst};
   }
   if (mitigated) {
     // Production-like mitigated profile: TRR trips below the flip
     // threshold (1280 effective activations) so the attack is actually
-    // blunted, PARA adds its probabilistic refreshes on top.  Both now
-    // ride the per-bank shard path instead of forcing the whole host
-    // onto sequential execution.
+    // blunted, PARA adds its probabilistic refreshes on top.
     cfg.dram_mitigations.trr = true;
     cfg.dram_mitigations.trr_config.activation_threshold = 1000;
     cfg.dram_mitigations.para_probability = 1.0 / 512;
@@ -145,8 +140,6 @@ ScaleResult RunScale(std::uint32_t tenants, exec::ThreadPool& pool,
   EventLoopConfig lc;
   lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
-  lc.sharded = true;
-  lc.pool = &pool;
   NvmeEventLoop loop(ctrl, lc);
 
   // The attacker's victim rows: physical same-bank neighbours of the
@@ -241,12 +234,8 @@ ScaleResult RunScale(std::uint32_t tenants, exec::ThreadPool& pool,
   RHSD_CHECK(!latencies.empty());
   res.victim_p50_us = latencies[latencies.size() / 2] / 1e3;
   res.victim_p99_us = latencies[latencies.size() * 99 / 100] / 1e3;
-  res.sharded = loop.stats().sharded_commands;
-  res.mitigated_sharded = loop.stats().mitigated_sharded_commands;
-  res.trr_merges = loop.stats().trr_shard_merges;
-  res.para_draws = loop.stats().para_predraw_draws;
-  res.plan_stalls = loop.stats().rate_limit_plan_stalls;
   res.trr_refreshes = ssd.dram().trr_refreshes_issued();
+  res.para_refreshes = ssd.dram().stats().para_refreshes;
   res.sim_seconds = ssd.clock().now_ns() * 1e-9;
   res.sim_iops = res.commands / res.sim_seconds;
   std::set<std::uint64_t> flipped_victims;
@@ -261,23 +250,18 @@ ScaleResult RunScale(std::uint32_t tenants, exec::ThreadPool& pool,
   return res;
 }
 
-// ---- mixed read/write sweep: sharded write planning under load ----
+// ---- mixed read/write sweep: write throughput under load ----
 
 struct MixedResult {
   std::uint64_t commands = 0;
-  std::uint64_t writes = 0;          // device-level write commands
-  std::uint64_t sharded_writes = 0;  // committed via shard drafting
-  std::uint64_t reserve_flushes = 0;
-  std::uint64_t rw_conflict_flushes = 0;
+  std::uint64_t writes = 0;  // device-level write commands
   double sim_seconds = 0.0;
 };
 
 /// Every tenant pushes a heavy mixed workload (40% writes) through the
-/// sharded event loop.  This is the path the write planner exists for:
-/// writes draft into per-bank shards behind plan-time PBA reservations
-/// instead of flushing the batch, and the counters prove it.
-MixedResult RunMixed(std::uint32_t tenants, exec::ThreadPool& pool,
-                     bool quick) {
+/// event loop: flash programs and garbage collection interleave with
+/// the reads of every other tenant.
+MixedResult RunMixed(std::uint32_t tenants, bool quick) {
   SsdConfig cfg = ScaleConfig(tenants);
   // Throughput sweep, not a flip experiment: a flip landing in an L2P
   // entry would turn a background read into an error.
@@ -294,8 +278,6 @@ MixedResult RunMixed(std::uint32_t tenants, exec::ThreadPool& pool,
   EventLoopConfig lc;
   lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
-  lc.sharded = true;
-  lc.pool = &pool;
   NvmeEventLoop loop(ctrl, lc);
 
   constexpr std::uint32_t kDepth = 16;
@@ -353,9 +335,6 @@ MixedResult RunMixed(std::uint32_t tenants, exec::ThreadPool& pool,
     }
   }
   res.writes = ctrl.stats().write_cmds;
-  res.sharded_writes = loop.stats().sharded_writes;
-  res.reserve_flushes = loop.stats().write_reserve_flushes;
-  res.rw_conflict_flushes = loop.stats().rw_conflict_flushes;
   res.sim_seconds = ssd.clock().now_ns() * 1e-9;
   return res;
 }
@@ -370,10 +349,10 @@ struct FaultDomainResult {
 };
 
 /// Eight tenants ride a seeded drop/timeout/NAND storm through the
-/// sharded loop; the counters show the fault-domain machinery working:
-/// batches flushing early around scheduled faults, exhausted retries
-/// quarantining only the unlucky tenant, and penalties draining again.
-FaultDomainResult RunFaultDomains(exec::ThreadPool& pool) {
+/// loop; the counters show the fault-domain machinery working:
+/// exhausted retries quarantining only the unlucky tenant, and
+/// penalties draining again.
+FaultDomainResult RunFaultDomains() {
   constexpr std::uint32_t kStormTenants = 8;
   constexpr std::uint32_t kDepth = 8;
   constexpr std::uint64_t kCmds = 1500;
@@ -392,8 +371,6 @@ FaultDomainResult RunFaultDomains(exec::ThreadPool& pool) {
   EventLoopConfig lc;
   lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
-  lc.sharded = true;
-  lc.pool = &pool;
   NvmeEventLoop loop(ssd.controller(), lc);
   std::vector<std::unique_ptr<NvmeQueuePair>> qps;
   for (std::uint32_t t = 0; t < kStormTenants; ++t) {
@@ -449,7 +426,7 @@ FaultDomainResult RunFaultDomains(exec::ThreadPool& pool) {
   return res;
 }
 
-// ---- arbitration cost of idle streams: sequential-loop A/B ----
+// ---- arbitration cost of idle streams: loop-time A/B ----
 
 struct IdleStreamResult {
   std::uint64_t commands = 0;
@@ -458,7 +435,7 @@ struct IdleStreamResult {
 };
 
 /// The victim + attacker scripts on a 2-tenant host through the
-/// sequential loop, with `idle` extra queue pairs attached that never
+/// event loop, with `idle` extra queue pairs attached that never
 /// submit.  The simulated outputs cannot depend on `idle`; the host
 /// time per command shows what idle streams cost arbitration.
 IdleStreamResult RunIdleStreams(std::uint32_t idle, bool quick) {
@@ -467,7 +444,6 @@ IdleStreamResult RunIdleStreams(std::uint32_t idle, bool quick) {
   EventLoopConfig lc;
   lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
-  lc.sharded = false;
   NvmeEventLoop loop(ctrl, lc);
   constexpr std::uint32_t kDepth = 16;
   std::vector<std::unique_ptr<NvmeQueuePair>> qps;
@@ -520,28 +496,23 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::uint32_t>{2, 8, 32}
             : std::vector<std::uint32_t>{2, 4, 16, 64, 256, 1024};
 
-  exec::ThreadPool pool;
   std::printf("== N-tenant cloud host: flips + victim latency vs "
               "background load ==\n");
-  std::printf("(async event loop, round-robin arbitration, per-bank "
-              "sharding on %u threads%s)\n\n",
-              static_cast<unsigned>(pool.size()),
+  std::printf("(async event loop, round-robin arbitration%s)\n\n",
               quick ? ", --quick" : "");
-  std::printf("%7s | %8s %8s | %9s | %9s %9s | %5s %9s\n", "tenants",
-              "cmds", "sharded", "sim-kIOPS", "p50-us", "p99-us", "flips",
-              "flip-prob");
-  std::printf("%.*s\n", 84,
+  std::printf("%7s | %8s | %9s | %9s %9s | %5s %9s\n", "tenants", "cmds",
+              "sim-kIOPS", "p50-us", "p99-us", "flips", "flip-prob");
+  std::printf("%.*s\n", 75,
               "----------------------------------------------------------"
               "--------------------------");
 
   std::uint64_t total_commands = 0;
   const double t0 = bench::HostSeconds();
   for (const std::uint32_t tenants : counts) {
-    const ScaleResult r = RunScale(tenants, pool, quick);
+    const ScaleResult r = RunScale(tenants, quick);
     total_commands += r.commands;
-    std::printf("%7u | %8llu %8llu | %9.1f | %9.2f %9.2f | %5llu %9.2f\n",
+    std::printf("%7u | %8llu | %9.1f | %9.2f %9.2f | %5llu %9.2f\n",
                 tenants, static_cast<unsigned long long>(r.commands),
-                static_cast<unsigned long long>(r.sharded),
                 r.sim_iops / 1e3, r.victim_p50_us, r.victim_p99_us,
                 static_cast<unsigned long long>(r.flips),
                 r.flip_probability);
@@ -559,45 +530,35 @@ int main(int argc, char** argv) {
               total_commands / elapsed_s,
               static_cast<unsigned long long>(total_commands), elapsed_s);
 
-  // Mitigated sweep: the same hosts with TRR + PARA enabled.  These
-  // configs used to fall back to sequential execution; now they shard,
-  // and the engagement counters prove the mitigation machinery really
-  // ran on the fast path.
-  std::printf("\n== mitigated hosts (TRR @1000 acts + PARA 1/512): "
-              "sharded mitigation path ==\n\n");
-  std::printf("%7s | %8s %8s | %9s | %8s %10s | %5s\n", "tenants",
-              "cmds", "mit-shrd", "sim-kIOPS", "trr-ref", "para-draws",
-              "flips");
-  std::printf("%.*s\n", 74,
+  // Mitigated sweep: the same hosts with TRR + PARA enabled; the
+  // refresh counters show both mitigations engaged.
+  std::printf("\n== mitigated hosts (TRR @1000 acts + PARA 1/512) ==\n\n");
+  std::printf("%7s | %8s | %9s | %8s %8s | %5s\n", "tenants", "cmds",
+              "sim-kIOPS", "trr-ref", "para-ref", "flips");
+  std::printf("%.*s\n", 63,
               "----------------------------------------------------------"
               "--------------------------");
+  const std::uint32_t limited_tenants = quick ? 8u : 16u;
+  double unlimited_sim_iops = 0.0;  // the mitigated host at that count
   std::uint64_t mit_commands = 0;
-  std::uint64_t mit_sharded = 0;
-  std::uint64_t mit_trr_merges = 0;
-  std::uint64_t mit_para_draws = 0;
   std::uint64_t mit_trr_refreshes = 0;
-  std::uint64_t mit_plan_stalls = 0;
+  std::uint64_t mit_para_refreshes = 0;
   const double tmit0 = bench::HostSeconds();
   for (const std::uint32_t tenants : counts) {
-    const ScaleResult r = RunScale(tenants, pool, quick,
-                                   /*mitigated=*/true);
+    const ScaleResult r = RunScale(tenants, quick, /*mitigated=*/true);
     mit_commands += r.commands;
-    mit_sharded += r.mitigated_sharded;
-    mit_trr_merges += r.trr_merges;
-    mit_para_draws += r.para_draws;
     mit_trr_refreshes += r.trr_refreshes;
-    std::printf("%7u | %8llu %8llu | %9.1f | %8llu %10llu | %5llu\n",
-                tenants, static_cast<unsigned long long>(r.commands),
-                static_cast<unsigned long long>(r.mitigated_sharded),
+    mit_para_refreshes += r.para_refreshes;
+    if (tenants == limited_tenants) unlimited_sim_iops = r.sim_iops;
+    std::printf("%7u | %8llu | %9.1f | %8llu %8llu | %5llu\n", tenants,
+                static_cast<unsigned long long>(r.commands),
                 r.sim_iops / 1e3,
                 static_cast<unsigned long long>(r.trr_refreshes),
-                static_cast<unsigned long long>(r.para_draws),
+                static_cast<unsigned long long>(r.para_refreshes),
                 static_cast<unsigned long long>(r.flips));
   }
   const double mit_elapsed_s = bench::HostSeconds() - tmit0;
-  RHSD_CHECK_MSG(mit_sharded > 0,
-                 "mitigated sweep never took the sharded path");
-  RHSD_CHECK_MSG(mit_trr_refreshes > 0 && mit_para_draws > 0,
+  RHSD_CHECK_MSG(mit_trr_refreshes > 0 && mit_para_refreshes > 0,
                  "mitigated sweep never engaged TRR/PARA");
   std::printf("\nmitigated throughput: %.0f simulated cmds/s (%llu cmds "
               "in %.2f s)\n",
@@ -605,49 +566,42 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(mit_commands),
               mit_elapsed_s);
 
-  // One rate-limited point on top: the token bucket's stalls are
-  // computed serially at draft time, so the capped host still shards.
+  // One rate-limited point on top: the token bucket must hold the
+  // mitigated host at that tenant count under its cap — never more than
+  // a full bucket plus the sustained rate over the simulated run.
   {
-    const ScaleResult rl = RunScale(quick ? 8u : 16u, pool, quick,
+    const ScaleResult rl = RunScale(limited_tenants, quick,
                                     /*mitigated=*/true, /*limited=*/true);
-    mit_plan_stalls = rl.plan_stalls;
-    RHSD_CHECK_MSG(rl.mitigated_sharded > 0 && rl.plan_stalls > 0,
-                   "rate-limited point never stalled on the shard path");
-    std::printf("rate-limited point (%u tenants, 50k IOPS cap): %llu "
-                "plan-time stalls, %llu sharded cmds\n",
-                quick ? 8u : 16u,
-                static_cast<unsigned long long>(rl.plan_stalls),
-                static_cast<unsigned long long>(rl.mitigated_sharded));
+    RHSD_CHECK_MSG(unlimited_sim_iops > kRateCapIops,
+                   "the unlimited host never exceeds the rate cap");
+    RHSD_CHECK_MSG(static_cast<double>(rl.commands) <=
+                       kRateBurst + kRateCapIops * rl.sim_seconds,
+                   "rate-limited point exceeded its token bucket");
+    std::printf("rate-limited point (%u tenants, %.0fk IOPS cap): %.1f "
+                "sim-kIOPS (%.1f uncapped)\n",
+                limited_tenants, kRateCapIops / 1e3, rl.sim_iops / 1e3,
+                unlimited_sim_iops / 1e3);
   }
 
-  // Mixed read/write sweep: the write planner under multi-tenant load.
+  // Mixed read/write sweep: writes under multi-tenant load.
   const std::vector<std::uint32_t> mixed_counts =
       quick ? std::vector<std::uint32_t>{4, 16}
             : std::vector<std::uint32_t>{4, 16, 64};
-  std::printf("\n== mixed read/write (40%% writes): sharded write "
-              "planning ==\n\n");
-  std::printf("%7s | %8s %8s %8s | %9s %9s\n", "tenants", "cmds",
-              "writes", "sharded", "rsv-flsh", "rw-flsh");
-  std::printf("%.*s\n", 66,
+  std::printf("\n== mixed read/write (40%% writes) ==\n\n");
+  std::printf("%7s | %8s %8s\n", "tenants", "cmds", "writes");
+  std::printf("%.*s\n", 27,
               "----------------------------------------------------------"
               "--------------------------");
   std::uint64_t mixed_writes = 0;
   const double tm0 = bench::HostSeconds();
-  std::uint64_t mixed_sharded_writes = 0;
   for (const std::uint32_t tenants : mixed_counts) {
-    const MixedResult m = RunMixed(tenants, pool, quick);
+    const MixedResult m = RunMixed(tenants, quick);
     mixed_writes += m.writes;
-    mixed_sharded_writes += m.sharded_writes;
-    std::printf("%7u | %8llu %8llu %8llu | %9llu %9llu\n", tenants,
+    std::printf("%7u | %8llu %8llu\n", tenants,
                 static_cast<unsigned long long>(m.commands),
-                static_cast<unsigned long long>(m.writes),
-                static_cast<unsigned long long>(m.sharded_writes),
-                static_cast<unsigned long long>(m.reserve_flushes),
-                static_cast<unsigned long long>(m.rw_conflict_flushes));
+                static_cast<unsigned long long>(m.writes));
   }
   const double mixed_elapsed_s = bench::HostSeconds() - tm0;
-  RHSD_CHECK_MSG(mixed_sharded_writes > 0,
-                 "mixed sweep never engaged the sharded write path");
   std::printf("\nwrite throughput: %.0f simulated writes/s of host time "
               "(%llu writes in %.2f s)\n",
               mixed_writes / mixed_elapsed_s,
@@ -655,7 +609,7 @@ int main(int argc, char** argv) {
               mixed_elapsed_s);
 
   // Failure domains: the same loop under a seeded fault storm.
-  const FaultDomainResult fd = RunFaultDomains(pool);
+  const FaultDomainResult fd = RunFaultDomains();
   std::printf("\n== failure domains: 8 tenants under a seeded "
               "drop/timeout/NAND storm ==\n\n");
   std::printf("  commands retired     %10llu  (%llu completion errors)\n",
@@ -663,11 +617,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fd.errors));
   std::printf("  faults injected      %10llu\n",
               static_cast<unsigned long long>(fd.injected));
-  std::printf("  early flushes        %10llu  (batches split around "
-              "scheduled faults)\n",
-              static_cast<unsigned long long>(fd.loop.early_flushes));
-  std::printf("  rollback replays     %10llu\n",
-              static_cast<unsigned long long>(fd.loop.rollback_replays));
   std::printf("  quarantines          %10llu  (+%llu penalty releases)\n",
               static_cast<unsigned long long>(fd.loop.quarantines),
               static_cast<unsigned long long>(fd.loop.quarantine_releases));
@@ -677,7 +626,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fd.loop.device_transitions));
 
   // Idle streams: what 1022 attached-but-idle queue pairs cost the
-  // sequential loop per command of a 2-tenant workload.  Runs alternate
+  // loop per command of a 2-tenant workload.  Runs alternate
   // and each side keeps its fastest, which filters host noise.
   constexpr std::uint32_t kIdle = 1022;
   constexpr int kReps = 5;
@@ -693,7 +642,7 @@ int main(int argc, char** argv) {
   }
   const double lean_ns = lean.loop_s * 1e9 / lean.commands;
   const double crowded_ns = crowded.loop_s * 1e9 / crowded.commands;
-  std::printf("\n== idle streams: sequential loop, victim + attacker "
+  std::printf("\n== idle streams: event loop, victim + attacker "
               "script (%llu cmds) ==\n\n",
               static_cast<unsigned long long>(lean.commands));
   std::printf("  loop ns/cmd, 2 streams              %8.1f\n", lean_ns);
@@ -709,20 +658,7 @@ int main(int argc, char** argv) {
   report.set("loop_idle_stream_overhead", crowded_ns / lean_ns);
   report.set("cloud_tenant_iops", total_commands / elapsed_s);
   report.set("cloud_mitigated_iops", mit_commands / mit_elapsed_s);
-  report.set("cloud_mitigated_sharded_commands",
-             static_cast<double>(mit_sharded));
-  report.set("cloud_trr_shard_merges",
-             static_cast<double>(mit_trr_merges));
-  report.set("cloud_para_predraw_draws",
-             static_cast<double>(mit_para_draws));
-  report.set("cloud_rate_limit_plan_stalls",
-             static_cast<double>(mit_plan_stalls));
   report.set("cloud_write_iops", mixed_writes / mixed_elapsed_s);
-  report.set("cloud_sharded_writes",
-             static_cast<double>(mixed_sharded_writes));
-  report.set("cloud_scale_threads", static_cast<double>(pool.size()));
-  report.set("cloud_fault_early_flushes",
-             static_cast<double>(fd.loop.early_flushes));
   report.set("cloud_fault_quarantines",
              static_cast<double>(fd.loop.quarantines));
   report.set("cloud_fault_injected", static_cast<double>(fd.injected));

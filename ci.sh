@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build (warnings are errors) + tests, then a
-# ThreadSanitizer smoke of the parallel experiment engine
-# (tests/exec_smoke.cpp) built with -DRHSD_SANITIZE=thread.
+# CI entry point: tier-1 build (warnings are errors) + tests, the same
+# tests under AddressSanitizer + UndefinedBehaviorSanitizer
+# (-DRHSD_SANITIZE=address,undefined), a ThreadSanitizer smoke of the
+# parallel experiment engine (tests/exec_smoke.cpp, -DRHSD_SANITIZE=
+# thread), the chaos digest diff, and the perf gates.
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -14,31 +16,35 @@ cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
+echo "== asan+ubsan: every ctest case under -fsanitize=address,undefined =="
+# Any UBSan report aborts its test (halt_on_error) instead of scrolling
+# past as a warning in an otherwise passing run.
+cmake -B build-asan -S . -DRHSD_SANITIZE=address,undefined
+cmake --build build-asan -j "${JOBS}"
+(cd build-asan &&
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --output-on-failure -j "${JOBS}")
+
 echo "== tsan smoke: experiment engine under -fsanitize=thread =="
+# The exec engine (RunTrials / ParallelFor) is the only threaded code.
 cmake -B build-tsan -S . -DRHSD_SANITIZE=thread
-cmake --build build-tsan -j "${JOBS}" --target exec_smoke --target event_loop_smoke --target chaos_torture_test --target event_loop_parity_test
+cmake --build build-tsan -j "${JOBS}" --target exec_smoke
 ./build-tsan/tests/exec_smoke
-# Race-check the event loop's sharded execution (thread-local shard
-# sinks, per-bank undo logs, commit/rollback) under real contention.
-./build-tsan/tests/event_loop_smoke
-# Race-check the mitigation-aware shard path: per-bank TRR tables
-# mutated in place by shards, pre-drawn PARA slices, snapshot rollback.
-./build-tsan/tests/event_loop_parity_test --gtest_filter='*Mitigated*'
 
 echo "== chaos determinism: fixed-seed storms, back-to-back digest diff =="
 # The chaos harness asserts its invariants (tenant isolation,
-# acknowledged-write durability, thread-count invariance) inside gtest;
-# here each binary additionally runs twice and the CHAOS_DIGEST lines
-# are diffed, catching cross-process nondeterminism (iteration order of
-# an unordered container, address-dependent hashing, uninitialised
-# reads) that a single run cannot see.  Both the normal and the TSan
+# acknowledged-write durability) inside gtest; here each binary
+# additionally runs twice and the CHAOS_DIGEST lines are diffed,
+# catching cross-process nondeterminism (iteration order of an
+# unordered container, address-dependent hashing, uninitialised reads)
+# that a single run cannot see.  Both the normal and the ASan+UBSan
 # build must agree with themselves.
 chaos_digests() {  # chaos_digests <binary> <outfile>
   "$1" >"$2.log" 2>&1 || { cat "$2.log" >&2; return 1; }
   grep '^CHAOS_DIGEST' "$2.log" >"$2"
   [[ -s "$2" ]] || { echo "no CHAOS_DIGEST lines from $1" >&2; return 1; }
 }
-for BUILD_DIR in build build-tsan; do
+for BUILD_DIR in build build-asan; do
   BIN="${BUILD_DIR}/tests/chaos_torture_test"
   chaos_digests "${BIN}" "${BUILD_DIR}/chaos.run1"
   chaos_digests "${BIN}" "${BUILD_DIR}/chaos.run2"
@@ -67,9 +73,9 @@ mkdir -p "${PERF_DIR}"
 # merges cloud_mitigated_iops, the mixed read/write sweep merges
 # cloud_write_iops, and the idle-stream A/B merges
 # loop_idle_stream_overhead into the same report.  The binary itself
-# asserts the mixed sweep engaged the sharded write path, the mitigated
-# sweep engaged TRR/PARA and the rate limiter on the shard path, and
-# the idle streams left the simulated outputs unchanged.
+# asserts the mitigated sweep engaged TRR and PARA, the rate-limited
+# point stayed under its token-bucket cap, and the idle streams left
+# the simulated outputs unchanged.
 (cd "${PERF_DIR}" && ../bench/bench_cloud_scale --quick >/dev/null)
 REPORT="${PERF_DIR}/BENCH_hotpath.json"
 if [[ ! -f "${REPORT}" ]]; then
@@ -144,18 +150,17 @@ gate_floor hammer_batched_trr_speedup 2.0
 # >=20x over the ~0.056 scenarios/s the scalar round loop managed at
 # production trace lengths (0.5 s of hammering per triple, single core).
 gate_floor mitigations_scenarios_per_s 1.12
-# Simulated commands retired per host second by the sharded event loop
-# across the --quick tenant sweep (~550k+ on a single idle core; floor
-# leaves headroom for loaded CI machines).
+# Simulated commands retired per host second by the event loop across
+# the --quick tenant sweep (floor leaves headroom for loaded CI
+# machines).
 gate_floor cloud_tenant_iops 100000
 # Write commands retired per host second across the mixed read/write
-# sweep with per-bank write sharding (~215k on a single idle core).
+# sweep.
 gate_floor cloud_write_iops 40000
-# Same sweep with TRR + PARA live: mitigated hosts must stay on the
-# shard path (~550k on a single idle core; the floor is the point —
-# sequential fallback would land far below it).
+# The tenant sweep again with TRR + PARA live: the mitigations' replay
+# must not collapse the loop's throughput.
 gate_floor cloud_mitigated_iops 50000
-# Sequential-loop host time per command with 1022 idle queue pairs
+# Event-loop host time per command with 1022 idle queue pairs
 # attached, over the same 2-tenant script without them (~1.3-1.7x with
 # the work bitmap; a per-pick scan of every stream lands at 10-17x).
 gate_ceiling loop_idle_stream_overhead 2.0

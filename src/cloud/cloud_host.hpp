@@ -9,11 +9,10 @@
 // The underlying FTL and L2P table stay shared across all of them —
 // the whole point of the attack.
 //
-// Hosts whose device profile enables TRR or PARA (or a rate limiter)
-// run the NVMe event loop's per-bank shard path like bare devices do:
-// mitigation state shards with commit-merged deltas and plan-time
-// pre-draws, so the mitigated fleet scales without dropping to
-// sequential execution (see NvmeEventLoop::sharding_supported).
+// Tenants' queue pairs share the device through NvmeEventLoop, which
+// runs their commands one at a time in its deterministic arbitration
+// order, whatever mitigations (TRR, PARA, a rate limiter) the device
+// profile enables.
 #pragma once
 
 #include <cstdint>

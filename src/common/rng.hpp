@@ -72,12 +72,6 @@ class Rng {
   /// Derive an independent child generator (for per-subsystem streams).
   Rng fork();
 
-  /// Bit-exact state comparison: two generators compare equal iff they
-  /// are at the same position of the same stream.  Lets replay machinery
-  /// (and its tests) prove a pre-draw or rollback left the stream where
-  /// the scalar path would have.
-  friend bool operator==(const Rng&, const Rng&) = default;
-
  private:
   std::uint64_t s_[4];
 };

@@ -69,8 +69,6 @@ class RowIndex {
 
 }  // namespace
 
-thread_local DramShardSink* DramDevice::shard_sink_ = nullptr;
-
 DramDevice::DramDevice(DramConfig config,
                        std::unique_ptr<AddressMapper> mapper, SimClock& clock)
     : config_(std::move(config)),
@@ -116,63 +114,10 @@ DramDevice::DramDevice(DramConfig config,
 }
 
 void DramDevice::roll_window(std::uint64_t global_row) {
-  if (DramShardSink* sink = shard_sink_; sink != nullptr) {
-    // Every counter mutation is preceded by a roll of the row's window,
-    // so snapshotting here captures the pre-state of all of them
-    // (duplicates are fine: rollback restores newest-first, leaving the
-    // oldest — pre-shard — snapshot in effect).
-    sink->rows.push_back(DramShardSink::RowUndo{
-        global_row, row_window_[global_row], row_acts_[global_row]});
-  }
   const std::uint64_t w = current_window();
   if (row_window_[global_row] != w) {
     row_window_[global_row] = w;
     row_acts_[global_row] = 0;
-  }
-}
-
-void DramDevice::emit_flip(const FlipEvent& flip) {
-  if (DramShardSink* sink = shard_sink_; sink != nullptr) {
-    sink->flips.push_back(
-        DramShardSink::OrderedFlip{sink->order, sink->flip_seq++, flip});
-  } else {
-    flip_events_.push_back(flip);
-  }
-}
-
-void DramDevice::merge_shard_stats(const DramStats& delta) {
-  stats_.reads += delta.reads;
-  stats_.writes += delta.writes;
-  stats_.activations += delta.activations;
-  stats_.row_buffer_hits += delta.row_buffer_hits;
-  stats_.bitflips += delta.bitflips;
-  stats_.ecc_corrected += delta.ecc_corrected;
-  stats_.ecc_uncorrectable += delta.ecc_uncorrectable;
-  stats_.trr_refreshes += delta.trr_refreshes;
-  stats_.para_refreshes += delta.para_refreshes;
-  stats_.cache_hits += delta.cache_hits;
-  stats_.cache_misses += delta.cache_misses;
-  stats_.injected_bit_errors += delta.injected_bit_errors;
-  if (trr_.has_value()) {
-    // Shard-fired refreshes were counted in the delta, not the tracker;
-    // fold them in so stats_.trr_refreshes == refreshes_issued() again.
-    trr_->add_refreshes(delta.trr_refreshes);
-  }
-}
-
-void DramDevice::merge_shard_bases(const DramShardSink& sink) {
-  for (const auto& [row, nb] : sink.bases) {
-    refresh_bases_[row] = nb;
-  }
-}
-
-void DramDevice::rollback_shard(const DramShardSink& sink) {
-  for (auto it = sink.bytes.rbegin(); it != sink.bytes.rend(); ++it) {
-    row_data_[it->row]->data[it->byte_offset] = it->value;
-  }
-  for (auto it = sink.rows.rbegin(); it != sink.rows.rend(); ++it) {
-    row_window_[it->row] = it->window;
-    row_acts_[it->row] = it->acts;
   }
 }
 
@@ -195,16 +140,6 @@ DramDevice::RefreshBases DramDevice::bases_of(
   // TRR and PARA issue; with neither enabled every row's baselines are
   // identically zero and the lookup is skipped.
   if (!neighbor_refresh_active_) return RefreshBases{};
-  if (const DramShardSink* sink = shard_sink_; sink != nullptr) {
-    // A shard reads its own buffered updates first (newest wins); rows
-    // it never refreshed fall through to the committed global map.
-    for (auto it = sink->bases.rbegin(); it != sink->bases.rend(); ++it) {
-      if (it->first == global_row) {
-        return it->second.window == current_window() ? it->second
-                                                     : RefreshBases{};
-      }
-    }
-  }
   const auto it = refresh_bases_.find(global_row);
   if (it == refresh_bases_.end() || it->second.window != current_window()) {
     return RefreshBases{};  // stale entries read as zeros (window rolled)
@@ -212,53 +147,9 @@ DramDevice::RefreshBases DramDevice::bases_of(
   return it->second;
 }
 
-void DramDevice::store_bases(std::uint64_t global_row,
-                             const RefreshBases& nb) {
-  if (DramShardSink* sink = shard_sink_; sink != nullptr) {
-    for (auto& entry : sink->bases) {
-      if (entry.first == global_row) {
-        entry.second = nb;
-        return;
-      }
-    }
-    sink->bases.emplace_back(global_row, nb);
-    return;
-  }
-  refresh_bases_[global_row] = nb;
-}
-
 bool DramDevice::para_decide() {
-  if (DramShardSink* sink = shard_sink_;
-      sink != nullptr && sink->para_draws != nullptr) {
-    RHSD_CHECK_MSG(sink->para_next < sink->para_end,
-                   "PARA pre-draw slice exhausted mid-command");
-    return sink->para_draws[sink->para_next++] != 0;
-  }
   if (config_.mitigations.para_probability >= 1.0) return true;
   return para_rng_.next_bool_at(para_threshold_);
-}
-
-std::uint64_t DramDevice::para_predraw(std::uint64_t n,
-                                       std::vector<std::uint8_t>& out) {
-  RHSD_CHECK(config_.mitigations.para_probability > 0.0);
-  out.assign(n, 1);
-  // p >= 1 decides true without consuming a draw (Rng::next_bool), so
-  // the all-ones fill is already the scalar stream.
-  if (config_.mitigations.para_probability >= 1.0) return 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out[i] = para_rng_.next_bool_at(para_threshold_) ? 1 : 0;
-  }
-  return n;
-}
-
-void DramDevice::roll_trr_window() {
-  if (!trr_.has_value()) return;
-  RHSD_CHECK_MSG(shard_sink_ == nullptr, "TRR window roll inside a shard");
-  const std::uint64_t w = current_window();
-  if (w != trr_window_) {
-    trr_->reset();
-    trr_window_ = w;
-  }
 }
 
 std::uint64_t DramDevice::acts_now(std::uint64_t global_row) {
@@ -291,17 +182,13 @@ void DramDevice::activate(std::uint64_t global_row) {
     }
     open_rows_[bank] = global_row;
   }
-  ++stats_mut().activations;
+  ++stats_.activations;
   roll_window(global_row);
   ++row_acts_[global_row];
 
   if (trr_.has_value()) {
     const std::uint64_t w = current_window();
     if (w != trr_window_) {
-      // The tracker window tag is device-global: the event loop rolls
-      // it serially (roll_trr_window) and never batches across a
-      // refresh-window boundary, so a shard must not get here.
-      RHSD_CHECK_MSG(shard_sink_ == nullptr, "TRR window roll inside a shard");
       trr_->reset();
       trr_window_ = w;
     }
@@ -309,12 +196,7 @@ void DramDevice::activate(std::uint64_t global_row) {
         global_row / config_.geometry.rows_per_bank);
     const auto row_in_bank = static_cast<std::uint32_t>(
         global_row % config_.geometry.rows_per_bank);
-    // Sharded: refresh fires accumulate in the sink's stats delta (the
-    // tracker total is folded forward at commit); sequential: the
-    // tracker total is authoritative.
-    std::uint64_t shard_fires = 0;
-    std::uint64_t* const ext = shard_sink_ != nullptr ? &shard_fires : nullptr;
-    if (auto fired = trr_->on_activate(bank, row_in_bank, ext)) {
+    if (auto fired = trr_->on_activate(bank, row_in_bank)) {
       const std::uint64_t fired_global =
           static_cast<std::uint64_t>(bank) * config_.geometry.rows_per_bank +
           *fired;
@@ -322,16 +204,12 @@ void DramDevice::activate(std::uint64_t global_row) {
                                config_.mitigations.trr_config
                                    .refresh_distance);
     }
-    if (shard_sink_ != nullptr) {
-      shard_sink_->stats.trr_refreshes += shard_fires;
-    } else {
-      stats_.trr_refreshes = trr_->refreshes_issued();
-    }
+    stats_.trr_refreshes = trr_->refreshes_issued();
   }
   if (config_.mitigations.para_probability > 0.0 && para_decide()) {
     // PARA: stateless probabilistic neighbor refresh.
     target_refresh_neighbors(global_row, /*distance=*/1);
-    ++stats_mut().para_refreshes;
+    ++stats_.para_refreshes;
   }
 
   if (auto left = neighbor(global_row, -1)) check_victim(*left);
@@ -359,7 +237,7 @@ void DramDevice::target_refresh_neighbors(
       if (auto r = neighbor(*victim, +1)) nb.right = acts_now(*r);
       if (auto l2 = neighbor(*victim, -2)) nb.left2 = acts_now(*l2);
       if (auto r2 = neighbor(*victim, +2)) nb.right2 = acts_now(*r2);
-      store_bases(*victim, nb);
+      refresh_bases_[*victim] = nb;
     }
   }
 }
@@ -399,23 +277,19 @@ void DramDevice::check_victim(std::uint64_t victim) {
     std::uint8_t& byte = rd.data[cell.byte_offset];
     const std::uint8_t current = (byte >> cell.bit) & 1u;
     if (current == cell.failure_value) continue;  // already decayed
-    if (shard_sink_ != nullptr) {
-      shard_sink_->bytes.push_back(
-          DramShardSink::ByteUndo{victim, cell.byte_offset, byte});
-    }
     if (cell.failure_value) {
       byte = static_cast<std::uint8_t>(byte | (1u << cell.bit));
     } else {
       byte = static_cast<std::uint8_t>(byte & ~(1u << cell.bit));
     }
-    ++stats_mut().bitflips;
+    ++stats_.bitflips;
     // Deliberately *not* updating ECC: the flip happens underneath the
     // code, which is exactly what lets ECC catch it.
-    emit_flip(FlipEvent{.time_ns = sim_now(),
-                        .global_row = victim,
-                        .byte_offset = cell.byte_offset,
-                        .bit = cell.bit,
-                        .new_value = cell.failure_value});
+    flip_events_.push_back(FlipEvent{.time_ns = clock_.now_ns(),
+                                     .global_row = victim,
+                                     .byte_offset = cell.byte_offset,
+                                     .bit = cell.bit,
+                                     .new_value = cell.failure_value});
   }
 }
 
@@ -494,7 +368,7 @@ void DramDevice::hammer_events_fast(std::uint64_t a, std::uint64_t b,
   const std::uint64_t a0_a = acts_now(a);
   const std::uint64_t a0_b = a == b ? a0_a : acts_now(b);
 
-  stats_mut().activations += events;
+  stats_.activations += events;
   row_acts_[a] += a == b ? events : (events + 1) / 2;
   if (a != b) row_acts_[b] += events / 2;
   if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
@@ -539,8 +413,8 @@ void DramDevice::hammer_events_fast(std::uint64_t a, std::uint64_t b,
                      return x.event != y.event ? x.event < y.event
                                                : x.slot < y.slot;
                    });
-  stats_mut().bitflips += pending.size();
-  for (const PendingFlip& p : pending) emit_flip(p.flip);
+  stats_.bitflips += pending.size();
+  for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
 }
 
 void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
@@ -549,9 +423,6 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
   // per-activation TRR window roll collapses to one roll up front.
   const std::uint64_t w = current_window();
   if (trr_.has_value() && w != trr_window_) {
-    // Device-global tracker state: the event loop rolls it serially
-    // before sharding and never batches across a window boundary.
-    RHSD_CHECK_MSG(shard_sink_ == nullptr, "TRR window roll inside a shard");
     trr_->reset();
     trr_window_ = w;
   }
@@ -559,7 +430,7 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
   const std::uint64_t a0_a = acts_now(a);
   const std::uint64_t a0_b = a == b ? a0_a : acts_now(b);
 
-  stats_mut().activations += events;
+  stats_.activations += events;
   row_acts_[a] += a == b ? events : (events + 1) / 2;
   if (a != b) row_acts_[b] += events / 2;
   if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
@@ -594,13 +465,9 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
     const auto in_b = static_cast<std::uint32_t>(b % rows_per_bank);
     const std::uint32_t dist =
         config_.mitigations.trr_config.refresh_distance;
-    // Sharded: count fires in the sink's stats delta, not the tracker
-    // total (folded forward at commit).
-    std::uint64_t shard_fires = 0;
-    std::uint64_t* const ext = shard_sink_ != nullptr ? &shard_fires : nullptr;
     if (a == b || bank_a == bank_b) {
       for (const TrrEmission& em :
-           trr_->advance(bank_a, in_a, a == b ? in_a : in_b, events, ext)) {
+           trr_->advance(bank_a, in_a, a == b ? in_a : in_b, events)) {
         const std::uint64_t fired =
             static_cast<std::uint64_t>(bank_a) * rows_per_bank + em.row;
         points.push_back({em.index, fired, dist});
@@ -609,30 +476,23 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
       // Different banks see independent single-row subsequences: a at
       // odd events (the odd half-length), b at even events.
       for (const TrrEmission& em :
-           trr_->advance(bank_a, in_a, in_a, (events + 1) / 2, ext)) {
+           trr_->advance(bank_a, in_a, in_a, (events + 1) / 2)) {
         points.push_back({2 * em.index - 1, a, dist});
       }
       for (const TrrEmission& em :
-           trr_->advance(bank_b, in_b, in_b, events / 2, ext)) {
+           trr_->advance(bank_b, in_b, in_b, events / 2)) {
         points.push_back({2 * em.index, b, dist});
       }
     }
-    if (shard_sink_ != nullptr) {
-      shard_sink_->stats.trr_refreshes += shard_fires;
-    } else {
-      stats_.trr_refreshes = trr_->refreshes_issued();
-    }
+    stats_.trr_refreshes = trr_->refreshes_issued();
   }
   if (config_.mitigations.para_probability > 0.0) {
     // Replay the PARA stream in scalar order: exactly one decision per
-    // activation, whatever TRR did at the same events.  Sequentially
-    // para_decide() draws from the global RNG; under a shard sink it
-    // consumes the plan-time pre-draw slice — either way the stream is
-    // bit-identical to the scalar path.
+    // activation, whatever TRR did at the same events.
     for (std::uint64_t e = 1; e <= events; ++e) {
       if (!para_decide()) continue;
       points.push_back({e, (a == b || e % 2 != 0) ? a : b, 1});
-      ++stats_mut().para_refreshes;
+      ++stats_.para_refreshes;
     }
   }
   // Merge by event; at equal events the TRR fire was pushed first and
@@ -723,7 +583,7 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
   // Now the deferred baseline writes: scalar leaves each refreshed row's
   // entry at its *last* refresh of the batch.
   for (const auto& [row, list] : refreshed) {
-    store_bases(row, list.back().bases);
+    refresh_bases_[row] = list.back().bases;
   }
 
   if (pending.empty()) return;
@@ -732,8 +592,8 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
                      return x.event != y.event ? x.event < y.event
                                                : x.slot < y.slot;
                    });
-  stats_mut().bitflips += pending.size();
-  for (const PendingFlip& p : pending) emit_flip(p.flip);
+  stats_.bitflips += pending.size();
+  for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
 }
 
 void DramDevice::check_victim_batched(
@@ -854,10 +714,6 @@ void DramDevice::check_victim_batched(
   };
   const auto emit = [&](const VulnCell& cell, std::uint64_t e) {
     std::uint8_t& byte = rd->data[cell.byte_offset];
-    if (shard_sink_ != nullptr) {
-      shard_sink_->bytes.push_back(
-          DramShardSink::ByteUndo{victim, cell.byte_offset, byte});
-    }
     if (cell.failure_value) {
       byte = static_cast<std::uint8_t>(byte | (1u << cell.bit));
     } else {
@@ -866,7 +722,7 @@ void DramDevice::check_victim_batched(
     pending.push_back(PendingFlip{
         .event = e,
         .slot = slot_at(e),
-        .flip = FlipEvent{.time_ns = sim_now(),
+        .flip = FlipEvent{.time_ns = clock_.now_ns(),
                           .global_row = victim,
                           .byte_offset = cell.byte_offset,
                           .bit = cell.bit,
@@ -1573,7 +1429,7 @@ Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
   if (addr.value() + out.size() > config_.geometry.total_bytes()) {
     return OutOfRange("DRAM read past end of device");
   }
-  ++stats_mut().reads;
+  ++stats_.reads;
   if (injector_ != nullptr) {
     if (const auto fault = injector_->tick(FaultClass::kDramBitError);
         fault.has_value() && !out.empty()) {
@@ -1631,7 +1487,7 @@ Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data) {
   if (addr.value() + data.size() > config_.geometry.total_bytes()) {
     return OutOfRange("DRAM write past end of device");
   }
-  ++stats_mut().writes;
+  ++stats_.writes;
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
   std::uint64_t a = addr.value();
   std::size_t done = 0;
@@ -1654,15 +1510,6 @@ Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data) {
     activate(grow);
 
     RowData& rd = materialize(grow);
-    if (DramShardSink* sink = shard_sink_; sink != nullptr) {
-      // Record the overwritten bytes so a batch rollback restores them.
-      // A freshly materialized row records zeros, which is what a
-      // pre-shard peek of the row reads too.
-      for (std::uint32_t i = 0; i < chunk; ++i) {
-        sink->bytes.push_back(
-            DramShardSink::ByteUndo{grow, off + i, rd.data[off + i]});
-      }
-    }
     std::memcpy(rd.data.data() + off, data.data() + done, chunk);
     update_ecc(rd, off, chunk);
     a += chunk;
@@ -1678,7 +1525,7 @@ Status DramDevice::repeat_read(DramAddr addr, std::span<std::uint8_t> out,
   }
   if (extra == 0) return Status::Ok();
   if (out.empty()) {
-    stats_mut().reads += extra;  // empty reads touch no rows
+    stats_.reads += extra;  // empty reads touch no rows
     return Status::Ok();
   }
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
@@ -1697,7 +1544,7 @@ Status DramDevice::repeat_read(DramAddr addr, std::span<std::uint8_t> out,
   // the buffer (the row's own activations disturb only its neighbors),
   // the ECC state (scrubbed by the first read), or the outcome — only
   // the activations and their neighbor disturbance remain.
-  stats_mut().reads += extra;
+  stats_.reads += extra;
   const DramCoord coord =
       mapper_->decode(DramAddr(addr.value() - addr.value() % row_bytes));
   hammer_events(coord.global_row(config_.geometry),
@@ -1713,7 +1560,7 @@ Status DramDevice::repeat_write(DramAddr addr,
   }
   if (extra == 0) return Status::Ok();
   if (data.empty()) {
-    stats_mut().writes += extra;
+    stats_.writes += extra;
     return Status::Ok();
   }
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
@@ -1728,7 +1575,7 @@ Status DramDevice::repeat_write(DramAddr addr,
   // Rewriting identical bytes is idempotent (memcpy and ECC update
   // reproduce the state the first write left); only the activations and
   // their neighbor disturbance remain.
-  stats_mut().writes += extra;
+  stats_.writes += extra;
   const DramCoord coord =
       mapper_->decode(DramAddr(addr.value() - addr.value() % row_bytes));
   hammer_events(coord.global_row(config_.geometry),

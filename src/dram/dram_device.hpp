@@ -111,20 +111,6 @@ struct PatternHazard {
   std::uint32_t byte_hi = 0;  // exclusive
 };
 
-/// Exposure baselines: neighbor activation counts at the last targeted
-/// refresh of a row (TRR/PARA), valid only within `window`.  The `2`
-/// pair covers distance-2 neighbors (Half-Double).  Rows without an
-/// entry (or with a stale one) have all-zero baselines.  Namespace
-/// scope because sharded replay buffers per-row baseline updates in the
-/// shard sink until commit.
-struct DramRefreshBases {
-  std::uint64_t window = ~0ull;
-  std::uint64_t left = 0;
-  std::uint64_t right = 0;
-  std::uint64_t left2 = 0;
-  std::uint64_t right2 = 0;
-};
-
 /// One disturbance-induced bitflip, for scanning and experiment output.
 struct FlipEvent {
   std::uint64_t time_ns = 0;
@@ -132,79 +118,6 @@ struct FlipEvent {
   std::uint32_t byte_offset = 0;  // within the row
   std::uint8_t bit = 0;
   std::uint8_t new_value = 0;
-};
-
-/// Thread-local redirection target for sharded per-bank replay (the
-/// NVMe event loop).  While a thread has a sink bound, the DRAM read /
-/// hammer path sends its statistics and flip events to the sink instead
-/// of the device-global aggregates, stamps flips with the current
-/// command's *planned* simulated time (the shared clock has not moved
-/// yet), and records undo state for every row-counter and data-byte
-/// mutation.  The event loop then either commits the shard — merging
-/// stats and splicing the flips from all shards back into global
-/// command order — or rolls it back byte-exactly when a command's
-/// outcome diverged from its plan.
-///
-/// Only the paths a shard can reach are redirected: read(), write(),
-/// the repeat_read()/repeat_write() single-row fast paths, activate(),
-/// and the batched victim checks (plain and mitigated).  write()
-/// additionally records a ByteUndo for every byte it overwrites, so
-/// sharded L2P entry updates roll back exactly.  TRR and PARA shard
-/// too: the per-bank Misra–Gries tables are disjoint across shards, a
-/// shard's refresh fires accumulate in its stats delta (folded into
-/// the tracker at commit), PARA decisions come from the plan-time
-/// pre-draw slice below, and targeted-refresh baselines buffer in
-/// `bases` until commit.  ECC, the cache, and open-page accounting
-/// remain gated out by the event loop and keep writing device-global
-/// state directly.  Shards must partition the banks: disturbance and
-/// targeted refreshes never cross a bank edge, so per-bank shards
-/// touch disjoint row state.
-struct DramShardSink {
-  /// One flip tagged for the cross-shard merge.  `order` is the global
-  /// command index; `seq` is a per-sink monotone counter that preserves
-  /// emission order within a command.
-  struct OrderedFlip {
-    std::uint64_t order = 0;
-    std::uint32_t seq = 0;
-    FlipEvent flip;
-  };
-  /// Pre-mutation snapshot of a row's per-window counters, pushed every
-  /// time the shard rolls a row's window (i.e. before any counter
-  /// mutation).  Restored newest-first on rollback.
-  struct RowUndo {
-    std::uint64_t row = 0;
-    std::uint64_t window = 0;
-    std::uint64_t acts = 0;
-  };
-  /// Pre-mutation value of a flipped data byte.
-  struct ByteUndo {
-    std::uint64_t row = 0;
-    std::uint32_t byte_offset = 0;
-    std::uint8_t value = 0;
-  };
-
-  DramStats stats;           // this shard's deltas
-  std::uint64_t now_ns = 0;  // planned time of the current command
-  std::uint64_t order = 0;   // global index of the current command
-  std::uint32_t flip_seq = 0;
-  std::vector<OrderedFlip> flips;
-  std::vector<RowUndo> rows;
-  std::vector<ByteUndo> bytes;
-
-  /// PARA pre-draw slice for the current command: decisions drafted
-  /// from the global RNG in scalar activation order at plan time.
-  /// para_decide() consumes exactly one entry per activation; the
-  /// event loop checks the slice drained after each command.  nullptr
-  /// when PARA is off.
-  const std::uint8_t* para_draws = nullptr;
-  std::uint64_t para_next = 0;
-  std::uint64_t para_end = 0;
-  /// Targeted-refresh baseline updates, buffered until commit (keys
-  /// are rows of this shard's banks — disjoint across shards).
-  /// Upserted in place so reads within the shard see their own writes;
-  /// merged into the device map by merge_shard_bases() on commit and
-  /// simply dropped on rollback.
-  std::vector<std::pair<std::uint64_t, DramRefreshBases>> bases;
 };
 
 class DramDevice {
@@ -368,60 +281,10 @@ class DramDevice {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
 
-  /// Bind the calling thread's shard sink (nullptr unbinds).  See
-  /// DramShardSink for the redirection contract.
-  static void bind_shard_sink(DramShardSink* sink) { shard_sink_ = sink; }
-  /// Merge a committed shard's statistic deltas into the device
-  /// aggregates.  The caller splices the flips of all shards in global
-  /// (order, seq) order and appends them via append_flip_event().
-  /// Also folds the delta's trr_refreshes into the tracker total so
-  /// the stats_.trr_refreshes == TrrTracker::refreshes_issued()
-  /// invariant holds across sharded batches.
-  void merge_shard_stats(const DramStats& delta);
-  void append_flip_event(const FlipEvent& flip) {
-    flip_events_.push_back(flip);
-  }
-  /// Apply a committed shard's buffered targeted-refresh baselines.
-  void merge_shard_bases(const DramShardSink& sink);
-  /// Undo every row-counter and data-byte mutation a shard recorded,
-  /// newest first, leaving the device as if the shard never ran.
-  void rollback_shard(const DramShardSink& sink);
-
-  /// Snapshot of the device-global mitigation state a sharded batch
-  /// mutates outside the per-shard undo logs: the TRR tracker (per-bank
-  /// tables + refresh total), its refresh-window tag, and the PARA RNG.
-  /// The event loop captures one per mitigated batch and restores it on
-  /// rollback; on commit it is simply dropped.
-  struct MitigationSnapshot {
-    std::optional<TrrTracker> trr;
-    std::uint64_t trr_window = ~0ull;
-    Rng para_rng{0};
-  };
-  [[nodiscard]] MitigationSnapshot mitigation_snapshot() const {
-    return MitigationSnapshot{trr_, trr_window_, para_rng_};
-  }
-  void restore_mitigation_state(const MitigationSnapshot& snap) {
-    trr_ = snap.trr;
-    trr_window_ = snap.trr_window;
-    para_rng_ = snap.para_rng;
-  }
-  /// Roll the TRR tracker to the clock's current refresh window (reset
-  /// + retag) if it is stale.  The event loop calls this serially
-  /// before sharding a batch: the tracker window is device-global, so
-  /// the roll must never happen inside a shard (activate() checks).
-  void roll_trr_window();
-  /// Draft `n` PARA decisions from the global RNG in scalar activation
-  /// order into `out` (1 = refresh neighbors).  Returns the number of
-  /// RNG draws consumed: n for probabilities in (0,1); 0 for p >= 1,
-  /// which — matching Rng::next_bool() — decides true without drawing.
-  /// Requires PARA configured.
-  std::uint64_t para_predraw(std::uint64_t n, std::vector<std::uint8_t>& out);
   /// TRR refreshes fired so far (0 when TRR is off).
   [[nodiscard]] std::uint64_t trr_refreshes_issued() const {
     return trr_.has_value() ? trr_->refreshes_issued() : 0;
   }
-  /// PARA RNG stream position, for replay parity checks.
-  [[nodiscard]] const Rng& para_rng_state() const { return para_rng_; }
 
  private:
   /// Lazily allocated backing store of one row.
@@ -430,9 +293,17 @@ class DramDevice {
     std::vector<std::uint8_t> ecc;  // one check byte per 8 data bytes
   };
 
-  /// See DramRefreshBases at namespace scope (hoisted there so the
-  /// shard sink can buffer baseline updates).
-  using RefreshBases = DramRefreshBases;
+  /// Exposure baselines: neighbor activation counts at the last
+  /// targeted refresh of a row (TRR/PARA), valid only within `window`.
+  /// The `2` pair covers distance-2 neighbors (Half-Double).  Rows
+  /// without an entry (or with a stale one) have all-zero baselines.
+  struct RefreshBases {
+    std::uint64_t window = ~0ull;
+    std::uint64_t left = 0;
+    std::uint64_t right = 0;
+    std::uint64_t left2 = 0;
+    std::uint64_t right2 = 0;
+  };
 
   /// A bitflip produced inside a batched hammer, waiting for the global
   /// (event, check-slot) sort that restores scalar emission order.
@@ -442,33 +313,15 @@ class DramDevice {
     FlipEvent flip;
   };
 
-  /// Simulated time of the work being executed: the shared clock, or —
-  /// under a bound shard sink — the current command's planned time.
-  [[nodiscard]] std::uint64_t sim_now() const {
-    return shard_sink_ != nullptr ? shard_sink_->now_ns : clock_.now_ns();
-  }
-  /// Statistics target: the bound shard sink's deltas, or the device
-  /// aggregates.  Only used on the paths a shard can reach.
-  [[nodiscard]] DramStats& stats_mut() {
-    return shard_sink_ != nullptr ? shard_sink_->stats : stats_;
-  }
-  /// Flip emission: straight to flip_events_, or — sharded — into the
-  /// sink tagged with the current command's (order, seq).
-  void emit_flip(const FlipEvent& flip);
-
   [[nodiscard]] std::uint64_t current_window() const {
-    return sim_now() / window_ns_;
+    return clock_.now_ns() / window_ns_;
   }
 
   void roll_window(std::uint64_t global_row);
   RowData& materialize(std::uint64_t global_row);
   [[nodiscard]] RefreshBases bases_of(std::uint64_t global_row) const;
-  /// Record a row's new baselines: into the bound shard sink's buffer,
-  /// or straight into refresh_bases_ on the sequential path.
-  void store_bases(std::uint64_t global_row, const RefreshBases& nb);
-  /// One PARA decision: consume the next pre-drawn slice entry under a
-  /// shard sink, else draw from the global RNG (one draw per decision
-  /// for p in (0,1); p >= 1 decides true without drawing).
+  /// One PARA decision from the global RNG (one draw per decision for p
+  /// in (0,1); p >= 1 decides true without drawing).
   [[nodiscard]] bool para_decide();
 
   /// Per-window activation count, rolling the window first.
@@ -557,8 +410,6 @@ class DramDevice {
   /// True iff TRR or PARA can write refresh_bases_; when false the
   /// activation path skips the baseline lookup entirely.
   bool neighbor_refresh_active_ = false;
-  /// Per-thread shard sink; null on the sequential path.
-  static thread_local DramShardSink* shard_sink_;
 };
 
 }  // namespace rhsd

@@ -46,11 +46,9 @@ TrrTracker::TrrTracker(TrrConfig config, std::uint32_t num_banks)
   RHSD_CHECK(config_.activation_threshold > 0);
 }
 
-std::optional<std::uint32_t> TrrTracker::on_activate(
-    std::uint32_t bank, std::uint32_t row, std::uint64_t* refreshes) {
+std::optional<std::uint32_t> TrrTracker::on_activate(std::uint32_t bank,
+                                                     std::uint32_t row) {
   RHSD_CHECK(bank < tables_.size());
-  std::uint64_t& fired_count =
-      refreshes != nullptr ? *refreshes : refreshes_issued_;
   auto& table = tables_[bank];
 
   auto it = table.find(row);
@@ -59,7 +57,7 @@ std::optional<std::uint32_t> TrrTracker::on_activate(
       // Fire a targeted refresh at this aggressor's neighbors and
       // restart its count.
       it->second = 0;
-      ++fired_count;
+      ++refreshes_issued_;
       return row;
     }
     return std::nullopt;
@@ -86,11 +84,8 @@ std::optional<std::uint32_t> TrrTracker::on_activate(
 std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
                                              std::uint32_t row_a,
                                              std::uint32_t row_b,
-                                             std::uint64_t events,
-                                             std::uint64_t* refreshes) {
+                                             std::uint64_t events) {
   RHSD_CHECK(bank < tables_.size());
-  std::uint64_t& fired_count =
-      refreshes != nullptr ? *refreshes : refreshes_issued_;
   std::vector<TrrEmission> out;
   auto& table = tables_[bank];
   const std::uint64_t threshold = config_.activation_threshold;
@@ -125,7 +120,7 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
             out.push_back(TrrEmission{em.index + rep * period, em.row});
           }
         }
-        fired_count += full * pat_len;
+        refreshes_issued_ += full * pat_len;
         e += full * period;
         // The sub-period tail replays step by step below.
         detect = false;
@@ -137,7 +132,7 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
     }
     if (e > events) break;
     const std::uint32_t row = (one_row || e % 2 != 0) ? row_a : row_b;
-    if (auto fired = on_activate(bank, row, &fired_count)) {
+    if (auto fired = on_activate(bank, row)) {
       out.push_back(TrrEmission{e, *fired});
     }
     ++e;
@@ -173,7 +168,7 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
       } else {
         count = n - j1 - (fires - 1) * threshold;
       }
-      fired_count += fires;
+      refreshes_issued_ += fires;
     };
     if (one_row) {
       fold(row_a, first, 1, events - first + 1);
@@ -198,12 +193,10 @@ std::vector<TrrEmission> TrrTracker::advance(std::uint32_t bank,
 
 std::vector<TrrEmission> TrrTracker::advance_cmds(
     std::uint32_t bank, std::span<const std::uint32_t> cmd_rows,
-    std::uint64_t repeat, std::uint64_t events, std::uint64_t* refreshes) {
+    std::uint64_t repeat, std::uint64_t events) {
   RHSD_CHECK(bank < tables_.size());
   RHSD_CHECK(!cmd_rows.empty());
   RHSD_CHECK(repeat > 0);
-  std::uint64_t& fired_count =
-      refreshes != nullptr ? *refreshes : refreshes_issued_;
   std::vector<TrrEmission> out;
   auto& table = tables_[bank];
   const std::uint64_t threshold = config_.activation_threshold;
@@ -248,7 +241,7 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
             out.push_back(TrrEmission{em.index + rep * cycle, em.row});
           }
         }
-        fired_count += full * pat_len;
+        refreshes_issued_ += full * pat_len;
         e += full * cycle;
         detect = false;
         seen.clear();
@@ -258,7 +251,7 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
       }
     }
     if (e > events) break;
-    if (auto fired = on_activate(bank, row_at(e), &fired_count)) {
+    if (auto fired = on_activate(bank, row_at(e))) {
       out.push_back(TrrEmission{e, *fired});
     }
     ++e;
@@ -269,7 +262,7 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
     // step scalar to a period boundary (at most one period, and each
     // step stays steady), then fold whole periods per distinct row.
     while (e <= events && (e - 1) % period != 0) {
-      if (auto fired = on_activate(bank, row_at(e), &fired_count)) {
+      if (auto fired = on_activate(bank, row_at(e))) {
         out.push_back(TrrEmission{e, *fired});
       }
       ++e;
@@ -316,7 +309,7 @@ std::vector<TrrEmission> TrrTracker::advance_cmds(
         } else {
           count = n - j1 - (fires - 1) * threshold;
         }
-        fired_count += fires;
+        refreshes_issued_ += fires;
       }
       std::sort(out.begin(), out.end(),
                 [](const TrrEmission& x, const TrrEmission& y) {

@@ -48,17 +48,8 @@ class TrrTracker {
 
   /// Record an activation of `row` in `bank`.  Returns the aggressor row
   /// whose neighbors must be target-refreshed now, if any.
-  ///
-  /// All three replay entry points take an optional external refresh
-  /// counter: with `refreshes` set, fired refreshes are counted there
-  /// instead of refreshes_issued().  The per-bank tables still mutate in
-  /// place — they are disjoint across banks, which is what lets the NVMe
-  /// event loop's per-bank shards drive them concurrently while the
-  /// device-global total is accumulated per shard and folded back via
-  /// add_refreshes() at batch commit.
-  [[nodiscard]] std::optional<std::uint32_t> on_activate(
-      std::uint32_t bank, std::uint32_t row,
-      std::uint64_t* refreshes = nullptr);
+  [[nodiscard]] std::optional<std::uint32_t> on_activate(std::uint32_t bank,
+                                                         std::uint32_t row);
 
   /// Batched replay: `events` activations of the fixed alternating
   /// pattern row_a, row_b, row_a, ... against `bank`'s table in one
@@ -72,7 +63,7 @@ class TrrTracker {
   /// the cost is O(transient + emissions), not O(events).
   [[nodiscard]] std::vector<TrrEmission> advance(
       std::uint32_t bank, std::uint32_t row_a, std::uint32_t row_b,
-      std::uint64_t events, std::uint64_t* refreshes = nullptr);
+      std::uint64_t events);
 
   /// Batched replay of a periodic multi-row command stream: the bank
   /// sees `cmd_rows[0]` activated `repeat` times, then `cmd_rows[1]`
@@ -86,8 +77,7 @@ class TrrTracker {
   /// cycles (detected and fast-forwarded).
   [[nodiscard]] std::vector<TrrEmission> advance_cmds(
       std::uint32_t bank, std::span<const std::uint32_t> cmd_rows,
-      std::uint64_t repeat, std::uint64_t events,
-      std::uint64_t* refreshes = nullptr);
+      std::uint64_t repeat, std::uint64_t events);
 
   /// Clear all per-window state (call at refresh-window boundaries).
   void reset();
@@ -95,10 +85,6 @@ class TrrTracker {
   [[nodiscard]] std::uint64_t refreshes_issued() const {
     return refreshes_issued_;
   }
-
-  /// Fold an externally accumulated refresh count (a committed shard's
-  /// delta) into refreshes_issued().
-  void add_refreshes(std::uint64_t n) { refreshes_issued_ += n; }
 
  private:
   TrrConfig config_;

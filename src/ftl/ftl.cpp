@@ -7,8 +7,6 @@
 
 namespace rhsd {
 
-thread_local FtlStats* Ftl::stats_sink_ = nullptr;
-
 const char* to_string(FtlDegradation cause) {
   switch (cause) {
     case FtlDegradation::kNone:
@@ -21,31 +19,6 @@ const char* to_string(FtlDegradation cause) {
   return "unknown";
 }
 
-void Ftl::merge_shard_stats(const FtlStats& delta) {
-  stats_.host_reads += delta.host_reads;
-  stats_.host_writes += delta.host_writes;
-  stats_.host_trims += delta.host_trims;
-  stats_.unmapped_reads += delta.unmapped_reads;
-  stats_.flash_reads += delta.flash_reads;
-  stats_.flash_programs += delta.flash_programs;
-  stats_.gc_runs += delta.gc_runs;
-  stats_.gc_relocations += delta.gc_relocations;
-  stats_.gc_erases += delta.gc_erases;
-  stats_.l2p_dram_reads += delta.l2p_dram_reads;
-  stats_.l2p_dram_writes += delta.l2p_dram_writes;
-  stats_.l2p_corruption_errors += delta.l2p_corruption_errors;
-  stats_.reference_tag_mismatches += delta.reference_tag_mismatches;
-  stats_.flash_raw_bit_errors += delta.flash_raw_bit_errors;
-  stats_.flash_ecc_uncorrectable += delta.flash_ecc_uncorrectable;
-  stats_.read_retries += delta.read_retries;
-  stats_.read_retry_successes += delta.read_retry_successes;
-  stats_.retired_blocks += delta.retired_blocks;
-  stats_.journal_records += delta.journal_records;
-  stats_.journal_snapshots += delta.journal_snapshots;
-  stats_.scrub_runs += delta.scrub_runs;
-  stats_.scrub_repairs += delta.scrub_repairs;
-  stats_.scrub_aborts += delta.scrub_aborts;
-}
 namespace {
 
 std::uint32_t Load32(const std::uint8_t* p) {
@@ -188,26 +161,26 @@ Status Ftl::l2p_load(Lba lba, std::uint32_t& pba32) {
   // request (§4.1 used 5 hammers per I/O).  The first touch does the
   // real transfer; the repeats reduce to row activations, which the
   // DRAM's batched fast path coalesces.
-  ++stats_mut().l2p_dram_reads;
+  ++stats_.l2p_dram_reads;
   Status s = dram_.read(addr, buf);
   if (!s.ok()) {
-    ++stats_mut().l2p_corruption_errors;
+    ++stats_.l2p_corruption_errors;
     return s;
   }
   if (config_.hammers_per_io > 1) {
     if (l2p_batched_ok(addr)) {
-      stats_mut().l2p_dram_reads += config_.hammers_per_io - 1;
+      stats_.l2p_dram_reads += config_.hammers_per_io - 1;
       s = dram_.repeat_read(addr, buf, config_.hammers_per_io - 1);
       if (!s.ok()) {
-        ++stats_mut().l2p_corruption_errors;
+        ++stats_.l2p_corruption_errors;
         return s;
       }
     } else {
       for (std::uint32_t i = 1; i < config_.hammers_per_io; ++i) {
-        ++stats_mut().l2p_dram_reads;
+        ++stats_.l2p_dram_reads;
         s = dram_.read(addr, buf);
         if (!s.ok()) {
-          ++stats_mut().l2p_corruption_errors;
+          ++stats_.l2p_corruption_errors;
           return s;
         }
       }
@@ -221,18 +194,16 @@ Status Ftl::l2p_store(Lba lba, std::uint32_t pba32) {
   const DramAddr addr = layout_->entry_addr(lba.value());
   std::uint8_t buf[L2pLayout::kEntryBytes];
   Store32(buf, pba32);
-  // stats_mut(): the store also runs inside event-loop shards (see
-  // shard_write_entry), where counters must land in the shard sink.
-  ++stats_mut().l2p_dram_writes;
+  ++stats_.l2p_dram_writes;
   RHSD_RETURN_IF_ERROR(dram_.write(addr, buf));
   if (config_.hammers_per_io > 1) {
     if (l2p_batched_ok(addr)) {
-      stats_mut().l2p_dram_writes += config_.hammers_per_io - 1;
+      stats_.l2p_dram_writes += config_.hammers_per_io - 1;
       RHSD_RETURN_IF_ERROR(
           dram_.repeat_write(addr, buf, config_.hammers_per_io - 1));
     } else {
       for (std::uint32_t i = 1; i < config_.hammers_per_io; ++i) {
-        ++stats_mut().l2p_dram_writes;
+        ++stats_.l2p_dram_writes;
         RHSD_RETURN_IF_ERROR(dram_.write(addr, buf));
       }
     }
@@ -326,9 +297,9 @@ Status Ftl::nand_read_retry(Pba pba, std::span<std::uint8_t> out,
        !s.ok() && s.code() == StatusCode::kCorruption &&
        attempt < config_.read_retry_max;
        ++attempt) {
-    ++stats_mut().read_retries;
+    ++stats_.read_retries;
     s = nand_.read_pba(pba, out, oob, raw_bit_errors);
-    if (s.ok()) ++stats_mut().read_retry_successes;
+    if (s.ok()) ++stats_.read_retry_successes;
   }
   return s;
 }
@@ -451,15 +422,14 @@ Status Ftl::read(Lba lba, std::span<std::uint8_t> out, FtlIoInfo* info) {
   if (out.size() != kBlockSize) {
     return InvalidArgument("FTL reads are 4 KiB");
   }
-  ++stats_mut().host_reads;
+  ++stats_.host_reads;
   std::uint32_t pba32 = 0;
   RHSD_RETURN_IF_ERROR(l2p_load(lba, pba32));
-  if (info != nullptr) info->pba32 = pba32;
   if (pba32 == kUnmappedPba32 ||
       pba32 >= nand_.geometry().total_pages()) {
     // Unmapped (or corrupted-beyond-device) entries read as zeros
     // without a flash access — the fast hammering path of §3.
-    ++stats_mut().unmapped_reads;
+    ++stats_.unmapped_reads;
     std::memset(out.data(), 0, out.size());
     if (info != nullptr) info->flash_accessed = false;
     maybe_scrub();
@@ -468,10 +438,10 @@ Status Ftl::read(Lba lba, std::span<std::uint8_t> out, FtlIoInfo* info) {
   PageOob oob;
   std::uint32_t raw_errors = 0;
   RHSD_RETURN_IF_ERROR(nand_read_retry(Pba(pba32), out, &oob, &raw_errors));
-  ++stats_mut().flash_reads;
-  stats_mut().flash_raw_bit_errors += raw_errors;
+  ++stats_.flash_reads;
+  stats_.flash_raw_bit_errors += raw_errors;
   if (raw_errors > config_.page_ecc_correctable_bits) {
-    ++stats_mut().flash_ecc_uncorrectable;
+    ++stats_.flash_ecc_uncorrectable;
     return Corruption("uncorrectable flash error reading LBA " +
                       std::to_string(lba.value()) + " (" +
                       std::to_string(raw_errors) + " raw bit errors)");
@@ -479,7 +449,7 @@ Status Ftl::read(Lba lba, std::span<std::uint8_t> out, FtlIoInfo* info) {
   if (config_.t10_reference_tag && oob.lpn != lba.value()) {
     // The page we were directed to was written for a different LBA —
     // exactly what a rowhammered L2P entry produces.
-    ++stats_mut().reference_tag_mismatches;
+    ++stats_.reference_tag_mismatches;
     return Corruption("reference tag mismatch: LBA " +
                       std::to_string(lba.value()) + " mapped to a page of "
                       "LBA " + std::to_string(oob.lpn));
@@ -753,164 +723,6 @@ Status Ftl::write(Lba lba, std::span<const std::uint8_t> data,
   }
   maybe_scrub();
   return Status::Ok();
-}
-
-bool Ftl::plan_write_reserve(Lba lba, PlannedWrite* out) {
-  // Serial mirror of write()'s preamble and allocate_page(), with every
-  // path that would run GC or roll a journal snapshot refused instead:
-  // the event loop then flushes its batch and runs the write
-  // sequentially, which is always safe.  Nothing here touches NAND or
-  // DRAM; allocator state (free list, active block, write_seq_) does
-  // mutate and is restored exactly by rollback_write_reservations().
-  if (powered_off_ || needs_recovery_ || read_only_) return false;
-  if (!check_lba(lba).ok()) return false;
-  const std::uint32_t pages_per_block = nand_.geometry().pages_per_block;
-  bool adopt = false;
-  if (!have_active_block_ ||
-      nand_.write_pointer(active_block_) + reserve_.reserved_in_active >=
-          pages_per_block) {
-    // A fresh block is needed: refuse when sequential allocate_page()
-    // would attempt GC first (free pool at or below the watermark —
-    // which also covers an empty pool, where it would error).
-    if (free_blocks_.size() <= config_.gc_low_watermark) return false;
-    adopt = true;
-  }
-  if (journal_ != nullptr) {
-    // The commit-time append must neither exhaust the active half nor
-    // trip needs_snapshot(): either would erase and reprogram journal
-    // blocks mid-commit — NAND traffic the plan did not account for.
-    // Pending resets to zero exactly at records_per_page() multiples
-    // (append() flushes one full page the moment the buffer fills), so
-    // absolute record counts mirror the page math exactly.
-    const std::uint64_t rpp = journal_->records_per_page();
-    const std::uint64_t queued =
-        journal_->pending_records() + reserve_.appends;
-    const std::uint64_t pages_after =
-        journal_->next_page() + (queued + 1) / rpp;
-    if (pages_after > journal_->pages_per_half()) return false;
-    if (journal_->pages_per_half() - pages_after <=
-        journal_->config().snapshot_headroom_pages) {
-      return false;
-    }
-    const std::uint64_t cadence = journal_->config().snapshot_every_records;
-    if (cadence > 0 && journal_->records_since_snapshot() +
-                               reserve_.appends + 1 >=
-                           cadence) {
-      return false;
-    }
-  }
-  if (!reserve_.active) {
-    reserve_.active = true;
-    reserve_.write_seq0 = write_seq_;
-    reserve_.active_block0 = active_block_;
-    reserve_.have_active0 = have_active_block_;
-    reserve_.popped.clear();
-    reserve_.reserved_in_active = 0;
-    reserve_.appends = 0;
-    reserve_.pending = 0;
-  }
-  if (adopt) {
-    if (have_active_block_) {
-      // Full (counting reservations): retire it, as allocate_page will.
-      block_is_free_or_active_[active_block_] = false;
-      have_active_block_ = false;
-    }
-    active_block_ = free_blocks_.front();
-    free_blocks_.pop_front();
-    reserve_.popped.push_back(active_block_);
-    block_is_free_or_active_[active_block_] = true;
-    have_active_block_ = true;
-    reserve_.reserved_in_active = 0;
-  }
-  out->dst = nand_.make_pba(
-      active_block_,
-      nand_.write_pointer(active_block_) + reserve_.reserved_in_active);
-  // Sequence drawn at reservation time: with GC refused, draft order is
-  // the only sequence source, so commit order == sequential order.
-  out->seq = ++write_seq_;
-  ++reserve_.reserved_in_active;
-  ++reserve_.appends;
-  ++reserve_.pending;
-  return true;
-}
-
-std::uint64_t Ftl::planned_write_programs() const {
-  if (journal_ == nullptr) return 1;
-  const std::uint64_t rpp = journal_->records_per_page();
-  const std::uint64_t queued =
-      journal_->pending_records() + reserve_.appends;
-  return 1 + ((queued + 1) % rpp == 0 ? 1 : 0);
-}
-
-Status Ftl::shard_write_entry(Lba lba, std::uint32_t new_pba32,
-                              std::uint32_t* old_pba32) {
-  // The DRAM half of a planned write, safe inside a per-bank shard:
-  // load the old mapping (with hammer amplification), store the new
-  // one.  Counters flow through stats_mut() into the shard sink; every
-  // DRAM byte mutated is covered by the shard's undo log.
-  ++stats_mut().host_writes;
-  std::uint32_t old = 0;
-  RHSD_RETURN_IF_ERROR(l2p_load(lba, old));
-  *old_pba32 = old;
-  return l2p_store(lba, new_pba32);
-}
-
-Status Ftl::commit_planned_write(Lba lba, const PlannedWrite& w,
-                                 std::uint32_t old_pba32,
-                                 std::span<const std::uint8_t> data) {
-  RHSD_CHECK_MSG(reserve_.active && reserve_.pending > 0,
-                 "write commit without a reservation");
-  --reserve_.pending;
-  // The planner refused GC, journal rolls and nearby injected program
-  // faults, so the program must land exactly where it was reserved.
-  RHSD_CHECK_MSG(
-      nand_.write_pointer(nand_.block_of(w.dst)) == nand_.page_of(w.dst),
-      "planned write drifted from its reservation");
-  Status ps;
-  if (config_.xts_encryption) {
-    std::vector<std::uint8_t> cipher(data.begin(), data.end());
-    xts_whiten(lba, cipher);
-    ps = nand_.program_pba(w.dst, cipher, PageOob{lba.value(), w.seq});
-  } else {
-    ps = nand_.program_pba(w.dst, data, PageOob{lba.value(), w.seq});
-  }
-  RHSD_RETURN_IF_ERROR(ps);
-  ++stats_.flash_programs;
-  if (old_pba32 != kUnmappedPba32 &&
-      old_pba32 < nand_.geometry().total_pages()) {
-    mark_invalid(Pba(old_pba32));
-  }
-  mark_valid(w.dst);
-  return journal_append(lba.value(),
-                        static_cast<std::uint32_t>(w.dst.value()), w.seq,
-                        /*sync=*/false);
-}
-
-void Ftl::end_write_reservations() {
-  if (!reserve_.active) return;
-  RHSD_CHECK_MSG(reserve_.pending == 0, "unconsumed write reservations");
-  reserve_ = WriteReserveSession{};
-}
-
-void Ftl::rollback_write_reservations() {
-  if (!reserve_.active) return;
-  // Undo the draft-time allocator mutations exactly: sequence counter
-  // back, popped blocks back onto the front of the free list in their
-  // original order, the original active block restored.  The DRAM-side
-  // entry updates are undone by the shard sinks; nothing was programmed
-  // or journaled yet.
-  write_seq_ = reserve_.write_seq0;
-  for (auto it = reserve_.popped.rbegin(); it != reserve_.popped.rend();
-       ++it) {
-    block_is_free_or_active_[*it] = true;
-    free_blocks_.push_front(*it);
-  }
-  active_block_ = reserve_.active_block0;
-  have_active_block_ = reserve_.have_active0;
-  if (have_active_block_) {
-    block_is_free_or_active_[active_block_] = true;
-  }
-  reserve_ = WriteReserveSession{};
 }
 
 Status Ftl::trim(Lba lba) {

@@ -113,11 +113,6 @@ struct FtlRecoveryReport {
 struct FtlIoInfo {
   bool flash_accessed = false;
   bool gc_ran = false;
-  /// The raw L2P entry value the read resolved.  The NVMe event loop
-  /// compares it against the plan-time peek: in a batch that also
-  /// drafts writes, a mid-batch rowhammer flip redirecting a read onto
-  /// a not-yet-programmed reserved page must roll the batch back.
-  std::uint32_t pba32 = kUnmappedPba32;
 };
 
 /// Why the device degraded to read-only (kNone while fully writable).
@@ -237,85 +232,6 @@ class Ftl {
   /// recover()ed.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
-  /// Injected-power-loss skip, for fault-aligned batching by the NVMe
-  /// event loop: guard_op() ticks FaultClass::kPowerLoss once per host
-  /// op, so committing a batch of `n` reads that ran with the injector
-  /// detached must skip `n` ops to keep later losses aligned.  Callers
-  /// must have verified via FaultInjector::next_fault_at that none of
-  /// the skipped ops faults.
-  void skip_injected_power_losses(std::uint64_t n) {
-    if (injector_ != nullptr) {
-      injector_->skip_ops(FaultClass::kPowerLoss, n);
-    }
-  }
-
-  /// Thread-local statistics redirection for sharded replay by the NVMe
-  /// event loop: while bound, the read and write-entry paths' FtlStats
-  /// counters accumulate in `sink` instead of the device aggregates
-  /// (merged on commit via merge_shard_stats(), dropped on rollback).
-  /// Shards only execute gated reads and shard_write_entry() — the only
-  /// FTL state that mutates under a sink is the DRAM-resident table,
-  /// which the DRAM shard undo log covers.
-  static void bind_shard_stats(FtlStats* sink) { stats_sink_ = sink; }
-  void merge_shard_stats(const FtlStats& delta);
-
-  /// --- Shard-compatible write planning (NVMe event loop) -----------
-  ///
-  /// A drafted write splits into three phases.  Draft (serial):
-  /// plan_write_reserve() mirrors allocate_page() *without* running GC
-  /// or rolling journal snapshots — any path that would is refused, and
-  /// the caller flushes the batch so the write runs sequentially.  The
-  /// reservation hands out NAND pages and write sequences in draft
-  /// order, so the commit-time program stream is bit-identical to the
-  /// sequential interleaving.  Shard (parallel, per DRAM bank):
-  /// shard_write_entry() applies only the L2P entry update.  Commit
-  /// (serial, draft order): commit_planned_write() programs the data
-  /// page at its reserved address, updates validity and appends to the
-  /// journal.  On batch rollback, rollback_write_reservations()
-  /// restores the allocator exactly; the DRAM side is undone by the
-  /// shard undo logs.
-  struct PlannedWrite {
-    Pba dst{0};
-    std::uint64_t seq = 0;
-  };
-  /// Reserve the next NAND page + write sequence for a drafted write.
-  /// Returns false — with allocator state unchanged — when the write
-  /// cannot be planned: device not writable, LBA out of range, the
-  /// allocation would trigger GC (or exhaust the free pool), or the
-  /// journal append would fill the active half past its headroom or
-  /// trip the snapshot cadence.
-  [[nodiscard]] bool plan_write_reserve(Lba lba, PlannedWrite* out);
-  /// Exact NAND page programs the *next* drafted write will issue at
-  /// commit: its data page, plus a journal record page if its append
-  /// fills one.  For the event loop's fault-horizon check.
-  [[nodiscard]] std::uint64_t planned_write_programs() const;
-  /// DRAM activations a sharded single-row command performs, for the
-  /// event loop's plan-time PARA pre-draw: a gated read is one l2p_load
-  /// (`hammers_per_io` activations — one real read plus the repeat_read
-  /// amplification); a gated write is an l2p_load followed by an
-  /// l2p_store of the same shape, so twice that.  Exact only for the
-  /// commands the shard planner admits (single-row entries, no cache /
-  /// ECC / open-page) — which is precisely when the pre-draw is used.
-  [[nodiscard]] std::uint64_t planned_read_activations() const {
-    return config_.hammers_per_io;
-  }
-  [[nodiscard]] std::uint64_t planned_write_activations() const {
-    return 2ull * config_.hammers_per_io;
-  }
-  /// Shard phase: the DRAM-side entry update for a reserved write.  The
-  /// previously mapped PBA (needed by commit's validity accounting) is
-  /// returned via `old_pba32`.
-  Status shard_write_entry(Lba lba, std::uint32_t new_pba32,
-                           std::uint32_t* old_pba32);
-  /// Commit phase, serial in draft order.
-  Status commit_planned_write(Lba lba, const PlannedWrite& w,
-                              std::uint32_t old_pba32,
-                              std::span<const std::uint8_t> data);
-  /// Close the reservation session once every planned write committed.
-  void end_write_reservations();
-  /// Undo all outstanding reservations (free list, active block,
-  /// write_seq_) for batch rollback.
-  void rollback_write_reservations();
 
   /// True once grown bad blocks ate the spare pool — or the journal ran
   /// out of epoch space: reads still work, mutations fail with
@@ -329,8 +245,6 @@ class Ftl {
   [[nodiscard]] bool powered_off() const { return powered_off_; }
   /// Good data blocks beyond what capacity + GC headroom require.
   [[nodiscard]] std::uint64_t spare_data_blocks() const;
-  /// The journal, or nullptr when disabled.
-  [[nodiscard]] const L2pJournal* journal() const { return journal_.get(); }
 
   [[nodiscard]] const FtlConfig& config() const { return config_; }
   [[nodiscard]] const FtlStats& stats() const { return stats_; }
@@ -440,30 +354,7 @@ class Ftl {
   std::vector<bool> block_is_free_or_active_;
   std::uint64_t write_seq_ = 0;
   bool in_gc_ = false;
-  /// Active write-reservation session (see plan_write_reserve).  All
-  /// fields are meaningful only while `active`; popped free-list blocks
-  /// are recorded in pop order so rollback can push them back exactly.
-  struct WriteReserveSession {
-    bool active = false;
-    std::uint64_t write_seq0 = 0;
-    std::uint32_t active_block0 = 0;
-    bool have_active0 = false;
-    std::vector<std::uint32_t> popped;
-    /// Reservations handed out in the current active block (on top of
-    /// its NAND write pointer, which only moves at commit).
-    std::uint32_t reserved_in_active = 0;
-    /// Journal appends drafted but not yet replayed.
-    std::uint64_t appends = 0;
-    /// Reservations not yet consumed by commit_planned_write().
-    std::uint64_t pending = 0;
-  };
-  WriteReserveSession reserve_;
   FtlStats stats_;
-  /// Per-thread shard sink; null on the sequential path.
-  [[nodiscard]] FtlStats& stats_mut() {
-    return stats_sink_ != nullptr ? *stats_sink_ : stats_;
-  }
-  static thread_local FtlStats* stats_sink_;
 };
 
 }  // namespace rhsd

@@ -103,14 +103,6 @@ class L2pJournal {
   /// strictly in order and only through this writer, so an unchanged
   /// position means unchanged media (absent injected faults).
   [[nodiscard]] std::uint32_t next_page() const { return next_page_; }
-  [[nodiscard]] std::size_t pending_records() const {
-    return pending_.size();
-  }
-  /// Records appended since the active epoch's snapshot (the tail a
-  /// recovery would have to replay right now).
-  [[nodiscard]] std::uint64_t records_since_snapshot() const {
-    return records_since_snapshot_;
-  }
 
   /// First-boot initialization: erase the whole reserved region and
   /// write `table` as epoch 0.
@@ -145,13 +137,6 @@ class L2pJournal {
   /// sizing checks.
   [[nodiscard]] std::uint32_t pages_per_half() const;
   [[nodiscard]] std::uint32_t snapshot_pages() const;
-  /// Mapping records one record page holds.  Public so the FTL's write
-  /// planner can mirror append()/flush() at draft time: appends drafted
-  /// into an event-loop batch are deferred and replayed through
-  /// append() at commit, and the planner must predict — exactly — how
-  /// many record pages those appends will program and whether one would
-  /// exhaust the half or trip needs_snapshot().
-  [[nodiscard]] std::uint32_t records_per_page() const;
 
  private:
   // On-media page layout: 24-byte header, payload, 4-byte CRC-32C
@@ -178,6 +163,8 @@ class L2pJournal {
   };
 
   [[nodiscard]] std::uint32_t payload_bytes() const;
+  /// Mapping records one record page holds.
+  [[nodiscard]] std::uint32_t records_per_page() const;
   [[nodiscard]] std::uint32_t snap_entries_per_page() const;
 
   /// Block/page of global page `page` within half `half`.

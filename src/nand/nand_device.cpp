@@ -6,15 +6,6 @@
 
 namespace rhsd {
 
-thread_local NandShardSink* NandDevice::shard_sink_ = nullptr;
-
-void NandDevice::merge_shard_sink(const NandShardSink& sink) {
-  stats_.reads += sink.reads;
-  for (const auto& [block, count] : sink.reads_since_erase) {
-    reads_since_erase_[block] += count;
-  }
-}
-
 NandGeometry NandGeometry::ForCapacity(std::uint64_t data_bytes,
                                        double op_fraction) {
   RHSD_CHECK(op_fraction >= 0.0);
@@ -158,20 +149,8 @@ Status NandDevice::read(std::uint32_t block, std::uint32_t page,
     return InvalidArgument("read size must equal the page size");
   }
   const Page& p = blocks_[block].pages[page];
-  if (NandShardSink* sink = shard_sink_; sink != nullptr) {
-    // Sharded replay: defer the read accounting (the only state a
-    // gated read mutates) into the sink instead of racing on it.
-    ++sink->reads;
-    if (!sink->reads_since_erase.empty() &&
-        sink->reads_since_erase.back().first == block) {
-      ++sink->reads_since_erase.back().second;
-    } else {
-      sink->reads_since_erase.emplace_back(block, 1);
-    }
-  } else {
-    ++stats_.reads;
-    ++reads_since_erase_[block];
-  }
+  ++stats_.reads;
+  ++reads_since_erase_[block];
   if (injector_ != nullptr &&
       injector_->tick(FaultClass::kNandRead).has_value()) {
     // Uncorrectable read: the sense returned garbage beyond what the

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -76,18 +75,6 @@ struct PageOob {
   std::uint64_t write_seq = 0;
 };
 
-/// Thread-local redirection target for sharded replay by the NVMe event
-/// loop.  A gated NAND read (no injector, all reliability knobs zero)
-/// mutates exactly two things — the read counter and the per-block
-/// read-disturb pressure — so the sink defers both: accumulated here
-/// per thread, merged on commit, dropped on rollback.  The page arrays
-/// themselves are read-only under reads.
-struct NandShardSink {
-  std::uint64_t reads = 0;
-  /// (block, reads) pairs in touch order; blocks may repeat.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> reads_since_erase;
-};
-
 struct NandStats {
   std::uint64_t reads = 0;
   std::uint64_t programs = 0;
@@ -139,25 +126,6 @@ class NandDevice {
 
   /// Reads of `block` since its last erase (read-disturb pressure).
   [[nodiscard]] std::uint64_t reads_since_erase(std::uint32_t block) const;
-  /// Bind the calling thread's shard sink (nullptr unbinds); see
-  /// NandShardSink.
-  static void bind_shard_sink(NandShardSink* sink) { shard_sink_ = sink; }
-  /// Injected-read-fault skip, for fault-aligned batching by the NVMe
-  /// event loop: read() ticks FaultClass::kNandRead once per call, so
-  /// committing a batch whose `n` flash reads ran with the injector
-  /// detached must skip `n` ops to keep later faults aligned.  Callers
-  /// must have verified via FaultInjector::next_fault_at that none of
-  /// the skipped ops faults.
-  void skip_injected_read_faults(std::uint64_t n) {
-    if (injector_ != nullptr) {
-      injector_->skip_ops(FaultClass::kNandRead, n);
-    }
-  }
-  /// Merge a committed shard's deferred read accounting.
-  void merge_shard_sink(const NandShardSink& sink);
-  [[nodiscard]] const NandReliability& reliability() const {
-    return reliability_;
-  }
 
   [[nodiscard]] std::uint32_t block_of(Pba pba) const {
     return static_cast<std::uint32_t>(pba.value() /
@@ -215,8 +183,6 @@ class NandDevice {
   mutable std::vector<std::uint64_t> reads_since_erase_;
   mutable Rng error_rng_;
   mutable NandStats stats_;  // read() is logically const but counts
-  /// Per-thread shard sink; null on the sequential path.
-  static thread_local NandShardSink* shard_sink_;
 };
 
 }  // namespace rhsd

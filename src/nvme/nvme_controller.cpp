@@ -62,29 +62,6 @@ void NvmeController::charge(bool flash_accessed) {
   ++commands_;
 }
 
-void NvmeController::account_sharded_commands(std::uint64_t n_reads,
-                                              std::uint64_t n_writes,
-                                              std::uint64_t total_cost_ns) {
-  const std::uint64_t n_cmds = n_reads + n_writes;
-  if (n_cmds == 0) return;
-  if (!any_cmd_) {
-    any_cmd_ = true;
-    first_cmd_ns_ = clock_.now_ns();
-  }
-  clock_.advance_ns(total_cost_ns);
-  stats_.busy_ns += total_cost_ns;
-  stats_.read_cmds += n_reads;
-  stats_.write_cmds += n_writes;
-  commands_ += n_cmds;
-  if (injector_ != nullptr) {
-    // The batch's commands were proven transport-fault-free by the
-    // event loop's planner (it flushes before any scheduled fault), so
-    // their dispatch ticks reduce to a bulk skip.
-    injector_->skip_ops(FaultClass::kNvmeTimeout, n_cmds);
-    injector_->skip_ops(FaultClass::kNvmeDrop, n_cmds);
-  }
-}
-
 NvmeController::TransportFault NvmeController::tick_transport() {
   if (injector_ == nullptr) return TransportFault::kNone;
   // Both streams advance for every dispatched command — also for one

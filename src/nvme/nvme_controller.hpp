@@ -135,35 +135,6 @@ class NvmeController {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
 
-  /// Bulk accounting for a committed shard batch of the NVMe event
-  /// loop: `n_reads` successful single-block reads and `n_writes`
-  /// successful single-block writes whose FTL bodies ran out-of-band
-  /// at pre-planned times, with `total_cost_ns` the sum of their
-  /// per-command service costs.  Performs exactly what the equivalent
-  /// sequential charge() calls would have: latches the first-command
-  /// time, advances the clock, and bumps busy_ns / command counters.
-  /// With a fault injector attached, additionally skips one op of both
-  /// transport fault streams per command — valid because the event
-  /// loop's planner only commits batches it proved
-  /// transport-fault-free.  With a rate limiter configured,
-  /// `total_cost_ns` must already include the token-bucket stalls: the
-  /// event loop computes them serially at draft time on a copy of the
-  /// limiter (rate_limiter()) and writes the drained copy back at
-  /// commit, so charging here is pure clock arithmetic.
-  void account_sharded_commands(std::uint64_t n_reads,
-                                std::uint64_t n_writes,
-                                std::uint64_t total_cost_ns);
-
-  /// Mutable access to the optional §5 rate limiter (nullptr when none
-  /// is configured).  The event loop copies it to replay
-  /// RateLimiter::acquire serially along the drafted timeline —
-  /// exactly the calls sequential charge() would make — and assigns
-  /// the drained copy back when the batch commits.  A rolled-back
-  /// batch simply discards the copy; the live limiter never moved.
-  [[nodiscard]] RateLimiter* rate_limiter() {
-    return limiter_.has_value() ? &*limiter_ : nullptr;
-  }
-
  private:
   /// Injected transport outcome of one dispatched command.
   enum class TransportFault { kNone, kTimeout, kDrop };

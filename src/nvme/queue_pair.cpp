@@ -132,13 +132,6 @@ Status NvmeQueuePair::execute_with_retry(const NvmeCommand& command) {
   }
 }
 
-NvmeCommand NvmeQueuePair::take_submission() {
-  RHSD_CHECK_MSG(!sq_.empty(), "take_submission on an empty queue");
-  NvmeCommand command = std::move(sq_.front());
-  sq_.pop_front();
-  return command;
-}
-
 std::uint32_t NvmeQueuePair::process(std::uint32_t max_commands) {
   std::uint32_t processed = 0;
   while (!sq_.empty() && processed < max_commands &&

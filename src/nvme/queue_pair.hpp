@@ -110,26 +110,10 @@ class NvmeQueuePair {
   /// Pop the oldest completion, if any.
   std::optional<NvmeCompletion> poll();
 
-  /// Event-loop hooks.  The loop arbitrates across many queue pairs,
-  /// so it needs to inspect queued submissions (classification /
-  /// planning), pop one it will execute itself, and post the
-  /// completion it produced.
-  [[nodiscard]] const NvmeCommand* peek_submission(
-      std::uint32_t index = 0) const {
-    return index < sq_.size() ? &sq_[index] : nullptr;
-  }
-  [[nodiscard]] bool cq_has_space() const { return cq_.size() < depth_; }
-  NvmeCommand take_submission();
-  void post_external_completion(NvmeCompletion completion) {
-    cq_.push_back(std::move(completion));
-  }
-  /// Execute one command the loop already took from the submission ring,
-  /// through the same retry/timeout machinery process() uses — the
-  /// rollback-replay path stays bit-exact with sequential processing
-  /// (including injected transport faults and their stats).  The caller
-  /// posts the completion.
-  Status execute_external(const NvmeCommand& command) {
-    return execute_with_retry(command);
+  /// The next submission to run, or nullptr.  The event loop peeks it
+  /// to count writes rejected by a read-only device.
+  [[nodiscard]] const NvmeCommand* peek_submission() const {
+    return sq_.empty() ? nullptr : &sq_.front();
   }
 
   /// Convenience: process everything submitted and drain completions.

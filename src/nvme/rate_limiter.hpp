@@ -5,11 +5,6 @@
 // performance goals of NVMe."  The limiter does not reject commands; it
 // stalls them (advancing simulated time) until a token is available, so
 // the *effective* access rate at the FTL stays below the configured cap.
-//
-// The limiter is a plain value type: the NVMe event loop copies it to
-// replay acquire() serially along a drafted batch timeline (computing
-// each command's stall at plan time) and assigns the drained copy back
-// when the batch commits — a rolled-back batch just discards the copy.
 #pragma once
 
 #include <cstdint>

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "exec/thread_pool.hpp"
 #include "nvme/event_loop.hpp"
 #include "ssd/ssd_device.hpp"
 #include "test_util.hpp"
@@ -84,7 +83,6 @@ FairnessResult RunFlood(bool quarantine, std::uint64_t seed,
   EventLoopConfig lc;
   lc.policy = policy;
   lc.seed = seed;
-  lc.sharded = false;
   lc.quarantine = quarantine;
   lc.quarantine_base_picks = 32;
   lc.quarantine_cap_picks = 512;
@@ -262,7 +260,6 @@ TEST(ArbitrationFairness, PenaltyDrainsExactlyOneTickPerPick) {
   EventLoopConfig lc;
   lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = kSeed;
-  lc.sharded = false;
   lc.quarantine = true;
   lc.quarantine_base_picks = kBase;
   lc.quarantine_cap_picks = 512;
@@ -349,7 +346,6 @@ TEST(ArbitrationFairness, ForcedReleaseKeepsFullyQuarantinedLoopFlowing) {
     EventLoopConfig lc;
     lc.policy = ArbitrationPolicy::kRoundRobin;
     lc.seed = 11;
-    lc.sharded = false;
     lc.quarantine = true;
     lc.quarantine_base_picks = 32;
     lc.quarantine_cap_picks = 512;
@@ -417,14 +413,11 @@ TEST(ArbitrationFairness, ForcedReleaseKeepsFullyQuarantinedLoopFlowing) {
 // its own Rng(seed), the per-pick penalty drain over all streams, the
 // forced release of the smallest penalty (lowest index on ties), and
 // the penalty formula PenaltyDrainsExactlyOneTickPerPick replicates.
-// The reference executes every pick at once — the sequential
-// interleaving both loop modes must reproduce.  Each seed draws the
-// stream count (1, 63, 64, 65 and > 1024 among them), per-stream
-// depths and weights, the policy, partial polling (completion rings
-// left full across calls), transport drop storms against mostly
-// 1-attempt retry policies (forced releases), quarantine_base_picks
-// = 0, and sequential vs sharded execution on a 2-thread pool.  The
-// loop's picks are recovered by sorting completions by completed_ns;
+// Each seed draws the stream count (1, 63, 64, 65 and > 1024 among
+// them), per-stream depths and weights, the policy, partial polling
+// (completion rings left full across calls), transport drop storms
+// against mostly 1-attempt retry policies (forced releases), and
+// quarantine_base_picks = 0.  The loop's picks are recovered by sorting completions by completed_ns;
 // the retryable final statuses feed the reference's quarantine
 // triggers.  RHSD_ARB_SEED=<n> re-runs one seed.
 
@@ -434,11 +427,9 @@ struct ArbCase {
   std::uint64_t seed = 0;
   std::uint32_t streams = 0;
   ArbitrationPolicy policy = ArbitrationPolicy::kRoundRobin;
-  bool sharded = false;
   bool quarantine = true;
   std::uint32_t base = 0;
   std::uint32_t cap = 0;
-  std::uint32_t max_batch = 0;
   bool vulnerable = false;
   std::uint32_t per_stream = 0;  // command budget per stream
   std::vector<std::uint32_t> depth;
@@ -456,13 +447,11 @@ ArbCase DrawArbCase(std::uint64_t seed) {
                   : static_cast<std::uint32_t>(rng.next_in(2, 130));
   c.policy = rng.next_bool(0.5) ? ArbitrationPolicy::kWeighted
                                 : ArbitrationPolicy::kRoundRobin;
-  c.sharded = seed % 2 == 1;
   c.quarantine = rng.next_bool(0.85);
   c.base = rng.next_bool(0.25) ? 0
                                : static_cast<std::uint32_t>(
                                      rng.next_in(1, 24));
   c.cap = static_cast<std::uint32_t>(rng.next_in(1, 200));
-  c.max_batch = static_cast<std::uint32_t>(rng.next_in(1, 64));
   c.vulnerable = rng.next_bool(0.3);
   c.per_stream = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(2, rng.next_in(1500, 3000) / c.streams));
@@ -606,7 +595,6 @@ struct ArbOutcome {
   std::uint64_t picks = 0;
   std::uint64_t forced_releases = 0;
   std::uint64_t quarantines = 0;
-  std::uint64_t sharded_batches = 0;
 };
 
 /// Drives one seeded case through the loop, replays it through the
@@ -629,14 +617,10 @@ ArbOutcome RunArbCase(std::uint64_t seed) {
   }
   cfg.fault_plan = plan;
   SsdDevice ssd(cfg);
-  exec::ThreadPool pool(2);
 
   EventLoopConfig lc;
   lc.policy = c.policy;
   lc.seed = seed;
-  lc.sharded = c.sharded;
-  lc.pool = c.sharded ? &pool : nullptr;
-  lc.max_batch = c.max_batch;
   lc.quarantine = c.quarantine;
   lc.quarantine_base_picks = c.base;
   lc.quarantine_cap_picks = c.cap;
@@ -808,7 +792,6 @@ ArbOutcome RunArbCase(std::uint64_t seed) {
   out.picks = expected.size();
   out.forced_releases = ref.forced_releases;
   out.quarantines = ref.quarantines;
-  out.sharded_batches = st.batches;
   return out;
 }
 
@@ -821,20 +804,17 @@ TEST(ArbitrationFairness, DifferentialPicksMatchLinearScanReference) {
   std::uint64_t picks = 0;
   std::uint64_t forced = 0;
   std::uint64_t quarantines = 0;
-  std::uint64_t batches = 0;
   for (std::uint64_t seed = 0; seed < kArbSeeds; ++seed) {
     const ArbOutcome o = RunArbCase(seed);
     if (!o.match) return;  // the failure names the seed to re-run
     picks += o.picks;
     forced += o.forced_releases;
     quarantines += o.quarantines;
-    batches += o.sharded_batches;
   }
   // The draws exercised what they are for.
   EXPECT_GT(picks, 0u);
   EXPECT_GT(quarantines, 0u);
   EXPECT_GT(forced, 0u);
-  EXPECT_GT(batches, 0u);
 }
 
 }  // namespace

@@ -10,13 +10,11 @@
 //   2. Acknowledged writes survive power loss intact, or the recovery
 //      explicitly names their LBA in lost_lbas.
 //   3. The whole run — statuses, completion times, recovered state —
-//      is bit-identical across thread counts for a fixed (seed,
-//      policy), with the sharded path genuinely engaged.
+//      is a pure function of (seed, policy).
 //
 // Each storm prints a CHAOS_DIGEST line (an order-sensitive FNV-1a hash
 // of every completion and the final device view); ci.sh runs the binary
-// twice and diffs those lines to catch nondeterminism a single process
-// run cannot see.
+// twice and diffs those lines to check invariant 3 across processes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "nvme/event_loop.hpp"
 #include "sim/workload.hpp"
 #include "ssd/ssd_device.hpp"
@@ -116,22 +113,21 @@ struct StormResult {
 };
 
 /// Drive the 8-tenant chaos scripts through one SsdDevice under the
-/// given storm, checking invariant 1 on every completion.  `threads` 0
-/// = sequential mode.  `check_data` off for storms whose faults can
-/// legitimately misdirect reads (DRAM bit errors in the L2P are the
-/// paper's own attack, not a harness bug).
+/// given storm, checking invariant 1 on every completion.  `check_data`
+/// off for storms whose faults can legitimately misdirect reads (DRAM
+/// bit errors in the L2P are the paper's own attack, not a harness
+/// bug).
 StormResult RunStorm(const FaultPlan& plan, std::uint64_t seed,
-                     ArbitrationPolicy policy, unsigned threads,
-                     bool check_data, std::uint32_t retry_attempts = 1,
+                     ArbitrationPolicy policy, bool check_data,
+                     std::uint32_t retry_attempts = 1,
                      bool mitigated = false) {
   SsdConfig cfg = test::SmallSsd();
   cfg.partition_blocks.assign(kTenants, cfg.num_lbas() / kTenants);
   cfg.dram_profile = DramProfile::Invulnerable();
   cfg.fault_plan = plan;
   if (mitigated) {
-    // TRR + PARA live through the storm: the shard path must merge
-    // tracker deltas and consume pre-drawn PARA slices deterministically
-    // while faults cut batches and force rollbacks around them.
+    // TRR + PARA live through the storm: their refresh counts join the
+    // digest.
     cfg.dram_mitigations.trr = true;
     cfg.dram_mitigations.trr_config.activation_threshold = 100;
     cfg.dram_mitigations.para_probability = 1.0 / 64;
@@ -139,17 +135,9 @@ StormResult RunStorm(const FaultPlan& plan, std::uint64_t seed,
   const std::uint64_t per = cfg.num_lbas() / kTenants;
 
   SsdDevice ssd(cfg);
-  std::unique_ptr<exec::ThreadPool> pool;
   EventLoopConfig lc;
   lc.policy = policy;
   lc.seed = seed;
-  if (threads > 0) {
-    pool = std::make_unique<exec::ThreadPool>(threads);
-    lc.sharded = true;
-    lc.pool = pool.get();
-  } else {
-    lc.sharded = false;
-  }
   NvmeEventLoop loop(ssd.controller(), lc);
 
   std::vector<std::unique_ptr<NvmeQueuePair>> qps;
@@ -285,30 +273,18 @@ TEST(ChaosTorture, MediaAndTransportStormKeepsTenantsIsolated) {
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
   for (const ArbitrationPolicy policy :
        {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    const StormResult ref = RunStorm(plan, seed, policy, /*threads=*/0,
+    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
+    const StormResult storm = RunStorm(plan, seed, policy,
                                      /*check_data=*/true,
                                      /*retry_attempts=*/2);
-    EXPECT_GT(ref.injected, 0u) << "storm never fired";
-    for (const std::string& v : ref.violations) ADD_FAILURE() << v;
-    for (const unsigned threads : {2u, 5u}) {
-      const StormResult got = RunStorm(plan, seed, policy, threads,
-                                       /*check_data=*/true,
-                                       /*retry_attempts=*/2);
-      SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy)
-                                        << " threads=" << threads);
-      for (const std::string& v : got.violations) ADD_FAILURE() << v;
-      EXPECT_GT(got.loop.sharded_commands, 0u);
-      EXPECT_GT(got.loop.sharded_writes, 0u);
-      EXPECT_GT(got.loop.early_flushes, 0u);
-      EXPECT_EQ(ref.digest, got.digest) << "nondeterministic storm";
-    }
-    PrintDigest("media_transport", seed, policy, ref.digest);
+    EXPECT_GT(storm.injected, 0u) << "storm never fired";
+    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+    PrintDigest("media_transport", seed, policy, storm.digest);
   }
 }
 
 // Storm 2: a dense retry-defeating transport storm drives tenants into
-// quarantine; the loop must keep every other tenant flowing and stay
-// bit-identical across thread counts with quarantine active.
+// quarantine; the loop must keep every other tenant flowing.
 TEST(ChaosTorture, TransportStormQuarantinesWithoutCollateral) {
   const std::uint64_t seed = RHSD_CHAOS_SEED + 1;
   FaultRates rates;
@@ -317,29 +293,19 @@ TEST(ChaosTorture, TransportStormQuarantinesWithoutCollateral) {
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
   for (const ArbitrationPolicy policy :
        {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    const StormResult ref = RunStorm(plan, seed, policy, /*threads=*/0,
-                                     /*check_data=*/true);
-    EXPECT_GT(ref.loop.quarantines, 0u) << "storm never exhausted a retry";
-    for (const std::string& v : ref.violations) ADD_FAILURE() << v;
-    for (const unsigned threads : {2u, 5u}) {
-      const StormResult got =
-          RunStorm(plan, seed, policy, threads, /*check_data=*/true);
-      SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy)
-                                        << " threads=" << threads);
-      for (const std::string& v : got.violations) ADD_FAILURE() << v;
-      EXPECT_GT(got.loop.sharded_commands, 0u);
-      EXPECT_GT(got.loop.sharded_writes, 0u);
-      EXPECT_EQ(ref.loop.quarantines, got.loop.quarantines);
-      EXPECT_EQ(ref.digest, got.digest) << "nondeterministic quarantine";
-    }
-    PrintDigest("transport_quarantine", seed, policy, ref.digest);
+    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
+    const StormResult storm =
+        RunStorm(plan, seed, policy, /*check_data=*/true);
+    EXPECT_GT(storm.loop.quarantines, 0u) << "storm never exhausted a retry";
+    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+    PrintDigest("transport_quarantine", seed, policy, storm.digest);
   }
 }
 
 // Storm 3: DRAM bit errors in the L2P region — the physical analogue
 // of the paper's hammer attack.  Misdirected reads are the *expected*
 // device behaviour here, so the invariant is pure determinism: the
-// corruption cascade must replay bit-identically on any thread count.
+// corruption cascade's digest must repeat run after run.
 TEST(ChaosTorture, DramErrorCascadeIsDeterministic) {
   const std::uint64_t seed = RHSD_CHAOS_SEED + 2;
   FaultRates rates;
@@ -349,27 +315,16 @@ TEST(ChaosTorture, DramErrorCascadeIsDeterministic) {
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
   for (const ArbitrationPolicy policy :
        {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    const StormResult ref = RunStorm(plan, seed, policy, /*threads=*/0,
-                                     /*check_data=*/false);
-    EXPECT_GT(ref.injected, 0u);
-    for (const unsigned threads : {2u, 5u}) {
-      const StormResult got =
-          RunStorm(plan, seed, policy, threads, /*check_data=*/false);
-      SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy)
-                                        << " threads=" << threads);
-      EXPECT_GT(got.loop.sharded_commands, 0u);
-      EXPECT_GT(got.loop.sharded_writes, 0u);
-      EXPECT_EQ(ref.digest, got.digest) << "nondeterministic cascade";
-    }
-    PrintDigest("dram_cascade", seed, policy, ref.digest);
+    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
+    const StormResult storm =
+        RunStorm(plan, seed, policy, /*check_data=*/false);
+    EXPECT_GT(storm.injected, 0u);
+    PrintDigest("dram_cascade", seed, policy, storm.digest);
   }
 }
 
-// Storm 4: the media/transport mix with TRR + PARA live.  Mitigated
-// configs ride the shard path now, so the whole mitigation machinery —
-// per-bank tracker merges, PARA pre-draw slices, snapshot rollbacks
-// around faulted batches — must replay bit-identically on any thread
-// count, with the refresh counts folded into the digest.
+// Storm 4: the media/transport mix with TRR + PARA live, with the
+// refresh counts folded into the digest.
 TEST(ChaosTorture, MitigatedStormStaysDeterministic) {
   const std::uint64_t seed = RHSD_CHAOS_SEED + 4;
   FaultRates rates;
@@ -379,29 +334,16 @@ TEST(ChaosTorture, MitigatedStormStaysDeterministic) {
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
   for (const ArbitrationPolicy policy :
        {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    const StormResult ref = RunStorm(plan, seed, policy, /*threads=*/0,
+    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
+    const StormResult storm = RunStorm(plan, seed, policy,
                                      /*check_data=*/true,
                                      /*retry_attempts=*/2,
                                      /*mitigated=*/true);
-    EXPECT_GT(ref.injected, 0u) << "storm never fired";
-    EXPECT_GT(ref.trr_refreshes, 0u) << "TRR never engaged";
-    EXPECT_GT(ref.para_refreshes, 0u) << "PARA never engaged";
-    for (const std::string& v : ref.violations) ADD_FAILURE() << v;
-    for (const unsigned threads : {2u, 5u}) {
-      const StormResult got = RunStorm(plan, seed, policy, threads,
-                                       /*check_data=*/true,
-                                       /*retry_attempts=*/2,
-                                       /*mitigated=*/true);
-      SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy)
-                                        << " threads=" << threads);
-      for (const std::string& v : got.violations) ADD_FAILURE() << v;
-      EXPECT_GT(got.loop.sharded_commands, 0u);
-      EXPECT_GT(got.loop.mitigated_sharded_commands, 0u);
-      EXPECT_GT(got.loop.trr_shard_merges, 0u);
-      EXPECT_GT(got.loop.para_predraw_draws, 0u);
-      EXPECT_EQ(ref.digest, got.digest) << "nondeterministic mitigation";
-    }
-    PrintDigest("mitigated_mix", seed, policy, ref.digest);
+    EXPECT_GT(storm.injected, 0u) << "storm never fired";
+    EXPECT_GT(storm.trr_refreshes, 0u) << "TRR never engaged";
+    EXPECT_GT(storm.para_refreshes, 0u) << "PARA never engaged";
+    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+    PrintDigest("mitigated_mix", seed, policy, storm.digest);
   }
 }
 
@@ -470,7 +412,7 @@ struct ChaosRig {
 /// submit, run, and whenever the device dies, reboot + recover and
 /// verify every acknowledged write is intact or named in lost_lbas.
 StormResult RunPowerLossStorm(const FaultPlan& plan, std::uint64_t seed,
-                              ArbitrationPolicy policy, unsigned threads) {
+                              ArbitrationPolicy policy) {
   ChaosRig rig(plan);
   const auto scripts =
       ChaosScripts(/*per_tenant=*/80, kLbasPerTenant, seed);
@@ -483,8 +425,6 @@ StormResult RunPowerLossStorm(const FaultPlan& plan, std::uint64_t seed,
   for (std::uint64_t t = 0; t < kPlTenants; ++t) {
     bufs[t].assign(kDepth, std::vector<std::uint8_t>(kBlockSize));
   }
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<exec::ThreadPool>(threads);
 
   int lives = 0;
   // The loop object is rebuilt each life: queue pairs (and the
@@ -493,8 +433,6 @@ StormResult RunPowerLossStorm(const FaultPlan& plan, std::uint64_t seed,
     EventLoopConfig lc;
     lc.policy = policy;
     lc.seed = seed;
-    lc.sharded = threads > 0;
-    lc.pool = pool.get();
     NvmeEventLoop loop(*rig.ctrl, lc);
     for (std::uint64_t t = 0; t < kPlTenants; ++t) {
       loop.attach(*rig.qps[t], 1 + t % 3);
@@ -601,19 +539,11 @@ TEST(ChaosTorture, PowerLossRebootLoopPreservesAcknowledgedWrites) {
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/600);
   for (const ArbitrationPolicy policy :
        {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    const StormResult ref =
-        RunPowerLossStorm(plan, seed, policy, /*threads=*/0);
-    EXPECT_GT(ref.injected, 0u) << "no power loss fired";
-    for (const std::string& v : ref.violations) ADD_FAILURE() << v;
-    for (const unsigned threads : {2u, 5u}) {
-      const StormResult got =
-          RunPowerLossStorm(plan, seed, policy, threads);
-      SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy)
-                                        << " threads=" << threads);
-      for (const std::string& v : got.violations) ADD_FAILURE() << v;
-      EXPECT_EQ(ref.digest, got.digest) << "nondeterministic reboot loop";
-    }
-    PrintDigest("power_loss", seed, policy, ref.digest);
+    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
+    const StormResult storm = RunPowerLossStorm(plan, seed, policy);
+    EXPECT_GT(storm.injected, 0u) << "no power loss fired";
+    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+    PrintDigest("power_loss", seed, policy, storm.digest);
   }
 }
 

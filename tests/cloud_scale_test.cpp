@@ -1,7 +1,7 @@
 // N-tenant cloud scale tests: registry behaviour (auto-assignment,
 // collision rejection), K-tenant isolation under concurrent mixed
 // traffic through the event loop, and invariance of every tenant's
-// observable data to thread count and arbitration seed.
+// observable data to arbitration seed and policy.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cloud/cloud_host.hpp"
-#include "exec/thread_pool.hpp"
 #include "nvme/event_loop.hpp"
 #include "sim/workload.hpp"
 #include "test_util.hpp"
@@ -113,9 +112,8 @@ std::vector<std::uint8_t> TenantBlock(std::uint32_t tenant,
 }
 
 /// Run K tenants' mixed read/write traffic through the event loop and
-/// return each tenant's final view of its partition.  Thread count 0
-/// means sequential (no sharding).
-std::vector<TenantView> RunScale(std::uint32_t tenants, unsigned threads,
+/// return each tenant's final view of its partition.
+std::vector<TenantView> RunScale(std::uint32_t tenants,
                                  ArbitrationPolicy policy,
                                  std::uint64_t arb_seed) {
   CloudHost host(ScaleSsd(tenants));
@@ -126,17 +124,9 @@ std::vector<TenantView> RunScale(std::uint32_t tenants, unsigned threads,
   }
   NvmeController& ctrl = host.ssd().controller();
 
-  std::unique_ptr<exec::ThreadPool> pool;
   EventLoopConfig lc;
   lc.policy = policy;
   lc.seed = arb_seed;
-  if (threads > 0) {
-    pool = std::make_unique<exec::ThreadPool>(threads);
-    lc.sharded = true;
-    lc.pool = pool.get();
-  } else {
-    lc.sharded = false;
-  }
   NvmeEventLoop loop(ctrl, lc);
 
   std::vector<std::unique_ptr<NvmeQueuePair>> qps;
@@ -224,7 +214,7 @@ std::vector<TenantView> RunScale(std::uint32_t tenants, unsigned threads,
 TEST(CloudScale, TenantsNeverObserveForeignDataAndRunsAreInvariant) {
   constexpr std::uint32_t kTenants = 8;
   const std::vector<TenantView> ref =
-      RunScale(kTenants, /*threads=*/0, ArbitrationPolicy::kRoundRobin, 1);
+      RunScale(kTenants, ArbitrationPolicy::kRoundRobin, 1);
 
   // Isolation: every block a tenant wrote reads back as its own
   // marker — never another tenant's (markers differ per tenant).
@@ -237,19 +227,14 @@ TEST(CloudScale, TenantsNeverObserveForeignDataAndRunsAreInvariant) {
   }
 
   // Invariance: the same scripts produce the same per-tenant views for
-  // any thread count and arbitration seed/policy.
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const std::uint64_t seed : {1ull, 5ull}) {
-      for (const ArbitrationPolicy policy :
-           {ArbitrationPolicy::kRoundRobin,
-            ArbitrationPolicy::kWeighted}) {
-        const std::vector<TenantView> got =
-            RunScale(kTenants, threads, policy, seed);
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " seed=" << seed
-                     << " policy=" << to_string(policy));
-        EXPECT_EQ(ref, got);
-      }
+  // any arbitration seed and policy.
+  for (const std::uint64_t seed : {1ull, 5ull}) {
+    for (const ArbitrationPolicy policy :
+         {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
+      const std::vector<TenantView> got = RunScale(kTenants, policy, seed);
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " policy=" << to_string(policy));
+      EXPECT_EQ(ref, got);
     }
   }
 }

@@ -324,14 +324,11 @@ TEST(PowerLoss, FsckCleanAfterCrashAtOperationBoundary) {
 }
 
 // ---------------------------------------------------------------------
-// Event-loop golden-prefix torture: the same crash-at-every-op-index
+// Event-loop crash torture: the same crash-at-every-op-index
 // discipline, but with the power loss landing inside NvmeEventLoop
-// arbitration over a two-tenant trace.  The sequential run (threads=0)
-// is the golden; the sharded runs at 2 and 5 threads must produce a
-// bit-identical outcome — every completion (cid, status, time), the
-// set of lost LBAs, and the recovered L2P table — because the loop
-// flushes any batch that would straddle the scheduled power loss and
-// replays it through the sequential path.
+// arbitration over a two-tenant trace.  After every crash the device
+// reboots and recovers, and every acknowledged write must read back
+// intact or be named in the recovery's lost LBAs.
 
 constexpr std::uint64_t kEvTenants = 2;
 constexpr std::uint64_t kEvLbasPerTenant = kNumLbas / kEvTenants;
@@ -416,36 +413,17 @@ struct EvRig {
   std::vector<std::unique_ptr<NvmeQueuePair>> qps;
 };
 
-struct EvOutcome {
-  std::string failure;          // invariant violation, empty = ok
-  std::uint64_t digest = 0;     // FNV-1a over the whole observable run
-  std::uint64_t sharded = 0;    // loop.sharded_commands
-};
-
 /// Crash the two-tenant event-loop trace at FTL op `crash_index`,
-/// reboot + recover, audit acknowledged writes, and fold everything
-/// observable into an order-sensitive digest.
-EvOutcome RunEvCrashTrial(std::uint64_t crash_index, unsigned threads) {
+/// reboot + recover, and audit acknowledged writes.  Returns the first
+/// invariant violation, or an empty string.
+std::string RunEvCrashTrial(std::uint64_t crash_index) {
   FaultPlan plan;
   plan.add(FaultClass::kPowerLoss, crash_index);
   EvRig rig(plan);
   const auto scripts = EvScripts();
 
-  EvOutcome res;
-  std::uint64_t dig = 1469598103934665603ull;
-  const auto fold = [&dig](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      dig ^= (v >> (8 * i)) & 0xFF;
-      dig *= 1099511628211ull;
-    }
-  };
-
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<exec::ThreadPool>(threads);
   EventLoopConfig lc;
   lc.seed = 0x5EED;
-  lc.sharded = threads > 0;
-  lc.pool = pool.get();
   NvmeEventLoop loop(*rig.ctrl, lc);
   for (std::uint64_t t = 0; t < kEvTenants; ++t) {
     loop.attach(*rig.qps[t], /*weight=*/1 + t);
@@ -483,95 +461,55 @@ EvOutcome RunEvCrashTrial(std::uint64_t crash_index, unsigned threads) {
     for (std::uint64_t t = 0; t < kEvTenants; ++t) {
       while (auto cqe = rig.qps[t]->poll()) {
         const EvOp& op = scripts[t][cqe->cid];
-        fold(t);
-        fold(cqe->cid);
-        fold(static_cast<std::uint64_t>(cqe->status.code()));
-        fold(cqe->completed_ns);
         if (op.is_write && cqe->status.ok()) acked[t][op.slba] = cqe->cid;
       }
     }
     if (rig.ftl->powered_off()) break;
   }
-  res.sharded = loop.stats().sharded_commands;
-
+  std::vector<bool> lost(kNumLbas, false);
   if (rig.ftl->powered_off()) {
     // Commands still in flight at the crash were never acknowledged;
     // dropping them with the queue pairs is the correct semantics.
-    fold(0xDEADull);
     rig.reboot();
     FtlRecoveryReport report;
     const Status rs = rig.ftl->recover(&report);
-    if (!rs.ok()) {
-      res.failure = "recover: " + rs.to_string();
-      return res;
-    }
-    std::vector<bool> lost(kNumLbas, false);
-    for (const std::uint64_t lba : report.lost_lbas) {
-      lost[lba] = true;
-      fold(lba);
-    }
-    // Durability audit: every acknowledged write is intact or named.
-    rig.ftl->set_fault_injector(nullptr);
-    std::vector<std::uint8_t> out(kBlockSize);
-    for (std::uint64_t t = 0; t < kEvTenants; ++t) {
-      for (std::uint64_t slba = 0; slba < kEvLbasPerTenant; ++slba) {
-        if (acked[t][slba] == ~0u) continue;
-        if (lost[t * kEvLbasPerTenant + slba]) continue;
-        const Status s =
-            rig.ctrl->read(static_cast<std::uint32_t>(t + 1), slba, out);
-        const std::uint8_t want =
-            EvFill(t, slba, static_cast<std::uint16_t>(acked[t][slba]));
-        bool intact = s.ok();
-        for (const std::uint8_t b : out) intact = intact && b == want;
-        if (!intact) {
-          res.failure = "tenant " + std::to_string(t) + " slba " +
-                        std::to_string(slba) +
-                        ": acknowledged write neither intact nor lost";
-          return res;
-        }
+    if (!rs.ok()) return "recover: " + rs.to_string();
+    for (const std::uint64_t lba : report.lost_lbas) lost[lba] = true;
+  }
+  // Durability audit: every acknowledged write is intact or named.
+  rig.ftl->set_fault_injector(nullptr);
+  std::vector<std::uint8_t> out(kBlockSize);
+  for (std::uint64_t t = 0; t < kEvTenants; ++t) {
+    for (std::uint64_t slba = 0; slba < kEvLbasPerTenant; ++slba) {
+      if (acked[t][slba] == ~0u) continue;
+      if (lost[t * kEvLbasPerTenant + slba]) continue;
+      const Status s =
+          rig.ctrl->read(static_cast<std::uint32_t>(t + 1), slba, out);
+      const std::uint8_t want =
+          EvFill(t, slba, static_cast<std::uint16_t>(acked[t][slba]));
+      bool intact = s.ok();
+      for (const std::uint8_t b : out) intact = intact && b == want;
+      if (!intact) {
+        return "tenant " + std::to_string(t) + " slba " +
+               std::to_string(slba) +
+               ": acknowledged write neither intact nor lost";
       }
     }
   }
-  // Final mapping state (recovered, or end-of-trace if no crash fired).
-  for (std::uint64_t lba = 0; lba < kNumLbas; ++lba) {
-    fold(rig.ftl->debug_lookup(Lba(lba)));
-  }
-  res.digest = dig;
-  return res;
+  return {};
 }
 
-TEST(PowerLoss, EventLoopTortureIsThreadCountInvariant) {
+TEST(PowerLoss, EventLoopTortureRecoversAcknowledgedWrites) {
   exec::ThreadPool pool;  // RHSD_THREADS-sized
   // A few indices past the trace length cover the no-crash path too.
   const std::vector<std::string> failures = exec::RunTrials(
       pool, kEvTraceOps + 4, /*base_seed=*/0,
-      [](std::uint64_t crash_index, std::uint64_t) -> std::string {
-        const EvOutcome ref = RunEvCrashTrial(crash_index, /*threads=*/0);
-        if (!ref.failure.empty()) return "sequential: " + ref.failure;
-        for (const unsigned threads : {2u, 5u}) {
-          const EvOutcome got = RunEvCrashTrial(crash_index, threads);
-          if (!got.failure.empty()) {
-            return "threads=" + std::to_string(threads) + ": " + got.failure;
-          }
-          if (got.digest != ref.digest) {
-            return "threads=" + std::to_string(threads) +
-                   ": outcome diverged from sequential golden";
-          }
-        }
-        return {};
+      [](std::uint64_t crash_index, std::uint64_t) {
+        return RunEvCrashTrial(crash_index);
       });
   for (std::uint64_t k = 0; k < failures.size(); ++k) {
     EXPECT_EQ(failures[k], "") << "crash index " << k;
   }
-}
-
-TEST(PowerLoss, EventLoopTortureEngagesShardedPath) {
-  // With the crash beyond the trace, the full run completes; the
-  // sharded run must have actually drafted batches (the torture above
-  // is vacuous if everything silently fell back to sequential).
-  const EvOutcome got = RunEvCrashTrial(kEvTraceOps + 1, /*threads=*/2);
-  EXPECT_EQ(got.failure, "");
-  EXPECT_GT(got.sharded, 0u);
 }
 
 }  // namespace
