@@ -4,9 +4,14 @@
 // when scaling experiments up — as opposed to the experiment benches,
 // which report *simulated-device* behaviour.
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "bench_report.hpp"
 #include "common/crc32c.hpp"
@@ -93,14 +98,14 @@ BENCHMARK(BM_DramHammerActivation);
 /// vulnerable (worst case for the early-out logic) but with testbed-level
 /// thresholds, i.e. the common regime where aggressors are hammered hard
 /// without crossing a threshold on every window.
-std::unique_ptr<DramDevice> MakeHammerDevice(SimClock& clock,
-                                             bool trr = false) {
+std::unique_ptr<DramDevice> MakeHammerDevice(
+    SimClock& clock, bool trr = false, std::uint32_t rows_per_bank = 256) {
   DramConfig config;
   config.geometry = DramGeometry{.channels = 1,
                                  .dimms_per_channel = 1,
                                  .ranks_per_dimm = 1,
                                  .banks_per_rank = 2,
-                                 .rows_per_bank = 256,
+                                 .rows_per_bank = rows_per_bank,
                                  .row_bytes = 1024};
   config.profile = DramProfile::Testbed();
   config.profile.vulnerable_row_fraction = 1.0;
@@ -230,88 +235,182 @@ void BM_SsdNvmeReadCommand(benchmark::State& state) {
 }
 BENCHMARK(BM_SsdNvmeReadCommand);
 
+/// The PARA draw loop that Rng::bernoulli_hits replaced, as DramDevice
+/// ran it: the generator is a member, so every draw loads and stores its
+/// state (the push_back may alias it).  Out of line, like the member
+/// function it stands in for.
+struct MemberParaLoop {
+  Rng rng{0x9A7A};
+  std::uint64_t refreshes = 0;
+
+  [[gnu::noinline]] void scan(std::uint64_t threshold, std::uint64_t n,
+                              std::vector<std::uint64_t>& hits) {
+    for (std::uint64_t e = 1; e <= n; ++e) {
+      if (!rng.next_bool_at(threshold)) continue;
+      hits.push_back(e);
+      ++refreshes;
+    }
+  }
+};
+
+/// A host-time quantity: the minimum of its runs, the standard stable
+/// estimator for a fixed workload.
+struct BestOf {
+  std::function<double()> run;
+  double best = std::numeric_limits<double>::infinity();
+
+  void sample() { best = std::min(best, run()); }
+};
+
 /// Chrono-timed scalar-vs-batched comparison feeding BENCH_hotpath.json:
 /// the acceptance metric for the batched fast path.  Uses fresh devices
 /// so both sides pay the same cold-cache costs.
 void ReportHammerHotPath() {
   constexpr std::uint64_t kBatches = 10000;
   constexpr std::uint64_t kPairs = 64;  // per batch
-  constexpr int kRepeats = 5;
 
-  // Best-of-N timing on a fresh device per repetition: the batched side
-  // runs at ~1 ns/pair, so single-shot ratios are noisy enough to trip
-  // the CI trajectory gate on scheduler jitter alone.  Min time is the
-  // standard stable estimator for a fixed workload.
+  // Run every comparison on the CPU this one started on: a migration
+  // between the two sides of a ratio costs one side its caches and
+  // branch history, and the CI trajectory gate sees that as regression.
+  if (const int cpu = sched_getcpu(); cpu >= 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    sched_setaffinity(0, sizeof set, &set);
+  }
+
+  // hammer_pair against hammer_pair_scalar, with and without TRR: the
+  // batched path replays the tracker analytically instead of falling
+  // back to scalar, and that replay must stay comfortably faster than
+  // per-event simulation.  One run on a fresh device, in seconds.
   const auto time_hammer = [&](bool trr, bool batched,
                                DramStats* stats_out) {
-    double best = 0;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      SimClock clock;
-      auto dram = MakeHammerDevice(clock, trr);
-      const double t0 = bench::HostSeconds();
-      for (std::uint64_t i = 0; i < kBatches; ++i) {
-        if (batched) {
-          dram->hammer_pair(9, 11, kPairs);
-        } else {
-          dram->hammer_pair_scalar(9, 11, kPairs);
-        }
+    SimClock clock;
+    auto dram = MakeHammerDevice(clock, trr);
+    const double t0 = bench::HostSeconds();
+    for (std::uint64_t i = 0; i < kBatches; ++i) {
+      if (batched) {
+        dram->hammer_pair(9, 11, kPairs);
+      } else {
+        dram->hammer_pair_scalar(9, 11, kPairs);
       }
-      const double elapsed = bench::HostSeconds() - t0;
-      if (rep == 0 || elapsed < best) best = elapsed;
-      if (stats_out != nullptr) *stats_out = dram->stats();
     }
-    return best;
+    const double elapsed = bench::HostSeconds() - t0;
+    if (stats_out != nullptr) *stats_out = dram->stats();
+    return elapsed;
   };
-
   DramStats batched_stats;
-  const double scalar_s = time_hammer(false, false, nullptr);
-  const double batched_s = time_hammer(false, true, &batched_stats);
-  const std::uint64_t activations = batched_stats.activations;
-
-  // The same comparison with TRR enabled: the batched path replays the
-  // tracker analytically instead of falling back to scalar, and that
-  // replay must stay comfortably faster than per-event simulation.
   DramStats trr_scalar_stats;
   DramStats trr_batched_stats;
-  const double trr_scalar_s = time_hammer(true, false, &trr_scalar_stats);
-  const double trr_batched_s = time_hammer(true, true, &trr_batched_stats);
+  BestOf hammer_scalar{[&] { return time_hammer(false, false, nullptr); }};
+  BestOf hammer_batched{
+      [&] { return time_hammer(false, true, &batched_stats); }};
+  BestOf trr_scalar{
+      [&] { return time_hammer(true, false, &trr_scalar_stats); }};
+  BestOf trr_batched{
+      [&] { return time_hammer(true, true, &trr_batched_stats); }};
+
+  // hammer_pattern() costs a fixed amount per distinct row per call,
+  // whatever the command count, so its unit is ns per row-call.  Each
+  // call replays max(512, r) commands (5 activations each) of an r-row
+  // pattern in one bank; the clock advances with the commands, so
+  // windows roll as they do in a replayed attack.  The 1024-row cost
+  // over the 2-row one is the CI guard against per-row side tables that
+  // scan every row (O(P^2) per call): ~9x with the indexed lookup, ~18x
+  // with a linear one.  At 64 rows that scan is lost in the per-row
+  // constant (both read ~1.9x).
+  const auto time_pattern = [&](std::uint64_t n_rows) {
+    const std::uint64_t n_cmds = std::max<std::uint64_t>(512, n_rows);
+    constexpr std::uint64_t kRepeat = 5;
+    constexpr std::uint64_t kServiceNs = 100;
+    const std::uint64_t calls = std::max<std::uint64_t>(4, 10000 / n_rows);
+    std::vector<std::uint64_t> rows;
+    for (std::uint64_t r = 0; r < n_rows; ++r) rows.push_back(r * 4);
+    SimClock clock;
+    auto dram = MakeHammerDevice(clock, false, 4096);
+    const double t0 = bench::HostSeconds();
+    for (std::uint64_t i = 0; i < calls; ++i) {
+      const CmdTimes times{{}, clock.now_ns(), kServiceNs, n_cmds};
+      const bool ok = dram->hammer_pattern(rows, n_cmds, kRepeat, times, {});
+      RHSD_CHECK_MSG(ok, "hazard-free pattern aborted");
+      clock.advance_ns(n_cmds * kServiceNs);
+    }
+    const double elapsed = bench::HostSeconds() - t0;
+    return elapsed / static_cast<double>(calls * n_rows) * 1e9;
+  };
+  BestOf pattern_2{[&] { return time_pattern(2); }};
+  BestOf pattern_8{[&] { return time_pattern(8); }};
+  BestOf pattern_64{[&] { return time_pattern(64); }};
+  BestOf pattern_1024{[&] { return time_pattern(1024); }};
+
+  // The PARA Bernoulli scan: Rng::bernoulli_hits against the loop it
+  // replaced (MemberParaLoop), at PARA's p = 1/1024 and the ~314k draws
+  // of a §5 PARA replay chunk, in ns per draw.  Both sides must find the
+  // same hits.
+  constexpr std::uint64_t kScanDraws = 314092;
+  constexpr int kScanCalls = 2;
+  const std::uint64_t para_thr = Rng::bool_threshold(1.0 / 1024);
+  std::vector<std::uint64_t> scan_member_hits;
+  std::vector<std::uint64_t> scan_batched_hits;
+  const auto time_scan = [&](bool batched) {
+    MemberParaLoop para;
+    std::vector<std::uint64_t> hits;
+    const double t0 = bench::HostSeconds();
+    for (int c = 0; c < kScanCalls; ++c) {
+      hits.clear();
+      if (batched) {
+        para.rng.bernoulli_hits(para_thr, kScanDraws, hits);
+      } else {
+        para.scan(para_thr, kScanDraws, hits);
+      }
+      benchmark::DoNotOptimize(hits.data());
+    }
+    const double elapsed = bench::HostSeconds() - t0;
+    hits.push_back(para.rng.next());  // the stream position, compared too
+    (batched ? scan_batched_hits : scan_member_hits) = std::move(hits);
+    return elapsed / (kScanCalls * kScanDraws) * 1e9;
+  };
+  BestOf scan_member{[&] { return time_scan(false); }};
+  BestOf scan_batched{[&] { return time_scan(true); }};
+
+  // The runs of every quantity interleave round-robin across the whole
+  // report (~5 s).  Host speed here flips between a fast and a slow
+  // state, per CPU, every 0.1-2 s, and the slow state slows some loops
+  // more than others, so a ratio is stable only between fast-state
+  // minima: each side needs short runs spread over more time than a
+  // slow spell lasts, not a burst of its own.
+  constexpr int kRounds = 25;
+  std::vector<BestOf*> round = {&hammer_scalar, &hammer_batched,
+                                &trr_scalar,    &trr_batched,
+                                &pattern_2,     &pattern_8,
+                                &pattern_64,    &pattern_1024};
+  for (int i = 0; i < 8; ++i) {
+    round.push_back(&scan_member);
+    round.push_back(&scan_batched);
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    for (BestOf* q : round) q->sample();
+  }
+
+  const double scalar_s = hammer_scalar.best;
+  const double batched_s = hammer_batched.best;
+  const double trr_scalar_s = trr_scalar.best;
+  const double trr_batched_s = trr_batched.best;
+  const double pattern_2_ns = pattern_2.best;
+  const double pattern_8_ns = pattern_8.best;
+  const double pattern_64_ns = pattern_64.best;
+  const double pattern_1024_ns = pattern_1024.best;
+  const double scan_member_ns = scan_member.best;
+  const double scan_batched_ns = scan_batched.best;
+  const std::uint64_t activations = batched_stats.activations;
   RHSD_CHECK_MSG(
       trr_batched_stats.trr_refreshes == trr_scalar_stats.trr_refreshes,
       "batched TRR replay diverged from scalar in the bench");
   RHSD_CHECK_MSG(trr_scalar_stats.trr_refreshes > 0,
                  "TRR bench config never fired a target refresh");
-
-  // Wide multi-row patterns: many distinct rows per replayed chunk.
-  // The row-commit tables inside hammer_pattern() used to pay an
-  // O(P^2) linear scan once patterns grew past a handful of rows; the
-  // indexed lookup keeps per-activation cost flat, and this point
-  // feeds the trajectory gate so it stays that way.
-  double wide_acts_per_s = 0;
-  {
-    constexpr std::uint64_t kWideRows = 64;
-    constexpr std::uint64_t kCmds = 512;
-    constexpr std::uint64_t kRepeat = 5;
-    constexpr std::uint64_t kChunks = 200;
-    std::vector<std::uint64_t> rows;
-    rows.reserve(kWideRows);
-    for (std::uint64_t r = 0; r < kWideRows; ++r) {
-      rows.push_back(r * 4);  // 64 distinct rows in one bank
-    }
-    const std::vector<std::uint64_t> times(kCmds, 0);
-    double best = 0;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      SimClock clock;
-      auto dram = MakeHammerDevice(clock);
-      const double t0 = bench::HostSeconds();
-      for (std::uint64_t i = 0; i < kChunks; ++i) {
-        const bool ok = dram->hammer_pattern(rows, kCmds, kRepeat, times, {});
-        RHSD_CHECK_MSG(ok, "hazard-free wide pattern aborted");
-      }
-      const double elapsed = bench::HostSeconds() - t0;
-      if (rep == 0 || elapsed < best) best = elapsed;
-    }
-    wide_acts_per_s = static_cast<double>(kChunks * kCmds * kRepeat) / best;
-  }
+  RHSD_CHECK_MSG(scan_batched_hits == scan_member_hits,
+                 "bernoulli_hits diverged from the scalar loop in the bench");
+  RHSD_CHECK_MSG(scan_member_hits.size() > 1, "PARA scan bench never hit");
 
   double ftl_read_ns = 0;
   {
@@ -340,16 +439,28 @@ void ReportHammerHotPath() {
   report.set("hammer_trr_scalar_ns_per_pair", trr_scalar_ns);
   report.set("hammer_trr_batched_ns_per_pair", trr_batched_ns);
   report.set("hammer_batched_trr_speedup", trr_scalar_ns / trr_batched_ns);
-  report.set("hammer_pattern_wide_acts_per_s", wide_acts_per_s);
+  report.set("hammer_pattern_ns_per_row_call_2rows", pattern_2_ns);
+  report.set("hammer_pattern_ns_per_row_call_8rows", pattern_8_ns);
+  report.set("hammer_pattern_ns_per_row_call_64rows", pattern_64_ns);
+  report.set("hammer_pattern_ns_per_row_call_1024rows", pattern_1024_ns);
+  report.set("hammer_pattern_row_cost_ratio_1024_to_2",
+             pattern_1024_ns / pattern_2_ns);
+  report.set("para_scan_ns_per_draw_scalar", scan_member_ns);
+  report.set("para_scan_ns_per_draw", scan_batched_ns);
+  report.set("para_scan_speedup", scan_member_ns / scan_batched_ns);
   report.set("ftl_unmapped_read_ns_per_io", ftl_read_ns);
   report.write();
   std::printf(
       "\nhot path: scalar %.1f ns/pair, batched %.1f ns/pair "
       "(%.1fx), %.0f activations/s; with TRR %.1f -> %.1f ns/pair "
-      "(%.1fx); wide pattern %.0f acts/s -> BENCH_hotpath.json\n",
+      "(%.1fx); hammer_pattern %.0f / %.0f / %.0f / %.0f ns per row-call "
+      "at 2 / 8 / 64 / 1024 rows; PARA scan %.2f -> %.2f ns/draw (%.2fx) "
+      "-> BENCH_hotpath.json\n",
       scalar_ns, batched_ns, scalar_ns / batched_ns,
       static_cast<double>(activations) / batched_s, trr_scalar_ns,
-      trr_batched_ns, trr_scalar_ns / trr_batched_ns, wide_acts_per_s);
+      trr_batched_ns, trr_scalar_ns / trr_batched_ns, pattern_2_ns,
+      pattern_8_ns, pattern_64_ns, pattern_1024_ns,
+      scan_member_ns, scan_batched_ns, scan_member_ns / scan_batched_ns);
 }
 
 }  // namespace

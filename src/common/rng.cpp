@@ -60,4 +60,13 @@ std::uint64_t Rng::bool_threshold(double p) {
 
 Rng Rng::fork() { return Rng(next()); }
 
+void Rng::bernoulli_hits(std::uint64_t threshold, std::uint64_t n,
+                         std::vector<std::uint64_t>& hits) {
+  Rng local = *this;
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    if (local.next_bool_at(threshold)) hits.push_back(i);
+  }
+  *this = local;
+}
+
 }  // namespace rhsd

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -61,6 +62,17 @@ class Rng {
   bool next_bool_at(std::uint64_t threshold) {
     return (next() >> 11) < threshold;
   }
+
+  /// `n` next_bool_at(threshold) draws in one call: appends the 1-based
+  /// index of every true draw to `hits` in ascending order and leaves
+  /// the generator where the loop
+  ///   for (i = 1..n) if (next_bool_at(threshold)) hits.push_back(i);
+  /// would.  The loop runs on a local copy of the state, which the
+  /// compiler keeps in registers; on a member Rng, the loop above
+  /// reloads and stores the state around every draw, because the
+  /// push_back might alias it.
+  void bernoulli_hits(std::uint64_t threshold, std::uint64_t n,
+                      std::vector<std::uint64_t>& hits);
 
   /// Standard normal via Box–Muller (one value per call; no caching so
   /// the stream position stays easy to reason about).

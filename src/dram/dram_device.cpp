@@ -152,6 +152,18 @@ bool DramDevice::para_decide() {
   return para_rng_.next_bool_at(para_threshold_);
 }
 
+template <typename Fn>
+std::uint64_t DramDevice::para_events(std::uint64_t events, Fn&& at) {
+  if (config_.mitigations.para_probability >= 1.0) {
+    for (std::uint64_t e = 1; e <= events; ++e) at(e);
+    return events;
+  }
+  para_hits_.clear();
+  para_rng_.bernoulli_hits(para_threshold_, events, para_hits_);
+  for (const std::uint64_t e : para_hits_) at(e);
+  return para_hits_.size();
+}
+
 std::uint64_t DramDevice::acts_now(std::uint64_t global_row) {
   roll_window(global_row);
   return row_acts_[global_row];
@@ -489,11 +501,10 @@ void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
   if (config_.mitigations.para_probability > 0.0) {
     // Replay the PARA stream in scalar order: exactly one decision per
     // activation, whatever TRR did at the same events.
-    for (std::uint64_t e = 1; e <= events; ++e) {
-      if (!para_decide()) continue;
+    const auto para_at = [&](std::uint64_t e) {
       points.push_back({e, (a == b || e % 2 != 0) ? a : b, 1});
-      ++stats_.para_refreshes;
-    }
+    };
+    stats_.para_refreshes += para_events(events, para_at);
   }
   // Merge by event; at equal events the TRR fire was pushed first and
   // stable_sort keeps it ahead of the PARA refresh, matching scalar
@@ -809,13 +820,13 @@ void DramDevice::check_victim_batched(
 
 bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
                                 std::uint64_t n_cmds, std::uint64_t repeat,
-                                std::span<const std::uint64_t> cmd_time_ns,
+                                CmdTimes cmd_times,
                                 std::span<const PatternHazard> hazards) {
   RHSD_CHECK(config_.row_buffer_policy == RowBufferPolicy::kClosedPage);
   RHSD_CHECK(!cache_.has_value());
   RHSD_CHECK(!rows.empty());
   RHSD_CHECK(repeat > 0);
-  RHSD_CHECK(cmd_time_ns.size() >= n_cmds);
+  RHSD_CHECK(cmd_times.size() == n_cmds);
   if (n_cmds == 0) return true;
   const std::uint64_t P = rows.size();
   const std::uint64_t h = repeat;
@@ -863,7 +874,7 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
   };
 
   // One maximal same-refresh-window run: commands [0, n_cmds) at times
-  // cmd_time_ns, the pattern rotated so position 0 is the run's first
+  // cmd_times, the pattern rotated so position 0 is the run's first
   // command.  The parameters deliberately shadow the batch-level ones —
   // the closed forms below see only the segment.  `fresh` marks a
   // window the clock has not reached: its first activation would reset
@@ -872,8 +883,7 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
   // `event_offset` maps local events 1..n_cmds*h onto the batch-global
   // flip order.
   const auto run_segment = [&](std::span<const std::uint64_t> rows,
-                               std::uint64_t n_cmds,
-                               std::span<const std::uint64_t> cmd_time_ns,
+                               std::uint64_t n_cmds, CmdTimes cmd_times,
                                std::uint64_t w, bool fresh,
                                std::uint64_t event_offset) {
   const std::uint64_t E = n_cmds * h;  // segment activations, events 1..E
@@ -988,13 +998,10 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
     }
   }
   if (config_.mitigations.para_probability > 0.0) {
-    const double p = config_.mitigations.para_probability;
-    const std::uint64_t thr = p >= 1.0 ? 0 : Rng::bool_threshold(p);
-    for (std::uint64_t e = 1; e <= E; ++e) {
-      if (p < 1.0 && !para_rng_.next_bool_at(thr)) continue;
+    const auto para_at = [&](std::uint64_t e) {
       points.push_back(RefreshPoint{e, rows[((e - 1) / h) % P], 1});
-      ++stats_.para_refreshes;
-    }
+    };
+    stats_.para_refreshes += para_events(E, para_at);
   }
   std::stable_sort(points.begin(), points.end(),
                    [](const RefreshPoint& x, const RefreshPoint& y) {
@@ -1172,7 +1179,7 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
           pending.push_back(PendingFlip{
               .event = event_offset + e,
               .slot = slot_at(e),
-              .flip = FlipEvent{.time_ns = cmd_time_ns[(e - 1) / h],
+              .flip = FlipEvent{.time_ns = cmd_times[(e - 1) / h],
                                 .global_row = victim,
                                 .byte_offset = cell.byte_offset,
                                 .bit = cell.bit,
@@ -1277,21 +1284,16 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
   std::vector<std::uint64_t> seg_rows(P);
   std::uint64_t c_lo = 0;
   while (c_lo < n_cmds) {
-    const std::uint64_t w_seg = cmd_time_ns[c_lo] / window_ns_;
-    // Command times are nondecreasing, so the window edge is a binary
-    // search, not a per-command division walk (chunks span many
-    // windows and can run to hundreds of thousands of commands).
-    const std::uint64_t c_hi = static_cast<std::uint64_t>(
-        std::lower_bound(cmd_time_ns.begin() + static_cast<std::ptrdiff_t>(
-                             c_lo + 1),
-                         cmd_time_ns.begin() + static_cast<std::ptrdiff_t>(
-                             n_cmds),
-                         (w_seg + 1) * window_ns_) -
-        cmd_time_ns.begin());
+    const std::uint64_t w_seg = cmd_times[c_lo] / window_ns_;
+    // Command times are nondecreasing, so the window edge is a lookup
+    // in closed form, not a per-command walk (chunks span many windows
+    // and can run to hundreds of thousands of commands).
+    const std::uint64_t c_hi =
+        cmd_times.first_at_or_after((w_seg + 1) * window_ns_);
     for (std::uint64_t i = 0; i < P; ++i) {
       seg_rows[i] = rows[(c_lo + i) % P];
     }
-    run_segment(seg_rows, c_hi - c_lo, cmd_time_ns.subspan(c_lo, c_hi - c_lo),
+    run_segment(seg_rows, c_hi - c_lo, cmd_times.sub(c_lo, c_hi - c_lo),
                 w_seg, w_seg != w_now, c_lo * h);
     c_lo = c_hi;
   }

@@ -24,12 +24,14 @@
 // refresh-interval override.  TRR and PARA have per-activation state,
 // but under the fixed a,b,a,b,... pattern of a hammer batch that state
 // evolves deterministically: the batched path replays the TRR tracker
-// analytically (TrrTracker::advance), pre-draws the PARA decisions in
-// scalar RNG order, and runs the closed-form victim check on the
-// segments between the resulting targeted refreshes — still bit-exact
-// with the scalar path.
+// analytically (TrrTracker::advance), draws the whole batch's PARA
+// decisions in one Rng::bernoulli_hits scan (same hits, same final RNG
+// state as one para_decide() per activation), and runs the closed-form
+// victim check on the segments between the resulting targeted
+// refreshes — still bit-exact with the scalar path.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -111,6 +113,44 @@ struct PatternHazard {
   std::uint32_t byte_hi = 0;  // exclusive
 };
 
+/// Simulated times of a replayed chunk's commands, nondecreasing: an
+/// explicit `head` followed by the arithmetic tail t0, t0 + stride, ...
+/// of `count` terms.  Without a rate limiter the head is empty; with
+/// one it holds the commands before the token bucket's stall settles
+/// (the burst), and the tail's stride is service time plus that stall.
+/// A view: the head's storage must outlive it.
+struct CmdTimes {
+  std::span<const std::uint64_t> head;
+  std::uint64_t t0 = 0;
+  std::uint64_t stride = 0;
+  std::uint64_t count = 0;
+
+  [[nodiscard]] std::uint64_t size() const { return head.size() + count; }
+  [[nodiscard]] std::uint64_t operator[](std::uint64_t i) const {
+    return i < head.size() ? head[i] : t0 + (i - head.size()) * stride;
+  }
+  /// Commands [lo, lo + n).  Requires lo + n <= size().
+  [[nodiscard]] CmdTimes sub(std::uint64_t lo, std::uint64_t n) const {
+    if (lo >= head.size()) {
+      return {{}, t0 + (lo - head.size()) * stride, stride, n};
+    }
+    const std::uint64_t in_head =
+        std::min<std::uint64_t>(n, head.size() - lo);
+    return {head.subspan(lo, in_head), t0, stride, n - in_head};
+  }
+  /// Index of the first command at or after time t (size() if none): a
+  /// binary search in the head, a ceiling division in the tail.
+  [[nodiscard]] std::uint64_t first_at_or_after(std::uint64_t t) const {
+    const auto it = std::lower_bound(head.begin(), head.end(), t);
+    if (it != head.end()) {
+      return static_cast<std::uint64_t>(it - head.begin());
+    }
+    if (count == 0 || t <= t0) return head.size();
+    if (stride == 0) return size();
+    return head.size() + std::min(count, (t - t0 + stride - 1) / stride);
+  }
+};
+
 /// One disturbance-induced bitflip, for scanning and experiment output.
 struct FlipEvent {
   std::uint64_t time_ns = 0;
@@ -160,14 +200,18 @@ class DramDevice {
   /// the activation stream is rows[0]*repeat, rows[1]*repeat, ...,
   /// wrapping around the pattern — exactly what `n_cmds` scalar
   /// unmapped-L2P reads with per-I/O hammer amplification produce.
-  /// `cmd_time_ns[c]` is the simulated time of command c's DRAM work
+  /// `cmd_times[c]` is the simulated time of command c's DRAM work
   /// (used to stamp FlipEvents and to place each command in its refresh
-  /// window).  Commands may span refresh-window boundaries: the replay
-  /// splits the stream into maximal same-window runs internally, and a
-  /// run in a window beyond the clock's current one starts from zeroed
-  /// per-window counters, baselines, and a freshly reset TRR tracker —
-  /// exactly what the scalar walk's roll_window() would produce.  The
-  /// first command must fall in the clock's current refresh window.
+  /// window); cmd_times.size() == n_cmds.  Apart from the PARA draws
+  /// (one Rng::bernoulli_hits scan per window, ~1.5 ns per activation),
+  /// host work scales with the pattern's rows, the windows crossed, the
+  /// refreshes and the flips, not with n_cmds.  Commands may span
+  /// refresh-window boundaries: the replay splits the stream into
+  /// maximal same-window runs internally, and a run in a window beyond
+  /// the clock's current one starts from zeroed per-window counters,
+  /// baselines, and a freshly reset TRR tracker — exactly what the
+  /// scalar walk's roll_window() would produce.  The first command must
+  /// fall in the clock's current refresh window.
   /// Preconditions: closed-page policy, no cache.  Bit-exact with the
   /// scalar loop: same flips in the same order, same DramStats, same
   /// TRR/PARA state.
@@ -178,8 +222,7 @@ class DramDevice {
   /// the pattern reads, which only the scalar path models).
   [[nodiscard]] bool hammer_pattern(std::span<const std::uint64_t> rows,
                                     std::uint64_t n_cmds,
-                                    std::uint64_t repeat,
-                                    std::span<const std::uint64_t> cmd_time_ns,
+                                    std::uint64_t repeat, CmdTimes cmd_times,
                                     std::span<const PatternHazard> hazards);
 
   /// Replay-accounting hooks for the FTL's batched pattern path.  Each
@@ -323,6 +366,12 @@ class DramDevice {
   /// One PARA decision from the global RNG (one draw per decision for p
   /// in (0,1); p >= 1 decides true without drawing).
   [[nodiscard]] bool para_decide();
+  /// The PARA decisions of `events` consecutive activations, drawn
+  /// exactly as `events` para_decide() calls would (one
+  /// Rng::bernoulli_hits scan): calls at(e) for each 1-based event e
+  /// that refreshes its neighbors, in order, and returns their count.
+  template <typename Fn>
+  std::uint64_t para_events(std::uint64_t events, Fn&& at);
 
   /// Per-window activation count, rolling the window first.
   std::uint64_t acts_now(std::uint64_t global_row);
@@ -393,6 +442,7 @@ class DramDevice {
   /// hot para_decide() path compares against this instead of re-doing
   /// the float comparison per draw.
   std::uint64_t para_threshold_ = 0;
+  std::vector<std::uint64_t> para_hits_;  // para_events() scratch
   /// Open row per flat bank (kOpenPage policy); ~0 = none open.
   std::vector<std::uint64_t> open_rows_;
   DramStats stats_;

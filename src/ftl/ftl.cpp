@@ -597,8 +597,7 @@ std::uint64_t Ftl::replay_safe_cmds(const PatternReplayPlan& plan) const {
 
 Status Ftl::replay_pattern_reads(const PatternReplayPlan& plan,
                                  std::uint64_t start_cmd,
-                                 std::uint64_t n_cmds,
-                                 std::span<const std::uint64_t> cmd_time_ns,
+                                 std::uint64_t n_cmds, CmdTimes cmd_times,
                                  bool* applied) {
   RHSD_CHECK(applied != nullptr);
   *applied = false;
@@ -615,7 +614,7 @@ Status Ftl::replay_pattern_reads(const PatternReplayPlan& plan,
     for (std::uint64_t i = 0; i < P; ++i) {
       rot[i] = plan.entry_rows[(start_cmd + i) % P];
     }
-    if (!dram_.hammer_pattern(rot, n_cmds, h, cmd_time_ns, plan.hazards)) {
+    if (!dram_.hammer_pattern(rot, n_cmds, h, cmd_times, plan.hazards)) {
       return Status::Ok();  // hazard: caller replays this chunk scalar
     }
     dram_.account_pattern_reads(h * n_cmds);

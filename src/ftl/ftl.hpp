@@ -199,16 +199,17 @@ class Ftl {
   /// Replay commands [start_cmd, start_cmd + n_cmds) of the pattern —
   /// command g reads plan.lbas[g % size] — in closed form, bit-exact
   /// with the scalar loop: same FtlStats, DramStats, flips, scrub
-  /// counter and fault-op alignment.  `cmd_time_ns[i]` is the simulated
-  /// time command start_cmd+i's DRAM work happens (all in the DRAM's
-  /// current refresh window).  Preconditions: pattern_state_ok(), fewer
-  /// than replay_safe_cmds() commands.  Sets *applied=false (and does
-  /// nothing) when a disturbance flip would land in a hazard range —
-  /// the caller must run this chunk through scalar reads.
+  /// counter and fault-op alignment.  `cmd_times[i]` is the simulated
+  /// time command start_cmd+i's DRAM work happens (head plus arithmetic
+  /// tail, cmd_times.size() == n_cmds); the first falls in the DRAM's
+  /// current refresh window, later ones may cross window edges.
+  /// Preconditions: pattern_state_ok(), fewer than replay_safe_cmds()
+  /// commands.  Sets *applied=false (and does nothing) when a
+  /// disturbance flip would land in a hazard range — the caller must run
+  /// this chunk through scalar reads.
   Status replay_pattern_reads(const PatternReplayPlan& plan,
                               std::uint64_t start_cmd, std::uint64_t n_cmds,
-                              std::span<const std::uint64_t> cmd_time_ns,
-                              bool* applied);
+                              CmdTimes cmd_times, bool* applied);
 
   /// Reconstruct the L2P table after a power loss: newest complete
   /// journal snapshot, plus CRC-valid records, plus an OOB scan of the

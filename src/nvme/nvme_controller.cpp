@@ -247,9 +247,33 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
            (!bounded || r < max_rounds);
   };
 
+  // How many of the next `m` commands a constant-stride run may cover
+  // when it starts at command index gg at time t.  It stops at the
+  // round gate (checked only where a round would start, gg % P == 0)
+  // and at the round bound; each break condition of the scalar walk
+  // has a closed form, so take the smallest.  Command gg itself has
+  // passed the gates, so the result is >= 1.
+  const auto stride_cmds = [&](std::uint64_t gg, std::uint64_t t,
+                               std::uint64_t step, std::uint64_t m) {
+    if (until) {
+      const std::uint64_t base = gg % P;
+      const std::uint64_t nb0 = base == 0 ? P : P - base;
+      std::uint64_t nb = nb0;
+      if (t < deadline_ns) {
+        // Smallest command index at or past the deadline, rounded up to
+        // the boundary grid.
+        const std::uint64_t nd = (deadline_ns - t + step - 1) / step;
+        if (nd > nb0) nb = nb0 + ((nd - nb0 + P - 1) / P) * P;
+      }
+      m = std::min(m, nb);
+    }
+    if (bounded) m = std::min(m, max_rounds * P - gg);
+    return m;
+  };
+
   std::uint64_t g = 0;   // commands completed so far
   bool warmed = false;   // the mandatory first scalar round ran
-  std::vector<std::uint64_t> times;
+  std::vector<std::uint64_t> head;  // limiter burst times, see below
   for (;;) {
     if (g % P == 0) {
       *rounds_done = g / P;
@@ -291,40 +315,19 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
     }
     // Size the chunk by the exact per-command cost model (limiter stall
     // + constant non-flash service time) up to the next disallowed
-    // round or fault horizon.  Refresh-window edges no longer cut the
+    // round or fault horizon.  Refresh-window edges do not cut the
     // chunk: hammer_pattern splits the command stream into per-window
     // segments internally.  Command bodies run at the pre-charge clock,
-    // so command i's DRAM work happens at times[i].
-    times.clear();
+    // so command i's DRAM work happens at times[i] — an arithmetic
+    // progression, after an explicit head while a limiter settles.
+    CmdTimes times;
     std::optional<RateLimiter> lim = limiter_;
     std::uint64_t t = clock_.now_ns();
     std::uint64_t n = 0;
     if (!lim.has_value()) {
-      // Constant stride: command i runs at t0 + i*service_ns, so each
-      // break condition of the scalar walk below has a closed form —
-      // take the smallest.
-      const std::uint64_t t0 = t;
-      n = safe;
-      // Round gate, checked only where a round would start (gg % P == 0).
-      if (until) {
-        const std::uint64_t base = g % P;
-        const std::uint64_t nb0 = base == 0 ? P : P - base;
-        std::uint64_t nb = nb0;
-        if (t0 < deadline_ns) {
-          // Smallest command index at or past the deadline, rounded up
-          // to the boundary grid.
-          const std::uint64_t nd =
-              (deadline_ns - t0 + service_ns - 1) / service_ns;
-          if (nd > nb0) nb = nb0 + ((nd - nb0 + P - 1) / P) * P;
-        }
-        n = std::min(n, nb);
-      }
-      if (bounded) n = std::min(n, max_rounds * P - g);
-      times.resize(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        times[i] = t0 + i * service_ns;
-      }
-      t = t0 + n * service_ns;
+      n = stride_cmds(g, t, service_ns, safe);
+      times = CmdTimes{{}, t, service_ns, n};
+      t += n * service_ns;
     } else {
       // The token bucket reaches a fixed point once it drains: a
       // stalling acquire() sets tokens to zero and bumps last_ns_ to
@@ -332,7 +335,9 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
       // refill elapsed time is exactly service_ns.  From the second
       // consecutive stall on, every (refill, stall) pair is therefore
       // bit-identical, and the rest of the chunk is an arithmetic
-      // progression with stride service_ns + stall.
+      // progression with stride service_ns + stall.  The commands
+      // before that point (the burst) are the explicit head.
+      head.clear();
       std::uint64_t last_stall = 0;
       bool have_last = false;
       bool steady = false;
@@ -342,32 +347,15 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
           if (gg % P == 0 && !allow_round(t, gg / P)) break;
         }
         if (steady) {
-          // Closed forms mirror the no-limiter branch with stride
-          // `step`; command gg at time t already passed the loop-top
-          // gates, so every bound is >= 1.
           const std::uint64_t step = service_ns + last_stall;
-          std::uint64_t m = safe - n;
-          if (until) {
-            const std::uint64_t base = gg % P;
-            const std::uint64_t nb0 = base == 0 ? P : P - base;
-            std::uint64_t nb = nb0;
-            if (t < deadline_ns) {
-              const std::uint64_t nd =
-                  (deadline_ns - t + step - 1) / step;
-              if (nd > nb0) nb = nb0 + ((nd - nb0 + P - 1) / P) * P;
-            }
-            m = std::min(m, nb);
-          }
-          if (bounded) m = std::min(m, max_rounds * P - gg);
-          for (std::uint64_t i = 0; i < m; ++i) {
-            times.push_back(t + i * step);
-          }
+          const std::uint64_t m = stride_cmds(gg, t, step, safe - n);
+          times = CmdTimes{{}, t, step, m};
           lim->skip_steady(m, last_stall, t + (m - 1) * step);
           t += m * step;
           n += m;
           break;
         }
-        times.push_back(t);
+        head.push_back(t);
         const std::uint64_t stall = lim->acquire(t);
         steady = have_last && stall > 0 && stall == last_stall;
         last_stall = stall;
@@ -375,6 +363,7 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
         t += service_ns + stall;
         ++n;
       }
+      times.head = head;
     }
     bool applied = false;
     RHSD_RETURN_IF_ERROR(

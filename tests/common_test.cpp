@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <set>
+#include <vector>
 
 #include "common/crc32c.hpp"
 #include "common/hexdump.hpp"
@@ -220,6 +221,41 @@ TEST(Rng, BoolThresholdMatchesNextBoolDrawForDraw) {
       ASSERT_EQ(a.next_bool(p), b.next_bool_at(thr)) << "p=" << p;
     }
     EXPECT_EQ(a.next(), b.next());  // identical stream position
+  }
+}
+
+TEST(Rng, BernoulliHitsMatchesScalarLoop) {
+  // The batched scan against the loop it replaces: the same hit
+  // indices in the same order, appended after what `hits` held, and the
+  // same stream position afterwards -- from empty calls up to the ~314k
+  // draws of a §5 PARA replay chunk, and at the extreme thresholds.
+  const std::uint64_t thresholds[] = {
+      1, Rng::bool_threshold(1.0 / 1024), Rng::bool_threshold(0.005),
+      Rng::bool_threshold(0.5), (std::uint64_t{1} << 53) - 1};
+  const std::uint64_t sizes[] = {0, 1, 31, 32768, 314092};
+  for (const std::uint64_t seed : {1ull, 7ull, 0xC0FFEEull}) {
+    for (const std::uint64_t thr : thresholds) {
+      for (const std::uint64_t n : sizes) {
+        Rng batched(seed);
+        Rng scalar(seed);
+        std::vector<std::uint64_t> got = {42};
+        std::vector<std::uint64_t> want = {42};
+        batched.bernoulli_hits(thr, n, got);
+        for (std::uint64_t i = 1; i <= n; ++i) {
+          if (scalar.next_bool_at(thr)) want.push_back(i);
+        }
+        ASSERT_EQ(got, want) << "seed=" << seed << " thr=" << thr
+                             << " n=" << n;
+        for (int k = 0; k < 8; ++k) {
+          ASSERT_EQ(batched.next(), scalar.next())
+              << "seed=" << seed << " thr=" << thr << " n=" << n;
+        }
+        // Non-vacuity: every long scan at p >= 1/1024 hits.
+        if (n >= 32768 && thr >= Rng::bool_threshold(1.0 / 1024)) {
+          EXPECT_GT(got.size(), 1u) << "thr=" << thr << " n=" << n;
+        }
+      }
+    }
   }
 }
 

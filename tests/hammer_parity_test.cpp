@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dram/dram_device.hpp"
@@ -68,6 +69,13 @@ void ExpectSameOutcome(DramDevice& batched, DramDevice& scalar) {
   batched.peek(DramAddr(0), mb);
   scalar.peek(DramAddr(0), ms);
   EXPECT_EQ(mb, ms);
+
+  // Per-window activation counts: which window each activation landed
+  // in, as of the current one.
+  for (std::uint64_t r = 0; r < batched.config().geometry.total_rows(); ++r) {
+    EXPECT_EQ(batched.row_activations(r), scalar.row_activations(r))
+        << "row " << r;
+  }
 }
 
 /// Run `fn(device, use_batched)` against a batched and a scalar device
@@ -380,12 +388,16 @@ TEST(HammerParity, TrrOpenPageAndWindowRoll) {
 }
 
 TEST(HammerParity, ParaMatrixSeedsAndBatchSizes) {
+  // {total pairs, pairs per batch}.  The last case draws 120k PARA
+  // decisions in one Rng::bernoulli_hits call.
+  const std::pair<std::uint64_t, std::uint64_t> runs[] = {
+      {6000, 1}, {6000, 64}, {6000, 6000}, {60000, 60000}};
   for (std::uint64_t seed = 19; seed <= 22; ++seed) {
-    for (const std::uint64_t batch : {1ull, 64ull, 6000ull}) {
+    for (const auto& [total, batch] : runs) {
       DramConfig c = BaseConfig(seed);
       c.mitigations.para_probability = 0.01;
-      RunParity(c, [batch](DramDevice& d, SimClock&, bool batched) {
-        HammerPairBatches(d, 9, 11, 6000, batch, batched);
+      RunParity(c, [total, batch](DramDevice& d, SimClock&, bool batched) {
+        HammerPairBatches(d, 9, 11, total, batch, batched);
       });
     }
   }
@@ -771,6 +783,18 @@ TEST(PatternReplayParity, ParaConfig) {
     c.dram_mitigations.para_probability = 0.005;
     RunStackParity(c, pattern, 2500);
   }
+  // §5's PARA scenario shape: a many-sided pattern at p = 1/1024.  With
+  // refreshes that frequent nothing flips, so no hazard cuts the replay
+  // and each chunk draws 25k commands x 5 hammers = 125k PARA decisions
+  // in one Rng::bernoulli_hits call.
+  const std::vector<std::uint64_t> many = {100, 228, 356, 484, 612,
+                                           100, 228, 740, 868, 996};
+  for (std::uint64_t seed = 7; seed <= 8; ++seed) {
+    SsdConfig c = test::SmallSsd();
+    c.seed = seed;
+    c.dram_mitigations.para_probability = 1.0 / 1024;
+    RunStackParity(c, many, 2500);
+  }
 }
 
 TEST(PatternReplayParity, EccConfig) {
@@ -795,6 +819,12 @@ TEST(PatternReplayParity, RateLimiterCharges) {
   c.seed = 13;
   c.rate_limit = RateLimiterConfig{.max_iops = 100e3, .burst = 8};
   RunStackParity(c, pattern, 2000);
+  // PARA under §5's token bucket (500K IOPS, burst 64): each chunk's
+  // command times are an explicit head (the burst, then the commands
+  // that find the stall steady) plus an arithmetic tail.
+  c.dram_mitigations.para_probability = 1.0 / 1024;
+  c.rate_limit = RateLimiterConfig{.max_iops = 500e3, .burst = 64};
+  RunStackParity(c, pattern, 10000);
 }
 
 TEST(PatternReplayParity, ScrubTriggersMidStream) {
@@ -877,6 +907,30 @@ TEST(PatternReplayParity, WindowCrossingChunksSplitInsideReplay) {
                       1, {.slbas = pattern, .out = buf, .rounds = 2500})
                   .ok());
   EXPECT_GT(probe.clock().now_ns(), 3 * probe.dram().refresh_window_ns());
+
+  // A command landing exactly on a window edge opens the next window.
+  // The 1 ms window is 1600 commands of 625 ns, so once the clock sits
+  // on the 625 ns grid every 1600th command starts exactly on an edge.
+  for (std::uint64_t seed = 22; seed <= 23; ++seed) {
+    SsdConfig ce = test::SmallSsd();
+    ce.seed = seed;
+    ce.dram_profile.refresh_interval_ms = 1.0;
+    SsdDevice batched(ce);
+    SsdDevice scalar(ce);
+    for (SsdDevice* ssd : {&batched, &scalar}) {
+      PrepStack(*ssd, pattern);
+      const std::uint64_t service_ns = 625;
+      ASSERT_EQ(ssd->dram().refresh_window_ns(), 1600 * service_ns);
+      ssd->clock().advance_ns((service_ns -
+                               ssd->clock().now_ns() % service_ns) %
+                              service_ns);
+    }
+    const DriveResult rb = DriveRounds(batched, pattern, 2500, true);
+    const DriveResult rs = DriveRounds(scalar, pattern, 2500, false);
+    ExpectSameStack(batched, scalar, rb, rs);
+    EXPECT_EQ(batched.clock().now_ns() % 625, 0u);
+    EXPECT_GT(batched.clock().now_ns(), 3 * batched.dram().refresh_window_ns());
+  }
 }
 
 TEST(PatternReplayParity, WritePatternMatchesScalarWrites) {
