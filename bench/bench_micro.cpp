@@ -121,6 +121,31 @@ std::unique_ptr<DramDevice> MakeHammerDevice(
                                       clock);
 }
 
+/// cloud_read's DRAM (2 banks x 256 rows, 10 K accesses/s, every row
+/// vulnerable), bare or with the mitigated cloud sweep's TRR (fires at
+/// 1000 activations) + PARA (p = 1/512).
+std::unique_ptr<DramDevice> MakeCloudDram(SimClock& clock, bool mitigated) {
+  DramConfig config;
+  config.geometry = DramGeometry{.channels = 1,
+                                 .dimms_per_channel = 1,
+                                 .ranks_per_dimm = 1,
+                                 .banks_per_rank = 2,
+                                 .rows_per_bank = 256,
+                                 .row_bytes = 512};
+  config.profile.min_rate_kaccess_s = 10.0;
+  config.profile.vulnerable_row_fraction = 1.0;
+  config.profile.max_cells_per_row = 2;
+  config.profile.threshold_spread = 0.5;
+  config.seed = 42;
+  if (mitigated) {
+    config.mitigations.trr = true;
+    config.mitigations.trr_config.activation_threshold = 1000;
+    config.mitigations.para_probability = 1.0 / 512;
+  }
+  return std::make_unique<DramDevice>(config, MakeLinearMapper(config.geometry),
+                                      clock);
+}
+
 void BM_HammerPairScalar(benchmark::State& state) {
   SimClock clock;
   auto dram = MakeHammerDevice(clock);
@@ -279,10 +304,10 @@ void ReportHammerHotPath() {
     sched_setaffinity(0, sizeof set, &set);
   }
 
-  // hammer_pair against hammer_pair_scalar, with and without TRR: the
-  // batched path replays the tracker analytically instead of falling
-  // back to scalar, and that replay must stay comfortably faster than
-  // per-event simulation.  One run on a fresh device, in seconds.
+  // hammer_pair (the 2-row pattern replay) against hammer_pair_scalar,
+  // with and without TRR: the replay advances the tracker analytically
+  // instead of falling back to scalar, and must stay comfortably faster
+  // than per-event simulation.  One run on a fresh device, in seconds.
   const auto time_hammer = [&](bool trr, bool batched,
                                DramStats* stats_out) {
     SimClock clock;
@@ -310,15 +335,52 @@ void ReportHammerHotPath() {
   BestOf trr_batched{
       [&] { return time_hammer(true, true, &trr_batched_stats); }};
 
+  // The call production makes most: the FTL's per-I/O repeat,
+  // hammer_row(r, 4) (hammers_per_io = 5, the first touch being the
+  // real read), against hammer_row_scalar, bare and under TRR + PARA.
+  // Rows rotate over a 128-row L2P table interleaved across both banks,
+  // the clock advancing one simulated I/O (625 ns) per call, so victims
+  // cross their thresholds and flip partway through a run.  In ns per
+  // call; both sides must leave the same stats.
+  const auto time_amplify = [&](bool mitigated, bool batched,
+                                DramStats* stats_out) {
+    constexpr std::uint64_t kCalls = 40000;
+    SimClock clock;
+    auto dram = MakeCloudDram(clock, mitigated);
+    const double t0 = bench::HostSeconds();
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      const std::uint64_t k = (i * 37) % 128;
+      const std::uint64_t row = (k % 2) * 256 + k / 2;
+      if (batched) {
+        dram->hammer_row(row, 4);
+      } else {
+        dram->hammer_row_scalar(row, 4);
+      }
+      clock.advance_ns(625);
+    }
+    const double elapsed = bench::HostSeconds() - t0;
+    *stats_out = dram->stats();
+    return elapsed / kCalls * 1e9;
+  };
+  DramStats amp_stats[2][2];  // [mitigated][batched]
+  BestOf amp_scalar{
+      [&] { return time_amplify(false, false, &amp_stats[0][0]); }};
+  BestOf amp_batched{
+      [&] { return time_amplify(false, true, &amp_stats[0][1]); }};
+  BestOf amp_mit_scalar{
+      [&] { return time_amplify(true, false, &amp_stats[1][0]); }};
+  BestOf amp_mit_batched{
+      [&] { return time_amplify(true, true, &amp_stats[1][1]); }};
+
   // hammer_pattern() costs a fixed amount per distinct row per call,
   // whatever the command count, so its unit is ns per row-call.  Each
   // call replays max(512, r) commands (5 activations each) of an r-row
   // pattern in one bank; the clock advances with the commands, so
   // windows roll as they do in a replayed attack.  The 1024-row cost
-  // over the 2-row one is the CI guard against per-row side tables that
-  // scan every row (O(P^2) per call): ~9x with the indexed lookup, ~18x
-  // with a linear one.  At 64 rows that scan is lost in the per-row
-  // constant (both read ~1.9x).
+  // over the 64-row one is the CI guard against per-row side tables
+  // that scan every row (O(P^2) per call): at both widths per-row work
+  // dominates the per-call constant, so the ratio reads ~1.7 with the
+  // indexed lookup and ~11 with a linear one.
   const auto time_pattern = [&](std::uint64_t n_rows) {
     const std::uint64_t n_cmds = std::max<std::uint64_t>(512, n_rows);
     constexpr std::uint64_t kRepeat = 5;
@@ -380,10 +442,12 @@ void ReportHammerHotPath() {
   // minima: each side needs short runs spread over more time than a
   // slow spell lasts, not a burst of its own.
   constexpr int kRounds = 25;
-  std::vector<BestOf*> round = {&hammer_scalar, &hammer_batched,
-                                &trr_scalar,    &trr_batched,
-                                &pattern_2,     &pattern_8,
-                                &pattern_64,    &pattern_1024};
+  std::vector<BestOf*> round = {&hammer_scalar,  &hammer_batched,
+                                &trr_scalar,     &trr_batched,
+                                &amp_scalar,     &amp_batched,
+                                &amp_mit_scalar, &amp_mit_batched,
+                                &pattern_2,      &pattern_8,
+                                &pattern_64,     &pattern_1024};
   for (int i = 0; i < 8; ++i) {
     round.push_back(&scan_member);
     round.push_back(&scan_batched);
@@ -411,20 +475,17 @@ void ReportHammerHotPath() {
   RHSD_CHECK_MSG(scan_batched_hits == scan_member_hits,
                  "bernoulli_hits diverged from the scalar loop in the bench");
   RHSD_CHECK_MSG(scan_member_hits.size() > 1, "PARA scan bench never hit");
-
-  double ftl_read_ns = 0;
-  {
-    // The attack's amplified hot path end to end: unmapped FTL reads
-    // with hammers_per_io = 5 now ride the batched repeat_read.
-    FtlFixtureState fixture;
-    std::vector<std::uint8_t> out(kBlockSize);
-    constexpr std::uint64_t kReads = 20000;
-    const double t0 = bench::HostSeconds();
-    for (std::uint64_t i = 0; i < kReads; ++i) {
-      benchmark::DoNotOptimize(fixture.ftl->read(Lba(2048), out));
-    }
-    ftl_read_ns = (bench::HostSeconds() - t0) / kReads * 1e9;
+  for (const auto& sides : amp_stats) {
+    RHSD_CHECK_MSG(sides[0].bitflips == sides[1].bitflips &&
+                       sides[0].activations == sides[1].activations &&
+                       sides[0].trr_refreshes == sides[1].trr_refreshes &&
+                       sides[0].para_refreshes == sides[1].para_refreshes,
+                   "batched FTL repeat diverged from scalar in the bench");
   }
+  RHSD_CHECK_MSG(amp_stats[0][1].bitflips > 0,
+                 "FTL repeat bench never flipped a bit");
+  RHSD_CHECK_MSG(amp_stats[1][1].para_refreshes > 0,
+                 "mitigated FTL repeat bench never refreshed");
 
   const double scalar_ns = scalar_s / (kBatches * kPairs) * 1e9;
   const double batched_ns = batched_s / (kBatches * kPairs) * 1e9;
@@ -439,28 +500,39 @@ void ReportHammerHotPath() {
   report.set("hammer_trr_scalar_ns_per_pair", trr_scalar_ns);
   report.set("hammer_trr_batched_ns_per_pair", trr_batched_ns);
   report.set("hammer_batched_trr_speedup", trr_scalar_ns / trr_batched_ns);
+  report.set("hammer_amplify_ns_per_call_scalar", amp_scalar.best);
+  report.set("hammer_amplify_ns_per_call", amp_batched.best);
+  report.set("hammer_amplify_speedup", amp_scalar.best / amp_batched.best);
+  report.set("hammer_amplify_mitigated_ns_per_call_scalar",
+             amp_mit_scalar.best);
+  report.set("hammer_amplify_mitigated_ns_per_call", amp_mit_batched.best);
+  report.set("hammer_amplify_mitigated_speedup",
+             amp_mit_scalar.best / amp_mit_batched.best);
   report.set("hammer_pattern_ns_per_row_call_2rows", pattern_2_ns);
   report.set("hammer_pattern_ns_per_row_call_8rows", pattern_8_ns);
   report.set("hammer_pattern_ns_per_row_call_64rows", pattern_64_ns);
   report.set("hammer_pattern_ns_per_row_call_1024rows", pattern_1024_ns);
-  report.set("hammer_pattern_row_cost_ratio_1024_to_2",
-             pattern_1024_ns / pattern_2_ns);
+  report.set("hammer_pattern_row_cost_ratio_1024_to_64",
+             pattern_1024_ns / pattern_64_ns);
   report.set("para_scan_ns_per_draw_scalar", scan_member_ns);
   report.set("para_scan_ns_per_draw", scan_batched_ns);
   report.set("para_scan_speedup", scan_member_ns / scan_batched_ns);
-  report.set("ftl_unmapped_read_ns_per_io", ftl_read_ns);
   report.write();
   std::printf(
       "\nhot path: scalar %.1f ns/pair, batched %.1f ns/pair "
       "(%.1fx), %.0f activations/s; with TRR %.1f -> %.1f ns/pair "
-      "(%.1fx); hammer_pattern %.0f / %.0f / %.0f / %.0f ns per row-call "
-      "at 2 / 8 / 64 / 1024 rows; PARA scan %.2f -> %.2f ns/draw (%.2fx) "
-      "-> BENCH_hotpath.json\n",
+      "(%.1fx); FTL repeat %.0f -> %.0f ns/call (%.2fx), with TRR + PARA "
+      "%.0f -> %.0f ns/call (%.2fx); hammer_pattern %.0f / %.0f / %.0f / "
+      "%.0f ns per row-call at 2 / 8 / 64 / 1024 rows; PARA scan %.2f -> "
+      "%.2f ns/draw (%.2fx) -> BENCH_hotpath.json\n",
       scalar_ns, batched_ns, scalar_ns / batched_ns,
       static_cast<double>(activations) / batched_s, trr_scalar_ns,
-      trr_batched_ns, trr_scalar_ns / trr_batched_ns, pattern_2_ns,
-      pattern_8_ns, pattern_64_ns, pattern_1024_ns,
-      scan_member_ns, scan_batched_ns, scan_member_ns / scan_batched_ns);
+      trr_batched_ns, trr_scalar_ns / trr_batched_ns, amp_scalar.best,
+      amp_batched.best, amp_scalar.best / amp_batched.best,
+      amp_mit_scalar.best, amp_mit_batched.best,
+      amp_mit_scalar.best / amp_mit_batched.best, pattern_2_ns, pattern_8_ns,
+      pattern_64_ns, pattern_1024_ns, scan_member_ns, scan_batched_ns,
+      scan_member_ns / scan_batched_ns);
 }
 
 }  // namespace

@@ -164,10 +164,10 @@ gate_floor cloud_mitigated_iops 50000
 # attached, over the same 2-tenant script without them (~1.3-1.7x with
 # the work bitmap; a per-pick scan of every stream lands at 10-17x).
 gate_ceiling loop_idle_stream_overhead 2.0
-# hammer_pattern() host time per row-call at 1024 rows over 2 rows
-# (~9x with the indexed per-row side tables; linear ones, O(P^2) per
-# call, land near 18x).
-gate_ceiling hammer_pattern_row_cost_ratio_1024_to_2 13
+# hammer_pattern() host time per row-call at 1024 rows over 64 rows
+# (~1.7x with the indexed per-row side tables; linear ones, O(P^2) per
+# call, land near 11x).
+gate_ceiling hammer_pattern_row_cost_ratio_1024_to_64 4
 # The PARA Bernoulli scan (Rng::bernoulli_hits, the loop on a register
 # copy of the generator) over the loop it replaced, which loaded and
 # stored the member generator's state on every draw (1.1-1.3x on 4

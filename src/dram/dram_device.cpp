@@ -1,6 +1,7 @@
 #include "dram/dram_device.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "dram/ecc.hpp"
@@ -45,14 +46,7 @@ class RowIndex {
       return static_cast<std::size_t>(i);
     }
     keys_.push_back(row);
-    if (!index_.empty()) {
-      index_.emplace(row, keys_.size() - 1);
-    } else if (keys_.size() > kLinearRows) {
-      index_.reserve(2 * keys_.size());
-      for (std::size_t j = 0; j < keys_.size(); ++j) {
-        index_.emplace(keys_[j], j);
-      }
-    }
+    if (!index_.empty() || keys_.size() > kLinearRows) index_newest();
     if (inserted != nullptr) *inserted = true;
     return keys_.size() - 1;
   }
@@ -60,14 +54,109 @@ class RowIndex {
     return keys_;
   }
   [[nodiscard]] std::size_t size() const { return keys_.size(); }
+  /// Empty the index, keeping its storage.
+  void clear() {
+    keys_.clear();
+    if (!index_.empty()) index_.clear();
+  }
 
  private:
   static constexpr std::size_t kLinearRows = 16;
+
+  /// Hash the newest key, hashing all of them on first use.
+  [[gnu::noinline]] void index_newest() {
+    if (!index_.empty()) {
+      index_.emplace(keys_.back(), keys_.size() - 1);
+      return;
+    }
+    index_.reserve(2 * keys_.size());
+    for (std::size_t j = 0; j < keys_.size(); ++j) index_.emplace(keys_[j], j);
+  }
+
   std::vector<std::uint64_t> keys_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
 };
 
+// Unsigned division by a value fixed for a whole replay run: a shift
+// and a mask when it is a power of two (pattern widths and repeat
+// counts of 1, 2, 4, ...), a hardware divide otherwise.  The closed
+// forms divide by the period, the repeat and a victim's check count on
+// every probe, and a 64-bit divide costs tens of cycles.
+class Divisor {
+ public:
+  explicit Divisor(std::uint64_t d)
+      : d_(d), shift_(std::countr_zero(d)), pow2_((d & (d - 1)) == 0) {}
+  [[nodiscard]] std::uint64_t div(std::uint64_t x) const {
+    return pow2_ ? x >> shift_ : x / d_;
+  }
+  [[nodiscard]] std::uint64_t mod(std::uint64_t x) const {
+    return pow2_ ? x & (d_ - 1) : x % d_;
+  }
+
+ private:
+  std::uint64_t d_;
+  int shift_;
+  bool pow2_;
+};
+
 }  // namespace
+
+/// Working storage of one replay_pattern() call, kept across calls so a
+/// small call allocates nothing.  Every field is rebuilt per call (the
+/// cross-run accumulators) or per window run (the rest).
+struct DramDevice::PatternScratch {
+  /// A targeted refresh inside a run: at `event`, the neighbors of
+  /// `aggressor` up to `distance` rows away re-baseline.
+  struct RefreshPoint {
+    std::uint64_t event = 0;
+    std::uint64_t aggressor = 0;
+    std::uint32_t distance = 1;
+    int source = 0;  // 0 = TRR, 1 = PARA (TRR fires first in an event)
+  };
+  struct RowUndo {
+    std::uint64_t row = 0;
+    std::uint64_t window = 0;
+    std::uint64_t acts = 0;
+  };
+  struct BasesUndo {
+    std::uint64_t row = 0;
+    bool had = false;  // false: the row had no entry
+    RefreshBases bases;
+  };
+
+  // Whole call.  Runs write row counts and baselines as they finish;
+  // with hazards they log what each write replaced (`undo`).
+  std::vector<PendingFlip> pending;
+  bool undo = false;
+  std::vector<RowUndo> row_undo;
+  std::vector<BasesUndo> bases_undo;
+  std::vector<std::uint64_t> rotated;  // pattern rotated to a run's start
+  std::optional<TrrTracker> trr_snapshot;  // taken only with hazards
+
+  /// One distinct row of a run's pattern.
+  struct PatternRow {
+    std::uint64_t row = 0;
+    std::uint64_t a0 = 0;        // per-window count before the run
+    std::uint64_t acts_end = 0;  // ... and after it
+    std::uint64_t n_pos = 0;     // its positions in one period
+    std::uint64_t first = 0;     // ... are pos[first, first + n_pos)
+  };
+
+  // One window run.
+  RowIndex distinct;                  // pattern rows, first-seen order
+  std::vector<PatternRow> prow;       // parallel to `distinct`
+  std::vector<std::uint32_t> row_of;  // distinct index per position
+  std::vector<std::uint64_t> pos;     // positions grouped by row
+  std::vector<RefreshPoint> points;
+  RowIndex refreshed;  // victims with targeted refreshes in the run
+  /// Parallel to `refreshed`; a pool whose lists keep their storage.
+  std::vector<std::vector<VictimRefresh>> refresh_lists;
+  std::vector<std::uint64_t> check_pos;  // one victim's checking positions
+  std::vector<std::uint32_t> banks;
+  std::vector<std::uint64_t> bank_pos;
+  std::vector<std::uint32_t> bank_rows;
+  std::vector<TrrEmission> emissions;
+};
 
 DramDevice::DramDevice(DramConfig config,
                        std::unique_ptr<AddressMapper> mapper, SimClock& clock)
@@ -75,7 +164,8 @@ DramDevice::DramDevice(DramConfig config,
       mapper_(std::move(mapper)),
       clock_(clock),
       disturbance_(config_.profile, config_.seed, config_.geometry.row_bytes,
-                   config_.geometry.total_rows()) {
+                   config_.geometry.total_rows()),
+      scratch_(std::make_unique<PatternScratch>()) {
   RHSD_CHECK(mapper_ != nullptr);
   RHSD_CHECK_MSG(mapper_->geometry().total_bytes() ==
                      config_.geometry.total_bytes(),
@@ -112,6 +202,8 @@ DramDevice::DramDevice(DramConfig config,
   neighbor_refresh_active_ = config_.mitigations.trr ||
                              config_.mitigations.para_probability > 0.0;
 }
+
+DramDevice::~DramDevice() = default;
 
 void DramDevice::roll_window(std::uint64_t global_row) {
   const std::uint64_t w = current_window();
@@ -333,7 +425,9 @@ void DramDevice::hammer_events(std::uint64_t a, std::uint64_t b,
   RHSD_CHECK(b < config_.geometry.total_rows());
   if (events == 0) return;
 
-  if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
+  const bool open_page =
+      config_.row_buffer_policy == RowBufferPolicy::kOpenPage;
+  if (open_page) {
     if (a == b) {
       // One row: at most the first access activates, the rest hit the
       // row buffer (activate() resolves hit-vs-conflict itself).
@@ -356,465 +450,20 @@ void DramDevice::hammer_events(std::uint64_t a, std::uint64_t b,
     // access hits and the remaining sequence starts from row_b.
     if (open_rows_[bank_a] == a) {
       ++stats_.row_buffer_hits;
-      if (events > 1) hammer_events_all_activations(b, a, events - 1);
-      return;
+      if (--events == 0) return;
+      std::swap(a, b);
     }
   }
-  hammer_events_all_activations(a, b, events);
-}
-
-void DramDevice::hammer_events_all_activations(std::uint64_t a,
-                                               std::uint64_t b,
-                                               std::uint64_t events) {
-  if (trr_.has_value() || config_.mitigations.para_probability > 0.0) {
-    hammer_events_mitigated(a, b, events);
-  } else {
-    hammer_events_fast(a, b, events);
-  }
-}
-
-void DramDevice::hammer_events_fast(std::uint64_t a, std::uint64_t b,
-                                    std::uint64_t events) {
-  // Activation counts before the batch (rolls the aggressors' windows);
-  // the per-event exposure reconstruction below is relative to these.
-  const std::uint64_t a0_a = acts_now(a);
-  const std::uint64_t a0_b = a == b ? a0_a : acts_now(b);
-
-  stats_.activations += events;
-  row_acts_[a] += a == b ? events : (events + 1) / 2;
-  if (a != b) row_acts_[b] += events / 2;
-  if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
-    // The last access of the batch leaves its row open.
-    open_rows_[a / config_.geometry.rows_per_bank] =
-        (a == b || events % 2 != 0) ? a : b;
-  }
-
-  const int max_dist =
-      disturbance_.profile().half_double_weight > 0.0 ? 2 : 1;
-
-  // Unique victim rows within disturbance distance of either aggressor.
-  std::uint64_t victims[8];
-  int n_victims = 0;
-  const auto add_victim = [&](std::optional<std::uint64_t> v) {
-    if (!v.has_value()) return;
-    for (int i = 0; i < n_victims; ++i) {
-      if (victims[i] == *v) return;
-    }
-    victims[n_victims++] = *v;
-  };
-  for (int d = 1; d <= max_dist; ++d) {
-    add_victim(neighbor(a, -d));
-    add_victim(neighbor(a, +d));
-    if (a != b) {
-      add_victim(neighbor(b, -d));
-      add_victim(neighbor(b, +d));
-    }
-  }
-
-  std::vector<PendingFlip> pending;
-  for (int i = 0; i < n_victims; ++i) {
-    check_victim_batched(victims[i], a, b, events, a0_a, a0_b, {}, pending);
-  }
-  if (pending.empty()) return;
-
-  // Restore scalar emission order: by activation event, then by the
-  // check-slot order within one activation (left, right, left2,
-  // right2).  stable_sort keeps each victim's per-check cell order.
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const PendingFlip& x, const PendingFlip& y) {
-                     return x.event != y.event ? x.event < y.event
-                                               : x.slot < y.slot;
-                   });
-  stats_.bitflips += pending.size();
-  for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
-}
-
-void DramDevice::hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
-                                         std::uint64_t events) {
-  // The clock is frozen for the whole batch, so the scalar path's lazy
-  // per-activation TRR window roll collapses to one roll up front.
-  const std::uint64_t w = current_window();
-  if (trr_.has_value() && w != trr_window_) {
-    trr_->reset();
-    trr_window_ = w;
-  }
-
-  const std::uint64_t a0_a = acts_now(a);
-  const std::uint64_t a0_b = a == b ? a0_a : acts_now(b);
-
-  stats_.activations += events;
-  row_acts_[a] += a == b ? events : (events + 1) / 2;
-  if (a != b) row_acts_[b] += events / 2;
-  if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
-    open_rows_[a / config_.geometry.rows_per_bank] =
-        (a == b || events % 2 != 0) ? a : b;
-  }
-
-  // Aggressor activation counts as a function of the 1-based event
-  // index (row a is accessed at odd events, row b at even ones) — the
-  // same reconstruction the closed-form victim check uses.
-  const auto count_at_event = [&](std::uint64_t row, std::uint64_t e) {
-    if (row == a) return a0_a + (a == b ? e : (e + 1) / 2);
-    if (row == b) return a0_b + e / 2;
-    return acts_now(row);
-  };
-
-  // -- Replay the mitigation state machines over the batch, collecting
-  // every targeted refresh in scalar order (within one activation the
-  // TRR fire precedes the PARA draw).
-  struct RefreshPoint {
-    std::uint64_t event = 0;
-    std::uint64_t aggressor = 0;  // global row whose neighbors refresh
-    std::uint32_t distance = 1;
-  };
-  std::vector<RefreshPoint> points;
-
-  if (trr_.has_value()) {
-    const std::uint64_t rows_per_bank = config_.geometry.rows_per_bank;
-    const auto bank_a = static_cast<std::uint32_t>(a / rows_per_bank);
-    const auto bank_b = static_cast<std::uint32_t>(b / rows_per_bank);
-    const auto in_a = static_cast<std::uint32_t>(a % rows_per_bank);
-    const auto in_b = static_cast<std::uint32_t>(b % rows_per_bank);
-    const std::uint32_t dist =
-        config_.mitigations.trr_config.refresh_distance;
-    if (a == b || bank_a == bank_b) {
-      for (const TrrEmission& em :
-           trr_->advance(bank_a, in_a, a == b ? in_a : in_b, events)) {
-        const std::uint64_t fired =
-            static_cast<std::uint64_t>(bank_a) * rows_per_bank + em.row;
-        points.push_back({em.index, fired, dist});
-      }
-    } else {
-      // Different banks see independent single-row subsequences: a at
-      // odd events (the odd half-length), b at even events.
-      for (const TrrEmission& em :
-           trr_->advance(bank_a, in_a, in_a, (events + 1) / 2)) {
-        points.push_back({2 * em.index - 1, a, dist});
-      }
-      for (const TrrEmission& em :
-           trr_->advance(bank_b, in_b, in_b, events / 2)) {
-        points.push_back({2 * em.index, b, dist});
-      }
-    }
-    stats_.trr_refreshes = trr_->refreshes_issued();
-  }
-  if (config_.mitigations.para_probability > 0.0) {
-    // Replay the PARA stream in scalar order: exactly one decision per
-    // activation, whatever TRR did at the same events.
-    const auto para_at = [&](std::uint64_t e) {
-      points.push_back({e, (a == b || e % 2 != 0) ? a : b, 1});
-    };
-    stats_.para_refreshes += para_events(events, para_at);
-  }
-  // Merge by event; at equal events the TRR fire was pushed first and
-  // stable_sort keeps it ahead of the PARA refresh, matching scalar
-  // order.  (Cross-bank TRR emissions never share an event.)
-  std::stable_sort(points.begin(), points.end(),
-                   [](const RefreshPoint& x, const RefreshPoint& y) {
-                     return x.event < y.event;
-                   });
-
-  // -- Replay each refresh point's re-baselining.  The per-victim base
-  // lists drive the segmented victim checks below; the refresh_bases_
-  // map writes are deferred so those checks still read the pre-batch
-  // baselines for their first segment.
-  std::vector<std::pair<std::uint64_t, std::vector<VictimRefresh>>>
-      refreshed;
-  const auto refresh_list =
-      [&](std::uint64_t row) -> std::vector<VictimRefresh>& {
-    for (auto& [r, list] : refreshed) {
-      if (r == row) return list;
-    }
-    refreshed.emplace_back(row, std::vector<VictimRefresh>{});
-    return refreshed.back().second;
-  };
-  for (const RefreshPoint& rp : points) {
-    for (std::uint32_t d = 1; d <= rp.distance; ++d) {
-      for (const int sign : {-1, +1}) {
-        const auto victim =
-            neighbor(rp.aggressor, sign * static_cast<int>(d));
-        if (!victim.has_value()) continue;
-        RefreshBases nb;
-        nb.window = w;
-        if (auto l = neighbor(*victim, -1)) {
-          nb.left = count_at_event(*l, rp.event);
-        }
-        if (auto r = neighbor(*victim, +1)) {
-          nb.right = count_at_event(*r, rp.event);
-        }
-        if (auto l2 = neighbor(*victim, -2)) {
-          nb.left2 = count_at_event(*l2, rp.event);
-        }
-        if (auto r2 = neighbor(*victim, +2)) {
-          nb.right2 = count_at_event(*r2, rp.event);
-        }
-        auto& list = refresh_list(*victim);
-        if (!list.empty() && list.back().event == rp.event) {
-          list.back().bases = nb;  // TRR + PARA hit it at the same event
-        } else {
-          list.push_back(VictimRefresh{rp.event, nb});
-        }
-      }
-    }
-  }
-
-  const int max_dist =
-      disturbance_.profile().half_double_weight > 0.0 ? 2 : 1;
-  std::uint64_t victims[8];
-  int n_victims = 0;
-  const auto add_victim = [&](std::optional<std::uint64_t> v) {
-    if (!v.has_value()) return;
-    for (int i = 0; i < n_victims; ++i) {
-      if (victims[i] == *v) return;
-    }
-    victims[n_victims++] = *v;
-  };
-  for (int d = 1; d <= max_dist; ++d) {
-    add_victim(neighbor(a, -d));
-    add_victim(neighbor(a, +d));
-    if (a != b) {
-      add_victim(neighbor(b, -d));
-      add_victim(neighbor(b, +d));
-    }
-  }
-
-  std::vector<PendingFlip> pending;
-  for (int i = 0; i < n_victims; ++i) {
-    std::span<const VictimRefresh> segs;
-    for (const auto& [row, list] : refreshed) {
-      if (row == victims[i]) {
-        segs = list;
-        break;
-      }
-    }
-    check_victim_batched(victims[i], a, b, events, a0_a, a0_b, segs,
-                         pending);
-  }
-
-  // Now the deferred baseline writes: scalar leaves each refreshed row's
-  // entry at its *last* refresh of the batch.
-  for (const auto& [row, list] : refreshed) {
-    refresh_bases_[row] = list.back().bases;
-  }
-
-  if (pending.empty()) return;
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const PendingFlip& x, const PendingFlip& y) {
-                     return x.event != y.event ? x.event < y.event
-                                               : x.slot < y.slot;
-                   });
-  stats_.bitflips += pending.size();
-  for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
-}
-
-void DramDevice::check_victim_batched(
-    std::uint64_t victim, std::uint64_t a, std::uint64_t b,
-    std::uint64_t events, std::uint64_t a0_a, std::uint64_t a0_b,
-    std::span<const VictimRefresh> refreshes,
-    std::vector<PendingFlip>& pending) {
-  const double hd_weight = disturbance_.profile().half_double_weight;
-  const int max_dist = hd_weight > 0.0 ? 2 : 1;
-
-  // Which aggressors check this victim (i.e. the victim is within
-  // disturbance distance, same bank)?  Row a is accessed at odd events,
-  // row b at even events.
-  const auto within_reach = [&](std::uint64_t agg) {
-    for (int d = 1; d <= max_dist; ++d) {
-      if (neighbor(agg, -d) == std::optional<std::uint64_t>(victim) ||
-          neighbor(agg, +d) == std::optional<std::uint64_t>(victim)) {
-        return true;
-      }
-    }
-    return false;
-  };
-  const bool by_a = within_reach(a);
-  const bool by_b = a != b && within_reach(b);
-  const bool every_event = (a == b) || (by_a && by_b);
-
-  // Check events, 1-based within the batch: all events, the odd ones
-  // (a only), or the even ones (b only).
-  std::uint64_t checks;  // number of check events
-  if (every_event) {
-    checks = events;
-  } else if (by_a) {
-    checks = (events + 1) / 2;
-  } else {
-    checks = events / 2;  // by_b only: first check is event 2
-  }
-  if (checks == 0) return;
-  const auto event_of = [&](std::uint64_t k) {  // k-th check event, 1-based
-    if (every_event) return k;
-    return by_a ? 2 * k - 1 : 2 * k;
-  };
-
-  if (!disturbance_.row_is_vulnerable(victim)) return;
-
-  // Neighbor activation counts as a function of the event index e: the
-  // aggressors advance (a at odd e, b at even e), everything else is
-  // frozen for the duration of the batch.
-  struct NeighborCount {
-    std::uint64_t base = 0;
-    int kind = 0;  // 0 = static (or absent), 1 = row a, 2 = row b
-  };
-  const auto classify = [&](std::optional<std::uint64_t> n) {
-    NeighborCount c;
-    if (!n.has_value()) return c;  // bank edge: counts as zero
-    if (*n == a) {
-      c.kind = 1;
-      c.base = a0_a;
-    } else if (a != b && *n == b) {
-      c.kind = 2;
-      c.base = a0_b;
-    } else {
-      c.base = acts_now(*n);
-    }
-    return c;
-  };
-  const NeighborCount nl = classify(neighbor(victim, -1));
-  const NeighborCount nr = classify(neighbor(victim, +1));
-  const NeighborCount nl2 =
-      max_dist == 2 ? classify(neighbor(victim, -2)) : NeighborCount{};
-  const NeighborCount nr2 =
-      max_dist == 2 ? classify(neighbor(victim, +2)) : NeighborCount{};
-  const auto count_at = [&](const NeighborCount& c, std::uint64_t e) {
-    if (c.kind == 1) return c.base + (a == b ? e : (e + 1) / 2);
-    if (c.kind == 2) return c.base + e / 2;
-    return c.base;
-  };
-
-  // Same arithmetic as the scalar check_victim, with e substituted for
-  // "now" — bit-exact, including the uint64 sum in the Half-Double
-  // term.  The baselines are a parameter: each targeted refresh of this
-  // victim starts a new segment with its own re-baselined counts.
-  const auto exposure_at = [&](std::uint64_t e, const RefreshBases& bases) {
-    std::uint64_t left = count_at(nl, e);
-    std::uint64_t right = count_at(nr, e);
-    left = left > bases.left ? left - bases.left : 0;
-    right = right > bases.right ? right - bases.right : 0;
-    double exposure = disturbance_.effective_hammer(left, right);
-    if (hd_weight > 0.0) {
-      std::uint64_t left2 = count_at(nl2, e);
-      std::uint64_t right2 = count_at(nr2, e);
-      left2 = left2 > bases.left2 ? left2 - bases.left2 : 0;
-      right2 = right2 > bases.right2 ? right2 - bases.right2 : 0;
-      exposure += hd_weight * static_cast<double>(left2 + right2);
-    }
-    return exposure;
-  };
-  // Number of this victim's check events with event index <= e.
-  const auto checks_up_to = [&](std::uint64_t e) {
-    if (every_event) return e;
-    return by_a ? (e + 1) / 2 : e / 2;
-  };
-
-  const auto& cells = disturbance_.cells(victim);
-  RowData* rd = nullptr;
-
-  // Check-slot of this victim at event e (position in the scalar
-  // left/right/left2/right2 sequence of the activated row).
-  const auto slot_at = [&](std::uint64_t e) {
-    const std::uint64_t agg = (a == b || e % 2 != 0) ? a : b;
-    const std::int64_t delta = static_cast<std::int64_t>(victim) -
-                               static_cast<std::int64_t>(agg);
-    switch (delta) {
-      case -1: return 0;
-      case +1: return 1;
-      case -2: return 2;
-      default: return 3;  // +2
-    }
-  };
-  const auto emit = [&](const VulnCell& cell, std::uint64_t e) {
-    std::uint8_t& byte = rd->data[cell.byte_offset];
-    if (cell.failure_value) {
-      byte = static_cast<std::uint8_t>(byte | (1u << cell.bit));
-    } else {
-      byte = static_cast<std::uint8_t>(byte & ~(1u << cell.bit));
-    }
-    pending.push_back(PendingFlip{
-        .event = e,
-        .slot = slot_at(e),
-        .flip = FlipEvent{.time_ns = clock_.now_ns(),
-                          .global_row = victim,
-                          .byte_offset = cell.byte_offset,
-                          .bit = cell.bit,
-                          .new_value = cell.failure_value}});
-  };
-
-  // Walk the segments between consecutive targeted refreshes of this
-  // victim.  A refresh at event r re-baselines *before* the victim
-  // check of event r runs in the scalar path, so the segment boundary
-  // is [r_prev, r-1], [r, ...].  Within one segment the baselines are
-  // fixed and exposure is nondecreasing in e — the closed form applies
-  // segment by segment.
-  std::uint64_t seg_start = 1;
-  RefreshBases bases = bases_of(victim);
-  for (std::size_t si = 0;; ++si) {
-    const std::uint64_t seg_end =
-        si < refreshes.size() ? refreshes[si].event - 1 : events;
-    // The k-range of this victim's checks inside [seg_start, seg_end].
-    const std::uint64_t k_lo = checks_up_to(seg_start - 1) + 1;
-    const std::uint64_t k_hi = std::min(checks, checks_up_to(seg_end));
-    if (k_lo <= k_hi) {
-      const double exposure_last = exposure_at(event_of(k_hi), bases);
-      if (exposure_last >= disturbance_.min_threshold(victim)) {
-        if (rd == nullptr) rd = &materialize(victim);
-
-        // Two cells aliasing the same (byte, bit) with opposite failure
-        // values re-flip each other at every check; the closed form
-        // assumes each bit flips at most once per segment, so alias
-        // cases replay the per-event loop exactly.
-        bool aliased = false;
-        for (std::size_t i = 0; i < cells.size() && !aliased; ++i) {
-          if (cells[i].threshold > exposure_last) break;
-          for (std::size_t j = i + 1; j < cells.size(); ++j) {
-            if (cells[j].threshold > exposure_last) break;
-            if (cells[i].byte_offset == cells[j].byte_offset &&
-                cells[i].bit == cells[j].bit) {
-              aliased = true;
-              break;
-            }
-          }
-        }
-        if (aliased) {
-          for (std::uint64_t k = k_lo; k <= k_hi; ++k) {
-            const std::uint64_t e = event_of(k);
-            const double exposure = exposure_at(e, bases);
-            for (const VulnCell& cell : cells) {
-              if (exposure < cell.threshold) break;
-              const std::uint8_t current =
-                  (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-              if (current == cell.failure_value) continue;
-              emit(cell, e);
-            }
-          }
-        } else {
-          // Closed form: each crossing cell flips at the first check
-          // event of the segment whose exposure reaches its threshold
-          // (binary search over the monotone exposure), unless the bit
-          // already holds its failure value.
-          for (const VulnCell& cell : cells) {
-            if (cell.threshold > exposure_last) break;  // sorted ascending
-            const std::uint8_t current =
-                (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-            if (current == cell.failure_value) continue;  // already decayed
-            std::uint64_t lo = k_lo;
-            std::uint64_t hi = k_hi;
-            while (lo < hi) {
-              const std::uint64_t mid = lo + (hi - lo) / 2;
-              if (exposure_at(event_of(mid), bases) >= cell.threshold) {
-                hi = mid;
-              } else {
-                lo = mid + 1;
-              }
-            }
-            emit(cell, event_of(lo));
-          }
-        }
-      }
-    }
-    if (si >= refreshes.size()) break;
-    seg_start = refreshes[si].event;
-    bases = refreshes[si].bases;
+  // Every remaining access activates: the 1- or 2-row pattern, one
+  // command per activation, all at the current time.
+  const std::uint64_t pair[2] = {a, b};
+  const std::span<const std::uint64_t> rows(pair, a == b ? 1 : 2);
+  const CmdTimes times{{}, clock_.now_ns(), 0, events};
+  const bool ok = replay_pattern(rows, events, 1, times, {});
+  RHSD_CHECK(ok);  // no hazards, nothing to abort
+  if (open_page) {
+    // The last access leaves its row open.
+    open_rows_[a / config_.geometry.rows_per_bank] = rows[(events - 1) % 2];
   }
 }
 
@@ -824,202 +473,291 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
                                 std::span<const PatternHazard> hazards) {
   RHSD_CHECK(config_.row_buffer_policy == RowBufferPolicy::kClosedPage);
   RHSD_CHECK(!cache_.has_value());
+  for (const std::uint64_t r : rows) {
+    RHSD_CHECK(r < config_.geometry.total_rows());
+  }
+  return replay_pattern(rows, n_cmds, repeat, cmd_times, hazards);
+}
+
+bool DramDevice::replay_pattern(std::span<const std::uint64_t> rows,
+                                std::uint64_t n_cmds, std::uint64_t repeat,
+                                const CmdTimes& cmd_times,
+                                std::span<const PatternHazard> hazards) {
   RHSD_CHECK(!rows.empty());
   RHSD_CHECK(repeat > 0);
   RHSD_CHECK(cmd_times.size() == n_cmds);
   if (n_cmds == 0) return true;
+  PatternScratch& s = *scratch_;
   const std::uint64_t P = rows.size();
-  const std::uint64_t h = repeat;
-  const std::uint64_t rows_per_bank = config_.geometry.rows_per_bank;
 
-  // Snapshot the replayable mitigation state up front: a hazard abort
-  // must leave the device untouched, across every window segment.
-  const std::optional<TrrTracker> trr_snapshot = trr_;
+  // Snapshot the replayable mitigation state: a hazard abort must leave
+  // the device untouched, across every window run.  A call without
+  // hazards cannot abort, so it skips the tracker copy.
+  if (!hazards.empty()) s.trr_snapshot = trr_;
   const std::uint64_t trr_window_snapshot = trr_window_;
   const Rng para_rng_snapshot = para_rng_;
   const std::uint64_t para_refreshes_snapshot = stats_.para_refreshes;
 
-  // Cross-segment accumulators.  Flips apply to row bytes eagerly (a
-  // later segment must see the decayed cells), but counter and baseline
-  // commits defer to the end: row_commit holds each touched row's final
-  // (window, per-window count), bases_commit its final targeted-refresh
-  // baselines.  Keyed by RowIndex: small patterns stay on the flat
-  // linear upsert, many-sided ones get hashed membership.
-  std::vector<PendingFlip> pending;
-  struct RowCommit {
-    std::uint64_t window = 0;
-    std::uint64_t acts = 0;
-  };
-  RowIndex row_commit_rows;
-  std::vector<RowCommit> row_commit;  // parallel to row_commit_rows
-  RowIndex bases_commit_rows;
-  std::vector<RefreshBases> bases_commit;  // parallel to bases_commit_rows
-  const auto upsert_row = [&](std::uint64_t row, RowCommit rc) {
-    bool inserted = false;
-    const std::size_t i = row_commit_rows.insert(row, &inserted);
-    if (inserted) {
-      row_commit.push_back(rc);
-    } else {
-      row_commit[i] = rc;
-    }
-  };
-  const auto upsert_bases = [&](std::uint64_t row, const RefreshBases& nb) {
-    bool inserted = false;
-    const std::size_t i = bases_commit_rows.insert(row, &inserted);
-    if (inserted) {
-      bases_commit.push_back(nb);
-    } else {
-      bases_commit[i] = nb;
-    }
-  };
+  // Each run applies its flips to row bytes and writes its rows' counts
+  // and baselines when it ends: a run reads only state from before the
+  // call, and a later run none (its window is fresh).  Flip events and
+  // stats wait for the hazard gate.
+  s.pending.clear();
+  s.undo = !hazards.empty();
+  s.row_undo.clear();
+  s.bases_undo.clear();
 
-  // One maximal same-refresh-window run: commands [0, n_cmds) at times
-  // cmd_times, the pattern rotated so position 0 is the run's first
-  // command.  The parameters deliberately shadow the batch-level ones —
-  // the closed forms below see only the segment.  `fresh` marks a
-  // window the clock has not reached: its first activation would reset
-  // every per-window counter, baseline and the TRR tracker on the
-  // scalar walk, so all pre-segment counts read as zero here.
-  // `event_offset` maps local events 1..n_cmds*h onto the batch-global
-  // flip order.
-  const auto run_segment = [&](std::span<const std::uint64_t> rows,
-                               std::uint64_t n_cmds, CmdTimes cmd_times,
-                               std::uint64_t w, bool fresh,
-                               std::uint64_t event_offset) {
-  const std::uint64_t E = n_cmds * h;  // segment activations, events 1..E
-  // Roll the TRR window once up front, like the segment's first scalar
+  // Drive the maximal same-window runs in command order.  Each run's
+  // pattern is the call's pattern rotated to the run's first command,
+  // so position arithmetic inside the closed forms stays untouched.
+  // The caller guarantees the first command falls in the clock's
+  // current window; every later run is a fresh window.
+  const std::uint64_t w_now = current_window();
+  std::uint64_t c_lo = 0;
+  while (c_lo < n_cmds) {
+    const std::uint64_t w =
+        c_lo == 0 ? w_now : cmd_times[c_lo] / window_ns_;
+    // Command times are nondecreasing, so the window edge is a lookup
+    // in closed form, not a per-command walk (chunks span many windows
+    // and can run to hundreds of thousands of commands).
+    const std::uint64_t c_hi =
+        cmd_times.first_at_or_after((w + 1) * window_ns_);
+    std::span<const std::uint64_t> run_rows = rows;
+    if (c_lo != 0 && c_lo % P != 0) {
+      s.rotated.resize(P);
+      for (std::uint64_t i = 0; i < P; ++i) {
+        s.rotated[i] = rows[(c_lo + i) % P];
+      }
+      run_rows = s.rotated;
+    }
+    const CmdTimes run_times = cmd_times.sub(c_lo, c_hi - c_lo);
+    replay_window_run(run_rows, c_hi - c_lo, repeat, run_times, w,
+                      w != w_now, c_lo * repeat);
+    c_lo = c_hi;
+  }
+
+  // -- Hazard gate: a flip inside a hazard range invalidates the whole
+  // replay (the data fed back into the pattern's own reads).  Undo the
+  // flips in reverse (each emit was a toggle) and restore the
+  // mitigation state; the caller replays this chunk scalar.
+  for (const PendingFlip& p : s.pending) {
+    for (const PatternHazard& hz : hazards) {
+      if (p.flip.global_row == hz.global_row &&
+          p.flip.byte_offset >= hz.byte_lo && p.flip.byte_offset < hz.byte_hi) {
+        for (auto it = s.pending.rbegin(); it != s.pending.rend(); ++it) {
+          RowData& rd = materialize(it->flip.global_row);
+          rd.data[it->flip.byte_offset] = static_cast<std::uint8_t>(
+              it->flip.new_value
+                  ? rd.data[it->flip.byte_offset] & ~(1u << it->flip.bit)
+                  : rd.data[it->flip.byte_offset] | (1u << it->flip.bit));
+        }
+        for (auto it = s.bases_undo.rbegin(); it != s.bases_undo.rend();
+             ++it) {
+          if (it->had) {
+            refresh_bases_[it->row] = it->bases;
+          } else {
+            refresh_bases_.erase(it->row);
+          }
+        }
+        for (auto it = s.row_undo.rbegin(); it != s.row_undo.rend(); ++it) {
+          row_window_[it->row] = it->window;
+          row_acts_[it->row] = it->acts;
+        }
+        trr_ = s.trr_snapshot;
+        trr_window_ = trr_window_snapshot;
+        para_rng_ = para_rng_snapshot;
+        stats_.para_refreshes = para_refreshes_snapshot;
+        return false;
+      }
+    }
+  }
+
+  // -- Commit: stats and ordered flips.
+  stats_.activations += n_cmds * repeat;
+  if (trr_.has_value()) stats_.trr_refreshes = trr_->refreshes_issued();
+  if (!s.pending.empty()) {
+    // Restore scalar emission order: by activation event, then by the
+    // check-slot order within one activation (left, right, left2,
+    // right2).  stable_sort keeps each victim's per-check cell order.
+    std::stable_sort(s.pending.begin(), s.pending.end(),
+                     [](const PendingFlip& x, const PendingFlip& y) {
+                       return x.event != y.event ? x.event < y.event
+                                                 : x.slot < y.slot;
+                     });
+    stats_.bitflips += s.pending.size();
+    for (const PendingFlip& p : s.pending) flip_events_.push_back(p.flip);
+  }
+  return true;
+}
+
+void DramDevice::replay_window_run(std::span<const std::uint64_t> rows,
+                                   std::uint64_t n_cmds, std::uint64_t h,
+                                   const CmdTimes& cmd_times, std::uint64_t w,
+                                   bool fresh, std::uint64_t event_offset) {
+  // Commands [0, n_cmds) at times cmd_times, all in refresh window w;
+  // command c activates rows[c % P] h times, local events 1..n_cmds*h.
+  // `fresh` marks a window the clock has not reached: its first
+  // activation would reset every per-window counter, baseline and the
+  // TRR tracker on the scalar walk, so all pre-run counts read as zero.
+  // `event_offset` maps local events onto the call-global flip order.
+  using RefreshPoint = PatternScratch::RefreshPoint;
+  PatternScratch& s = *scratch_;
+  const std::uint64_t P = rows.size();
+  const std::uint64_t E = n_cmds * h;
+  const Divisor by_P(P);
+  const Divisor by_h(h);
+  const std::uint64_t rows_per_bank = config_.geometry.rows_per_bank;
+  const Divisor by_bank(rows_per_bank);
+  // Roll the TRR window once up front, like the run's first scalar
   // activation would.
   if (trr_.has_value() && w != trr_window_) {
     trr_->reset();
     trr_window_ = w;
   }
 
-  // Distinct pattern rows, their per-period command positions, and their
-  // pre-segment per-window activation counts.
-  RowIndex distinct;
-  std::vector<std::vector<std::uint64_t>> pos_of;  // parallel to distinct
+  // Per-window count of a row before the run: zero in a fresh window,
+  // and for a row last activated in an older one.
+  const auto count_before = [&](std::uint64_t row) -> std::uint64_t {
+    return !fresh && row_window_[row] == w ? row_acts_[row] : 0;
+  };
+  // Targeted-refresh baselines of a row before the run (bases_of() with
+  // the run's window in hand).
+  const auto bases_before = [&](std::uint64_t row) {
+    if (fresh || !neighbor_refresh_active_) return RefreshBases{};
+    const auto it = refresh_bases_.find(row);
+    return it == refresh_bases_.end() || it->second.window != w
+               ? RefreshBases{}
+               : it->second;
+  };
+  // Distinct pattern rows in first-seen order, with their counts before
+  // and after the run; row_of maps each position to its distinct row.
+  const std::uint64_t full_periods = by_P.div(n_cmds);
+  const std::uint64_t rem_cmds = by_P.mod(n_cmds);
+  s.distinct.clear();
+  s.prow.clear();
+  s.row_of.resize(P);
   for (std::uint64_t p = 0; p < P; ++p) {
-    RHSD_CHECK(rows[p] < config_.geometry.total_rows());
+    const std::uint64_t own = h * (full_periods + (p < rem_cmds ? 1 : 0));
     bool inserted = false;
-    const std::size_t i = distinct.insert(rows[p], &inserted);
-    if (inserted) pos_of.emplace_back();
-    pos_of[i].push_back(p);
+    const std::size_t i = s.distinct.insert(rows[p], &inserted);
+    if (inserted) {
+      const std::uint64_t a0 = count_before(rows[p]);
+      s.prow.push_back({rows[p], a0, a0 + own, 1, 0});
+    } else {
+      ++s.prow[i].n_pos;
+      s.prow[i].acts_end += own;
+    }
+    s.row_of[p] = static_cast<std::uint32_t>(i);
   }
-  std::vector<std::uint64_t> a0(distinct.size());
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    a0[i] = fresh ? 0 : acts_now(distinct.keys()[i]);
-  }
+  const std::size_t n_rows = s.prow.size();
+  // Each row's positions within a period, ascending, grouped by row.
+  // Built on first use: a run whose victims all take an early-out and
+  // that no mitigation refreshes never needs them.
+  bool have_positions = false;
+  const auto build_positions = [&] {
+    if (have_positions) return;
+    have_positions = true;
+    std::uint64_t end = 0;
+    for (PatternScratch::PatternRow& pr : s.prow) {
+      end += pr.n_pos;
+      pr.first = end;
+    }
+    s.pos.resize(P);
+    for (std::uint64_t p = P; p-- > 0;) s.pos[--s.prow[s.row_of[p]].first] = p;
+  };
+  const auto positions = [&](std::size_t i) {
+    return std::span<const std::uint64_t>(s.pos).subspan(s.prow[i].first,
+                                                         s.prow[i].n_pos);
+  };
 
-  const std::uint64_t full_periods = n_cmds / P;
-  const std::uint64_t rem_cmds = n_cmds % P;
   // Commands with index < t whose pattern position is in sorted list C.
   const auto cmds_before = [&](std::uint64_t t,
-                               const std::vector<std::uint64_t>& C) {
-    const std::uint64_t f = t / P;
-    const std::uint64_t r = t % P;
+                               std::span<const std::uint64_t> C) {
+    const std::uint64_t r = by_P.mod(t);
     std::uint64_t tail = 0;
     for (const std::uint64_t c : C) {
-      if (c < r) ++tail;
+      if (c >= r) break;
+      ++tail;
     }
-    return f * C.size() + tail;
+    return by_P.div(t) * C.size() + tail;
   };
-  // Activation count of pattern row distinct[i] after event e (1-based),
+  // Activation count of pattern row i after event e (1-based),
   // counting event e itself.
-  const auto count_at_event = [&](int i, std::uint64_t e) {
-    const auto& C = pos_of[static_cast<std::size_t>(i)];
-    const std::uint64_t t = (e - 1) / h;
-    const std::uint64_t o = (e - 1) % h;
-    std::uint64_t cnt = a0[static_cast<std::size_t>(i)] + h * cmds_before(t, C);
-    const std::uint64_t pp = t % P;
-    for (const std::uint64_t c : C) {
-      if (c == pp) {
-        cnt += o + 1;
-        break;
-      }
-    }
+  const auto count_at_event = [&](std::size_t i, std::uint64_t e) {
+    const std::uint64_t t = by_h.div(e - 1);
+    std::uint64_t cnt = s.prow[i].a0 + h * cmds_before(t, positions(i));
+    if (s.row_of[by_P.mod(t)] == i) cnt += by_h.mod(e - 1) + 1;
     return cnt;
   };
   // Count of an arbitrary row at event e: pattern rows advance, every
-  // other row is frozen for the whole segment (zero in a fresh window).
+  // other row is frozen for the whole run (zero in a fresh window).
   const auto row_count_at = [&](std::uint64_t row, std::uint64_t e) {
-    const int i = distinct.find(row);
-    return i >= 0 ? count_at_event(i, e) : (fresh ? 0 : acts_now(row));
+    const int i = s.distinct.find(row);
+    return i >= 0 ? count_at_event(static_cast<std::size_t>(i), e)
+                  : count_before(row);
   };
 
-  // -- Replay the mitigation state machines over the segment, collecting
+  // -- Replay the mitigation state machines over the run, collecting
   // targeted refreshes in scalar order (TRR fire before the PARA draw of
   // the same activation).
-  struct RefreshPoint {
-    std::uint64_t event = 0;
-    std::uint64_t aggressor = 0;
-    std::uint32_t distance = 1;
-  };
-  std::vector<RefreshPoint> points;
-
+  s.points.clear();
   if (trr_.has_value()) {
-    const std::uint32_t dist =
-        config_.mitigations.trr_config.refresh_distance;
-    std::vector<std::uint32_t> banks;
-    for (const std::uint64_t r : distinct.keys()) {
-      const auto b = static_cast<std::uint32_t>(r / rows_per_bank);
-      if (std::find(banks.begin(), banks.end(), b) == banks.end()) {
-        banks.push_back(b);
+    const std::uint32_t dist = config_.mitigations.trr_config.refresh_distance;
+    s.banks.clear();
+    for (const PatternScratch::PatternRow& pr : s.prow) {
+      const auto b = static_cast<std::uint32_t>(by_bank.div(pr.row));
+      if (std::find(s.banks.begin(), s.banks.end(), b) == s.banks.end()) {
+        s.banks.push_back(b);
       }
     }
-    for (const std::uint32_t b : banks) {
+    for (const std::uint32_t b : s.banks) {
       // This bank's command subsequence within one pattern period.
-      std::vector<std::uint64_t> D;
-      std::vector<std::uint32_t> bank_cmd_rows;
+      s.bank_pos.clear();
+      s.bank_rows.clear();
       for (std::uint64_t p = 0; p < P; ++p) {
-        if (rows[p] / rows_per_bank != b) continue;
-        D.push_back(p);
-        bank_cmd_rows.push_back(
-            static_cast<std::uint32_t>(rows[p] % rows_per_bank));
+        if (by_bank.div(rows[p]) != b) continue;
+        s.bank_pos.push_back(p);
+        s.bank_rows.push_back(
+            static_cast<std::uint32_t>(by_bank.mod(rows[p])));
       }
-      const std::uint64_t m_b = D.size();
-      std::uint64_t tail = 0;
-      for (const std::uint64_t d : D) {
-        if (d < rem_cmds) ++tail;
-      }
-      const std::uint64_t events_b = h * (full_periods * m_b + tail);
+      const std::uint64_t m_b = s.bank_pos.size();
+      const std::uint64_t events_b = h * cmds_before(n_cmds, s.bank_pos);
       if (events_b == 0) continue;
-      for (const TrrEmission& em :
-           trr_->advance_cmds(b, bank_cmd_rows, h, events_b)) {
-        // Bank-local activation k -> global event: k sits in the bank's
-        // ((k-1)/h)-th command, which is global command q*P + D[i].
+      trr_->advance_cmds(b, s.bank_rows, h, events_b, s.emissions);
+      for (const TrrEmission& em : s.emissions) {
+        // Bank-local activation k -> run event: k sits in the bank's
+        // ((k-1)/h)-th command, which is run command q*P + bank_pos[i].
         const std::uint64_t j = (em.index - 1) / h;
-        const std::uint64_t o = (em.index - 1) % h;
         const std::uint64_t e =
-            ((j / m_b) * P + D[j % m_b]) * h + o + 1;
-        points.push_back(RefreshPoint{
-            e, static_cast<std::uint64_t>(b) * rows_per_bank + em.row,
-            dist});
+            ((j / m_b) * P + s.bank_pos[j % m_b]) * h + (em.index - 1) % h + 1;
+        s.points.push_back(RefreshPoint{
+            e, static_cast<std::uint64_t>(b) * rows_per_bank + em.row, dist,
+            0});
       }
     }
   }
   if (config_.mitigations.para_probability > 0.0) {
     const auto para_at = [&](std::uint64_t e) {
-      points.push_back(RefreshPoint{e, rows[((e - 1) / h) % P], 1});
+      s.points.push_back(
+          RefreshPoint{e, rows[by_P.mod(by_h.div(e - 1))], 1, 1});
     };
     stats_.para_refreshes += para_events(E, para_at);
   }
-  std::stable_sort(points.begin(), points.end(),
-                   [](const RefreshPoint& x, const RefreshPoint& y) {
-                     return x.event < y.event;
-                   });
-
-  // -- Per-victim refresh segment lists with deferred refresh_bases_
-  // writes (the first segment must still read pre-batch baselines).
-  RowIndex refreshed_rows;
-  std::vector<std::vector<VictimRefresh>> refreshed;  // parallel
-  const auto refresh_list =
-      [&](std::uint64_t row) -> std::vector<VictimRefresh>& {
-    bool inserted = false;
-    const std::size_t i = refreshed_rows.insert(row, &inserted);
-    if (inserted) refreshed.emplace_back();
-    return refreshed[i];
+  // Each bank's TRR emissions and the PARA draws come out in event
+  // order; merge them by (event, TRR first).  No two points share both.
+  const auto point_order = [](const RefreshPoint& x, const RefreshPoint& y) {
+    return x.event != y.event ? x.event < y.event : x.source < y.source;
   };
-  for (const RefreshPoint& rp : points) {
+  if (!std::is_sorted(s.points.begin(), s.points.end(), point_order)) {
+    std::sort(s.points.begin(), s.points.end(), point_order);
+  }
+
+  // -- Per-victim refresh segment lists.  The refresh_bases_ writes
+  // wait for the end of the run: the first segment must still read the
+  // pre-run baselines.
+  s.refreshed.clear();
+  if (!s.points.empty()) build_positions();
+  for (const RefreshPoint& rp : s.points) {
     for (std::uint32_t d = 1; d <= rp.distance; ++d) {
       for (const int sign : {-1, +1}) {
         const auto victim =
@@ -1039,7 +777,11 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
         if (auto r2 = neighbor(*victim, +2)) {
           nb.right2 = row_count_at(*r2, rp.event);
         }
-        auto& list = refresh_list(*victim);
+        bool inserted = false;
+        const std::size_t li = s.refreshed.insert(*victim, &inserted);
+        if (li == s.refresh_lists.size()) s.refresh_lists.emplace_back();
+        std::vector<VictimRefresh>& list = s.refresh_lists[li];
+        if (inserted) list.clear();
         if (!list.empty() && list.back().event == rp.event) {
           list.back().bases = nb;  // TRR + PARA hit it at the same event
         } else {
@@ -1049,299 +791,274 @@ bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
     }
   }
 
-  // -- Candidate victims: every row within disturbance distance of any
-  // pattern row (pattern rows themselves included — adjacent aggressors
-  // disturb each other).
+  // -- Closed-form victim check.  Within one refresh segment the
+  // baselines are fixed and every count is nondecreasing in the event
+  // index, so exposure is too: each crossing cell flips at the first
+  // check whose exposure reaches its threshold (a binary search).
   const double hd_weight = disturbance_.profile().half_double_weight;
   const int max_dist = hd_weight > 0.0 ? 2 : 1;
-  RowIndex victims;
-  for (const std::uint64_t r : distinct.keys()) {
-    for (int d = 1; d <= max_dist; ++d) {
-      for (const int sign : {-1, +1}) {
-        const auto v = neighbor(r, sign * d);
-        if (v.has_value()) victims.insert(*v);
+  struct NeighborCount {
+    std::uint64_t base = 0;  // frozen count (0 at a bank edge)
+    int idx = -1;            // >= 0: pattern row (distinct index)
+  };
+  constexpr int kSlotDelta[4] = {-1, +1, -2, +2};  // scalar check order
+  // Check `victim` (`in_bank` within its bank), reached from pattern row
+  // `owner`; a victim several pattern rows reach is checked once, from
+  // the first of them.
+  const auto check = [&](std::uint64_t victim, std::uint64_t in_bank,
+                         int owner) {
+    if (!disturbance_.row_is_vulnerable(victim)) return;
+    NeighborCount nc[4];  // left, right, left2, right2
+    for (int k = 0; k < 2 * max_dist; ++k) {
+      const int d = kSlotDelta[k];
+      if (d < 0 ? in_bank < static_cast<std::uint64_t>(-d)
+                : in_bank + static_cast<std::uint64_t>(d) >= rows_per_bank) {
+        continue;  // bank edge: counts as zero
+      }
+      const std::uint64_t n = victim + static_cast<std::uint64_t>(
+                                           static_cast<std::int64_t>(d));
+      nc[k].idx = s.distinct.find(n);
+      if (nc[k].idx < 0) {
+        nc[k].base = count_before(n);
+      } else if (nc[k].idx < owner) {
+        return;  // an earlier pattern row checks it
+      }
+    }
+    // Same arithmetic as the scalar check_victim: bit-exact, including
+    // the uint64 sum in the Half-Double term.
+    const auto exposure_of = [&](const std::uint64_t (&counts)[4],
+                                 const RefreshBases& bases) {
+      const std::uint64_t left =
+          counts[0] > bases.left ? counts[0] - bases.left : 0;
+      const std::uint64_t right =
+          counts[1] > bases.right ? counts[1] - bases.right : 0;
+      double exposure = disturbance_.effective_hammer(left, right);
+      if (hd_weight > 0.0) {
+        const std::uint64_t left2 =
+            counts[2] > bases.left2 ? counts[2] - bases.left2 : 0;
+        const std::uint64_t right2 =
+            counts[3] > bases.right2 ? counts[3] - bases.right2 : 0;
+        exposure += hd_weight * static_cast<double>(left2 + right2);
+      }
+      return exposure;
+    };
+    // Exact early-out: counts only grow within a window and targeted
+    // refreshes only raise baselines, so the end-of-run counts against
+    // the pre-run baselines bound every check of the run.
+    const RefreshBases pre_bases = bases_before(victim);
+    std::uint64_t end_counts[4];
+    for (int k = 0; k < 4; ++k) {
+      end_counts[k] =
+          nc[k].idx >= 0 ? s.prow[static_cast<std::size_t>(nc[k].idx)].acts_end
+                         : nc[k].base;
+    }
+    const double bound = exposure_of(end_counts, pre_bases);
+    if (bound < disturbance_.min_threshold(victim)) return;
+    // Nothing left to flip: every cell the bound reaches already holds
+    // its failure value (a pair of aliased cells with opposite failure
+    // values never does), and only this victim's own flips write its
+    // row.
+    const auto& cells = disturbance_.cells(victim);
+    const RowData* stored = row_data_[victim].get();
+    bool flippable = false;
+    for (const VulnCell& cell : cells) {
+      if (cell.threshold > bound) break;  // sorted ascending
+      const std::uint8_t byte = stored != nullptr && !stored->data.empty()
+                                    ? stored->data[cell.byte_offset]
+                                    : 0;
+      if (((byte >> cell.bit) & 1u) != cell.failure_value) {
+        flippable = true;
+        break;
+      }
+    }
+    if (!flippable) return;
+
+    // Pattern positions whose command checks this victim: those of the
+    // pattern rows among its neighbors, merged in ascending order.
+    build_positions();
+    s.check_pos.clear();
+    int sources = 0;
+    for (int k = 0; k < 2 * max_dist; ++k) {
+      if (nc[k].idx < 0) continue;
+      const auto C = positions(static_cast<std::size_t>(nc[k].idx));
+      s.check_pos.insert(s.check_pos.end(), C.begin(), C.end());
+      ++sources;
+    }
+    if (sources > 1) std::sort(s.check_pos.begin(), s.check_pos.end());
+    const std::span<const std::uint64_t> D = s.check_pos;
+    const Divisor by_m_v(D.size());
+    // Number of this victim's checks with event index <= e.
+    const auto checks_up_to = [&](std::uint64_t e) -> std::uint64_t {
+      if (e == 0) return 0;
+      const std::uint64_t t = by_h.div(e - 1);
+      std::uint64_t k = h * cmds_before(t, D);
+      const std::uint32_t at = s.row_of[by_P.mod(t)];
+      for (int j = 0; j < 2 * max_dist; ++j) {
+        if (nc[j].idx == static_cast<int>(at)) {
+          k += by_h.mod(e - 1) + 1;
+          break;
+        }
+      }
+      return k;
+    };
+    const auto event_of = [&](std::uint64_t k) {  // k-th check, 1-based
+      const std::uint64_t j = by_h.div(k - 1);  // victim-check command index
+      return (by_m_v.div(j) * P + D[by_m_v.mod(j)]) * h + by_h.mod(k - 1) +
+             1;
+    };
+    const std::uint64_t checks = checks_up_to(E);
+    if (checks == 0) return;
+    const auto exposure_at = [&](std::uint64_t e, const RefreshBases& bases) {
+      std::uint64_t counts[4];
+      for (int k = 0; k < 4; ++k) {
+        counts[k] = nc[k].idx >= 0
+                        ? count_at_event(static_cast<std::size_t>(nc[k].idx), e)
+                        : nc[k].base;
+      }
+      return exposure_of(counts, bases);
+    };
+
+    RowData* rd = nullptr;
+    // Check-slot of this victim at event e: its position in the scalar
+    // left/right/left2/right2 sequence of the activated row.
+    const auto slot_at = [&](std::uint64_t e) {
+      const std::uint64_t agg = rows[by_P.mod(by_h.div(e - 1))];
+      const std::int64_t delta = static_cast<std::int64_t>(victim) -
+                                 static_cast<std::int64_t>(agg);
+      switch (delta) {
+        case -1: return 0;
+        case +1: return 1;
+        case -2: return 2;
+        default: return 3;  // +2
+      }
+    };
+    const auto emit = [&](const VulnCell& cell, std::uint64_t e) {
+      std::uint8_t& byte = rd->data[cell.byte_offset];
+      if (cell.failure_value) {
+        byte = static_cast<std::uint8_t>(byte | (1u << cell.bit));
+      } else {
+        byte = static_cast<std::uint8_t>(byte & ~(1u << cell.bit));
+      }
+      s.pending.push_back(PendingFlip{
+          .event = event_offset + e,
+          .slot = slot_at(e),
+          .flip = FlipEvent{.time_ns = cmd_times[by_h.div(e - 1)],
+                            .global_row = victim,
+                            .byte_offset = cell.byte_offset,
+                            .bit = cell.bit,
+                            .new_value = cell.failure_value}});
+    };
+
+    // Walk the segments between consecutive targeted refreshes of this
+    // victim.  A refresh at event r re-baselines *before* the victim
+    // check of event r runs in the scalar path, so the segment boundary
+    // is [r_prev, r-1], [r, ...].
+    std::span<const VictimRefresh> refreshes;
+    if (!s.points.empty()) {
+      const int ri = s.refreshed.find(victim);
+      if (ri >= 0) refreshes = s.refresh_lists[static_cast<std::size_t>(ri)];
+    }
+    std::uint64_t seg_start = 1;
+    RefreshBases bases = pre_bases;
+    for (std::size_t si = 0;; ++si) {
+      const std::uint64_t seg_end =
+          si < refreshes.size() ? refreshes[si].event - 1 : E;
+      const std::uint64_t k_lo = checks_up_to(seg_start - 1) + 1;
+      const std::uint64_t k_hi =
+          seg_end == E ? checks : std::min(checks, checks_up_to(seg_end));
+      if (k_lo <= k_hi) {
+        const double exposure_last = exposure_at(event_of(k_hi), bases);
+        if (exposure_last >= disturbance_.min_threshold(victim)) {
+          if (rd == nullptr) rd = &materialize(victim);
+          // Two cells aliasing the same (byte, bit) with opposite
+          // failure values re-flip each other at every check; the closed
+          // form assumes each bit flips at most once per segment, so
+          // alias cases replay the per-check loop exactly.
+          bool aliased = false;
+          for (std::size_t i = 0; i < cells.size() && !aliased; ++i) {
+            if (cells[i].threshold > exposure_last) break;
+            for (std::size_t j = i + 1; j < cells.size(); ++j) {
+              if (cells[j].threshold > exposure_last) break;
+              if (cells[i].byte_offset == cells[j].byte_offset &&
+                  cells[i].bit == cells[j].bit) {
+                aliased = true;
+                break;
+              }
+            }
+          }
+          if (aliased) {
+            for (std::uint64_t k = k_lo; k <= k_hi; ++k) {
+              const std::uint64_t e = event_of(k);
+              const double exposure = exposure_at(e, bases);
+              for (const VulnCell& cell : cells) {
+                if (exposure < cell.threshold) break;
+                const std::uint8_t current =
+                    (rd->data[cell.byte_offset] >> cell.bit) & 1u;
+                if (current == cell.failure_value) continue;
+                emit(cell, e);
+              }
+            }
+          } else {
+            for (const VulnCell& cell : cells) {
+              if (cell.threshold > exposure_last) break;  // sorted ascending
+              const std::uint8_t current =
+                  (rd->data[cell.byte_offset] >> cell.bit) & 1u;
+              if (current == cell.failure_value) continue;  // decayed
+              std::uint64_t lo = k_lo;
+              std::uint64_t hi = k_hi;
+              while (lo < hi) {
+                const std::uint64_t mid = lo + (hi - lo) / 2;
+                if (exposure_at(event_of(mid), bases) >= cell.threshold) {
+                  hi = mid;
+                } else {
+                  lo = mid + 1;
+                }
+              }
+              emit(cell, event_of(lo));
+            }
+          }
+        }
+      }
+      if (si >= refreshes.size()) break;
+      seg_start = refreshes[si].event;
+      bases = refreshes[si].bases;
+    }
+  };
+  // Candidate victims: every row within disturbance distance of a
+  // pattern row (pattern rows themselves included — adjacent aggressors
+  // disturb each other).
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    const std::uint64_t r = s.prow[i].row;
+    const std::uint64_t r_in_bank = by_bank.mod(r);
+    for (std::uint64_t d = 1; d <= static_cast<std::uint64_t>(max_dist);
+         ++d) {
+      if (r_in_bank >= d) check(r - d, r_in_bank - d, static_cast<int>(i));
+      if (r_in_bank + d < rows_per_bank) {
+        check(r + d, r_in_bank + d, static_cast<int>(i));
       }
     }
   }
 
-  // -- Closed-form victim check, generalized from check_victim_batched
-  // to the multi-row periodic stream.
-  const auto check_victim_pattern =
-      [&](std::uint64_t victim, std::span<const VictimRefresh> refreshes) {
-        // Pattern positions whose command activates a row that checks
-        // this victim (the victim is within disturbance distance).
-        std::vector<std::uint64_t> D;
-        for (std::uint64_t p = 0; p < P; ++p) {
-          const std::int64_t delta = static_cast<std::int64_t>(victim) -
-                                     static_cast<std::int64_t>(rows[p]);
-          bool reach = false;
-          for (int d = 1; d <= max_dist && !reach; ++d) {
-            if ((delta == -d &&
-                 neighbor(rows[p], -d) ==
-                     std::optional<std::uint64_t>(victim)) ||
-                (delta == d &&
-                 neighbor(rows[p], d) ==
-                     std::optional<std::uint64_t>(victim))) {
-              reach = true;
-            }
-          }
-          if (reach) D.push_back(p);
-        }
-        if (D.empty()) return;
-        if (!disturbance_.row_is_vulnerable(victim)) return;
-        const std::uint64_t m_v = D.size();
-        const auto checks_up_to = [&](std::uint64_t e) -> std::uint64_t {
-          if (e == 0) return 0;
-          const std::uint64_t t = (e - 1) / h;
-          const std::uint64_t o = (e - 1) % h;
-          std::uint64_t k = h * cmds_before(t, D);
-          const std::uint64_t pp = t % P;
-          for (const std::uint64_t c : D) {
-            if (c == pp) {
-              k += o + 1;
-              break;
-            }
-          }
-          return k;
-        };
-        const auto event_of = [&](std::uint64_t k) {
-          const std::uint64_t j = (k - 1) / h;  // victim-check command index
-          const std::uint64_t o = (k - 1) % h;
-          return ((j / m_v) * P + D[j % m_v]) * h + o + 1;
-        };
-        const std::uint64_t checks = checks_up_to(E);
-        if (checks == 0) return;
-
-        struct NeighborCount {
-          std::uint64_t base = 0;
-          int idx = -1;  // >= 0: index into `distinct` (dynamic count)
-          bool present = false;
-        };
-        const auto classify = [&](std::optional<std::uint64_t> n) {
-          NeighborCount c;
-          if (!n.has_value()) return c;  // bank edge: counts as zero
-          c.present = true;
-          const int i = distinct.find(*n);
-          if (i >= 0) {
-            c.idx = i;
-          } else {
-            c.base = fresh ? 0 : acts_now(*n);
-          }
-          return c;
-        };
-        const NeighborCount nl = classify(neighbor(victim, -1));
-        const NeighborCount nr = classify(neighbor(victim, +1));
-        const NeighborCount nl2 =
-            max_dist == 2 ? classify(neighbor(victim, -2)) : NeighborCount{};
-        const NeighborCount nr2 =
-            max_dist == 2 ? classify(neighbor(victim, +2)) : NeighborCount{};
-        const auto count_nc = [&](const NeighborCount& c, std::uint64_t e) {
-          if (!c.present) return std::uint64_t{0};
-          return c.idx >= 0 ? count_at_event(c.idx, e) : c.base;
-        };
-        const auto exposure_at = [&](std::uint64_t e,
-                                     const RefreshBases& bases) {
-          std::uint64_t left = count_nc(nl, e);
-          std::uint64_t right = count_nc(nr, e);
-          left = left > bases.left ? left - bases.left : 0;
-          right = right > bases.right ? right - bases.right : 0;
-          double exposure = disturbance_.effective_hammer(left, right);
-          if (hd_weight > 0.0) {
-            std::uint64_t left2 = count_nc(nl2, e);
-            std::uint64_t right2 = count_nc(nr2, e);
-            left2 = left2 > bases.left2 ? left2 - bases.left2 : 0;
-            right2 = right2 > bases.right2 ? right2 - bases.right2 : 0;
-            exposure += hd_weight * static_cast<double>(left2 + right2);
-          }
-          return exposure;
-        };
-
-        const auto& cells = disturbance_.cells(victim);
-        RowData* rd = nullptr;
-        const auto slot_at = [&](std::uint64_t e) {
-          const std::uint64_t agg = rows[((e - 1) / h) % P];
-          const std::int64_t delta = static_cast<std::int64_t>(victim) -
-                                     static_cast<std::int64_t>(agg);
-          switch (delta) {
-            case -1: return 0;
-            case +1: return 1;
-            case -2: return 2;
-            default: return 3;  // +2
-          }
-        };
-        const auto emit = [&](const VulnCell& cell, std::uint64_t e) {
-          std::uint8_t& byte = rd->data[cell.byte_offset];
-          if (cell.failure_value) {
-            byte = static_cast<std::uint8_t>(byte | (1u << cell.bit));
-          } else {
-            byte = static_cast<std::uint8_t>(byte & ~(1u << cell.bit));
-          }
-          pending.push_back(PendingFlip{
-              .event = event_offset + e,
-              .slot = slot_at(e),
-              .flip = FlipEvent{.time_ns = cmd_times[(e - 1) / h],
-                                .global_row = victim,
-                                .byte_offset = cell.byte_offset,
-                                .bit = cell.bit,
-                                .new_value = cell.failure_value}});
-        };
-
-        std::uint64_t seg_start = 1;
-        RefreshBases bases = fresh ? RefreshBases{} : bases_of(victim);
-        for (std::size_t si = 0;; ++si) {
-          const std::uint64_t seg_end =
-              si < refreshes.size() ? refreshes[si].event - 1 : E;
-          const std::uint64_t k_lo = checks_up_to(seg_start - 1) + 1;
-          const std::uint64_t k_hi = std::min(checks, checks_up_to(seg_end));
-          if (k_lo <= k_hi) {
-            const double exposure_last = exposure_at(event_of(k_hi), bases);
-            if (exposure_last >= disturbance_.min_threshold(victim)) {
-              if (rd == nullptr) rd = &materialize(victim);
-              bool aliased = false;
-              for (std::size_t i = 0; i < cells.size() && !aliased; ++i) {
-                if (cells[i].threshold > exposure_last) break;
-                for (std::size_t j = i + 1; j < cells.size(); ++j) {
-                  if (cells[j].threshold > exposure_last) break;
-                  if (cells[i].byte_offset == cells[j].byte_offset &&
-                      cells[i].bit == cells[j].bit) {
-                    aliased = true;
-                    break;
-                  }
-                }
-              }
-              if (aliased) {
-                for (std::uint64_t k = k_lo; k <= k_hi; ++k) {
-                  const std::uint64_t e = event_of(k);
-                  const double exposure = exposure_at(e, bases);
-                  for (const VulnCell& cell : cells) {
-                    if (exposure < cell.threshold) break;
-                    const std::uint8_t current =
-                        (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-                    if (current == cell.failure_value) continue;
-                    emit(cell, e);
-                  }
-                }
-              } else {
-                for (const VulnCell& cell : cells) {
-                  if (cell.threshold > exposure_last) break;
-                  const std::uint8_t current =
-                      (rd->data[cell.byte_offset] >> cell.bit) & 1u;
-                  if (current == cell.failure_value) continue;
-                  std::uint64_t lo = k_lo;
-                  std::uint64_t hi = k_hi;
-                  while (lo < hi) {
-                    const std::uint64_t mid = lo + (hi - lo) / 2;
-                    if (exposure_at(event_of(mid), bases) >= cell.threshold) {
-                      hi = mid;
-                    } else {
-                      lo = mid + 1;
-                    }
-                  }
-                  emit(cell, event_of(lo));
-                }
-              }
-            }
-          }
-          if (si >= refreshes.size()) break;
-          seg_start = refreshes[si].event;
-          bases = refreshes[si].bases;
-        }
-      };
-
-  for (const std::uint64_t v : victims.keys()) {
-    const int ri = refreshed_rows.find(v);
-    check_victim_pattern(
-        v, ri >= 0 ? std::span<const VictimRefresh>(refreshed[
-                         static_cast<std::size_t>(ri)])
-                   : std::span<const VictimRefresh>{});
-  }
-
-  // -- Segment accumulation: each activated row's final per-window count
-  // and each refreshed victim's final targeted-refresh baselines.  Later
-  // segments overwrite (a new window supersedes the old count outright).
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    const auto& C = pos_of[i];
-    std::uint64_t tail = 0;
-    for (const std::uint64_t c : C) {
-      if (c < rem_cmds) ++tail;
+  // -- Write back: each activated row's per-window count and each
+  // refreshed victim's baselines from its last targeted refresh.
+  for (const PatternScratch::PatternRow& pr : s.prow) {
+    if (pr.acts_end == pr.a0) continue;  // not activated in this run
+    if (s.undo) {
+      s.row_undo.push_back({pr.row, row_window_[pr.row], row_acts_[pr.row]});
     }
-    const std::uint64_t events_i = h * (full_periods * C.size() + tail);
-    if (events_i == 0) continue;
-    upsert_row(distinct.keys()[i],
-               RowCommit{w, (fresh ? 0 : a0[i]) + events_i});
+    row_window_[pr.row] = w;
+    row_acts_[pr.row] = pr.acts_end;
   }
-  for (std::size_t i = 0; i < refreshed.size(); ++i) {
-    upsert_bases(refreshed_rows.keys()[i], refreshed[i].back().bases);
-  }
-  };  // run_segment
-
-  // -- Drive the maximal same-window runs in command order.  Each run's
-  // pattern is the batch pattern rotated to the run's first command, so
-  // position arithmetic inside the closed forms stays untouched.  The
-  // caller guarantees the first command falls in the clock's current
-  // window; every later run is a fresh window.
-  const std::uint64_t w_now = current_window();
-  std::vector<std::uint64_t> seg_rows(P);
-  std::uint64_t c_lo = 0;
-  while (c_lo < n_cmds) {
-    const std::uint64_t w_seg = cmd_times[c_lo] / window_ns_;
-    // Command times are nondecreasing, so the window edge is a lookup
-    // in closed form, not a per-command walk (chunks span many windows
-    // and can run to hundreds of thousands of commands).
-    const std::uint64_t c_hi =
-        cmd_times.first_at_or_after((w_seg + 1) * window_ns_);
-    for (std::uint64_t i = 0; i < P; ++i) {
-      seg_rows[i] = rows[(c_lo + i) % P];
+  for (std::size_t i = 0; i < s.refreshed.size(); ++i) {
+    const std::uint64_t v = s.refreshed.keys()[i];
+    if (s.undo) {
+      const auto it = refresh_bases_.find(v);
+      s.bases_undo.push_back({v, it != refresh_bases_.end(),
+                              it != refresh_bases_.end() ? it->second
+                                                         : RefreshBases{}});
     }
-    run_segment(seg_rows, c_hi - c_lo, cmd_times.sub(c_lo, c_hi - c_lo),
-                w_seg, w_seg != w_now, c_lo * h);
-    c_lo = c_hi;
+    refresh_bases_[v] = s.refresh_lists[i].back().bases;
   }
-
-  // -- Hazard gate: a flip inside a hazard range invalidates the whole
-  // replay (the data fed back into the pattern's own reads).  Undo the
-  // flips in reverse (each emit was a toggle) and restore the
-  // mitigation state; the caller replays this chunk scalar.
-  for (const PendingFlip& p : pending) {
-    for (const PatternHazard& hz : hazards) {
-      if (p.flip.global_row == hz.global_row &&
-          p.flip.byte_offset >= hz.byte_lo && p.flip.byte_offset < hz.byte_hi) {
-        for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-          RowData& rd = materialize(it->flip.global_row);
-          rd.data[it->flip.byte_offset] = static_cast<std::uint8_t>(
-              it->flip.new_value
-                  ? rd.data[it->flip.byte_offset] & ~(1u << it->flip.bit)
-                  : rd.data[it->flip.byte_offset] | (1u << it->flip.bit));
-        }
-        trr_ = trr_snapshot;
-        trr_window_ = trr_window_snapshot;
-        para_rng_ = para_rng_snapshot;
-        stats_.para_refreshes = para_refreshes_snapshot;
-        return false;
-      }
-    }
-  }
-
-  // -- Commit: bulk row state, deferred baselines, ordered flips.
-  stats_.activations += n_cmds * h;
-  for (std::size_t i = 0; i < row_commit.size(); ++i) {
-    row_window_[row_commit_rows.keys()[i]] = row_commit[i].window;
-    row_acts_[row_commit_rows.keys()[i]] = row_commit[i].acts;
-  }
-  if (trr_.has_value()) stats_.trr_refreshes = trr_->refreshes_issued();
-  for (std::size_t i = 0; i < bases_commit.size(); ++i) {
-    refresh_bases_[bases_commit_rows.keys()[i]] = bases_commit[i];
-  }
-  if (!pending.empty()) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const PendingFlip& x, const PendingFlip& y) {
-                       return x.event != y.event ? x.event < y.event
-                                                 : x.slot < y.slot;
-                     });
-    stats_.bitflips += pending.size();
-    for (const PendingFlip& p : pending) flip_events_.push_back(p.flip);
-  }
-  return true;
 }
 
 void DramDevice::account_cache_pattern(

@@ -8,27 +8,28 @@
 // configuration, the FTL's L2P table — organically rather than by fault
 // injection.
 //
-// Two execution paths produce identical results:
+// One closed-form hammer engine, bit-exact with the scalar path:
 //  * the scalar path — read()/write() activate rows one at a time and
-//    run a victim check per activation;
-//  * the batched fast path — hammer_pair()/hammer_row()/repeat_read()/
-//    repeat_write() coalesce a run of activations whose interleaving is
-//    known (the FTL's per-I/O hammer amplification, the attack
-//    orchestrator's aggressor loops) into one row-state update plus a
-//    single closed-form victim check per refresh-window segment.  The
-//    fast path is bit-exact with the scalar path: same seed, same
-//    FlipEvent sequence, same DramStats.
+//    run a victim check per activation (hammer_pair_scalar() and
+//    hammer_row_scalar() drive it as the test oracle);
+//  * the pattern replay — a periodic activation stream (command c
+//    hammers rows[c % P] `repeat` times) applied as one row-state update
+//    plus a closed-form victim check per refresh-window run.  One-,
+//    double- and many-sided hammering are its 1-, 2- and N-row cases:
+//    the FTL's per-I/O repeats (repeat_read()/repeat_write()) and
+//    hammer_row() replay one row, hammer_pair() the pair {a, b}, and
+//    hammer_pattern() the FTL's whole read patterns.  Same seed, same
+//    FlipEvent sequence, same DramStats as the scalar path.
 //
 // Optional mitigations (all off by default, matching the paper's
-// testbed): SECDED ECC, TRR, a CPU cache in front of the arrays, and a
-// refresh-interval override.  TRR and PARA have per-activation state,
-// but under the fixed a,b,a,b,... pattern of a hammer batch that state
-// evolves deterministically: the batched path replays the TRR tracker
-// analytically (TrrTracker::advance), draws the whole batch's PARA
-// decisions in one Rng::bernoulli_hits scan (same hits, same final RNG
-// state as one para_decide() per activation), and runs the closed-form
-// victim check on the segments between the resulting targeted
-// refreshes — still bit-exact with the scalar path.
+// testbed): SECDED ECC, TRR, PARA, a CPU cache in front of the arrays,
+// and a refresh-interval override.  TRR and PARA have per-activation
+// state, but under a periodic stream that state evolves
+// deterministically: the replay advances the TRR tracker analytically
+// (TrrTracker::advance_cmds), draws the stream's PARA decisions in one
+// Rng::bernoulli_hits scan (same hits, same final RNG state as one
+// para_decide() per activation), and runs the closed-form victim check
+// on the segments between the resulting targeted refreshes.
 #pragma once
 
 #include <algorithm>
@@ -167,6 +168,7 @@ class DramDevice {
   DramDevice(DramConfig config, std::unique_ptr<AddressMapper> mapper,
              SimClock& clock);
 
+  ~DramDevice();
   DramDevice(const DramDevice&) = delete;
   DramDevice& operator=(const DramDevice&) = delete;
 
@@ -177,20 +179,22 @@ class DramDevice {
   /// Write bytes. Always activates the touched rows.
   Status write(DramAddr addr, std::span<const std::uint8_t> data);
 
-  /// Batched fast path: `pairs` alternating activations of the two
-  /// aggressors (a, b, a, b, ... — 2*pairs accesses), equivalent to the
-  /// scalar loop `for pairs { activate(a); activate(b); }` but with one
-  /// victim check per neighbor instead of one per activation.
+  /// `pairs` alternating activations of the two aggressors (a, b, a, b,
+  /// ... — 2*pairs accesses): the 2-row pattern {a, b}, replayed in
+  /// closed form.  Under open page the row-buffer hits are resolved
+  /// first (a cross-bank pair activates each row once; an already open
+  /// `row_a` turns the first access into a hit).
   void hammer_pair(std::uint64_t row_a, std::uint64_t row_b,
                    std::uint64_t pairs);
-  /// Batched fast path: `count` back-to-back accesses of one row
-  /// (one-location hammering).
+  /// `count` back-to-back accesses of one row (one-location hammering):
+  /// the 1-row pattern (under open page, one activation and then
+  /// row-buffer hits).
   void hammer_row(std::uint64_t global_row, std::uint64_t count);
 
-  /// Scalar reference implementations of the two batched entry points:
+  /// Scalar reference implementations of hammer_pair()/hammer_row():
   /// one activation at a time, one victim check per activation.  Used
   /// by the parity tests and the microbenchmarks; always produce the
-  /// same FlipEvents and DramStats as the batched versions.
+  /// same FlipEvents and DramStats as the replayed versions.
   void hammer_pair_scalar(std::uint64_t row_a, std::uint64_t row_b,
                           std::uint64_t pairs);
   void hammer_row_scalar(std::uint64_t global_row, std::uint64_t count);
@@ -212,9 +216,11 @@ class DramDevice {
   /// baselines, and a freshly reset TRR tracker — exactly what the
   /// scalar walk's roll_window() would produce.  The first command must
   /// fall in the clock's current refresh window.
-  /// Preconditions: closed-page policy, no cache.  Bit-exact with the
-  /// scalar loop: same flips in the same order, same DramStats, same
-  /// TRR/PARA state.
+  /// Preconditions: closed-page policy, no cache (the entry points that
+  /// resolve row-buffer hits and cache fallbacks first — hammer_pair(),
+  /// hammer_row(), repeat_read(), repeat_write() — reach the same replay
+  /// core without them).  Bit-exact with the scalar loop: same flips in
+  /// the same order, same DramStats, same TRR/PARA state.
   ///
   /// Returns false and leaves the device completely untouched if a flip
   /// would land inside one of `hazards` — the caller must then replay
@@ -267,8 +273,9 @@ class DramDevice {
   /// directly follow a *successful* read() of the same span into the
   /// same buffer: the repeats then cannot change the buffer, the ECC
   /// state, or the error outcome, so only the activations (and their
-  /// disturbance) are replayed.  Spans crossing a row boundary or a
-  /// configured cache fall back to scalar read() calls.
+  /// disturbance) are replayed, as the 1-row pattern.  Spans crossing a
+  /// row boundary or a configured cache fall back to scalar read()
+  /// calls.
   Status repeat_read(DramAddr addr, std::span<std::uint8_t> out,
                      std::uint64_t extra);
   /// Repeat the write of `data` `extra` more times, batched.  Must
@@ -348,10 +355,10 @@ class DramDevice {
     std::uint64_t right2 = 0;
   };
 
-  /// A bitflip produced inside a batched hammer, waiting for the global
+  /// A bitflip produced inside a replay, waiting for the global
   /// (event, check-slot) sort that restores scalar emission order.
   struct PendingFlip {
-    std::uint64_t event = 0;  // 1-based activation index within the batch
+    std::uint64_t event = 0;  // 1-based activation index within the call
     int slot = 0;             // victim check order within one activation
     FlipEvent flip;
   };
@@ -381,43 +388,35 @@ class DramDevice {
   void target_refresh_neighbors(std::uint64_t aggressor_global_row,
                                 std::uint32_t distance);
 
-  /// One targeted refresh of a victim row inside a batch: the 1-based
+  /// One targeted refresh of a victim row inside a replay: the 1-based
   /// activation index at which it fired, and the re-baselined counts it
-  /// left behind.  The victim check treats the batch as segments
+  /// left behind.  The victim check treats the replay as segments
   /// between consecutive refreshes, each with its own baselines.
   struct VictimRefresh {
     std::uint64_t event = 0;
     RefreshBases bases;
   };
 
-  /// Batched core: the access sequence a, b, a, b, ... for `events`
-  /// accesses (a == b means one-location).  Dispatches row-buffer
-  /// policy reductions and the fast path (mitigated or plain).
+  /// The access sequence a, b, a, b, ... for `events` accesses (a == b
+  /// means one-location): resolves the open-page row-buffer hits, then
+  /// replays the accesses that activate as the 1- or 2-row pattern.
   void hammer_events(std::uint64_t a, std::uint64_t b, std::uint64_t events);
-  /// Dispatch helper: every event is a real activation; routes to the
-  /// mitigated replay when TRR/PARA is configured, else the plain fast
-  /// path.
-  void hammer_events_all_activations(std::uint64_t a, std::uint64_t b,
-                                     std::uint64_t events);
-  /// Fast path proper: every event is a real activation (precondition:
-  /// no TRR/PARA; closed page, or open page with a conflict per access).
-  void hammer_events_fast(std::uint64_t a, std::uint64_t b,
-                          std::uint64_t events);
-  /// Mitigated fast path: same preconditions as hammer_events_fast
-  /// minus the no-TRR/PARA one.  Replays the tracker analytically and
-  /// the PARA stream in scalar draw order, then checks victims per
-  /// refresh segment.
-  void hammer_events_mitigated(std::uint64_t a, std::uint64_t b,
-                               std::uint64_t events);
-  /// Closed-form victim check over a whole batch; `refreshes` holds the
-  /// victim's in-batch targeted refreshes in ascending event order
-  /// (empty when no mitigation touched it).  Appends any flips (tagged
-  /// with their event index) to `pending`.
-  void check_victim_batched(std::uint64_t victim, std::uint64_t a,
-                            std::uint64_t b, std::uint64_t events,
-                            std::uint64_t a0_a, std::uint64_t a0_b,
-                            std::span<const VictimRefresh> refreshes,
-                            std::vector<PendingFlip>& pending);
+  /// The replay core behind hammer_pattern() and hammer_events(), with
+  /// hammer_pattern()'s contract minus its policy/cache preconditions:
+  /// every command is an activation.
+  [[nodiscard]] bool replay_pattern(std::span<const std::uint64_t> rows,
+                                    std::uint64_t n_cmds, std::uint64_t repeat,
+                                    const CmdTimes& cmd_times,
+                                    std::span<const PatternHazard> hazards);
+  /// One maximal same-window run of a replay: advances the mitigation
+  /// state, applies flips to row bytes (queuing their events), and
+  /// writes back its rows' counts and baselines, logging what they
+  /// replace when the call has hazards.
+  void replay_window_run(std::span<const std::uint64_t> rows,
+                         std::uint64_t n_cmds, std::uint64_t h,
+                         const CmdTimes& cmd_times, std::uint64_t w,
+                         bool fresh, std::uint64_t event_offset);
+  struct PatternScratch;
 
   /// Neighbor within the same bank, or nullopt at bank edges.
   [[nodiscard]] std::optional<std::uint64_t> neighbor(
@@ -460,6 +459,7 @@ class DramDevice {
   /// True iff TRR or PARA can write refresh_bases_; when false the
   /// activation path skips the baseline lookup entirely.
   bool neighbor_refresh_active_ = false;
+  std::unique_ptr<PatternScratch> scratch_;  // replay_pattern() storage
 };
 
 }  // namespace rhsd

@@ -12,15 +12,17 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 
 namespace rhsd {
 
-/// One target-refresh fired during a batched advance(): the 1-based
-/// activation index within the replayed pattern, and the aggressor row
+/// One target-refresh fired during a batched advance_cmds(): the 1-based
+/// activation index within the replayed stream, and the aggressor row
 /// whose neighbors must be refreshed.
 struct TrrEmission {
   std::uint64_t index = 0;
@@ -51,33 +53,24 @@ class TrrTracker {
   [[nodiscard]] std::optional<std::uint32_t> on_activate(std::uint32_t bank,
                                                          std::uint32_t row);
 
-  /// Batched replay: `events` activations of the fixed alternating
-  /// pattern row_a, row_b, row_a, ... against `bank`'s table in one
-  /// call (row_a == row_b replays a one-location pattern).  Returns the
-  /// target-refresh emissions in activation order and leaves the table
-  /// and refreshes_issued() exactly as `events` scalar on_activate()
-  /// calls would have.  Under a fixed two-row pattern the Misra–Gries
-  /// dynamics either absorb both rows (every later activation is a pure
-  /// counter increment — closed form) or settle into a short cycle
-  /// (the TRRespass thrash regime — detected and fast-forwarded), so
-  /// the cost is O(transient + emissions), not O(events).
-  [[nodiscard]] std::vector<TrrEmission> advance(
-      std::uint32_t bank, std::uint32_t row_a, std::uint32_t row_b,
-      std::uint64_t events);
-
-  /// Batched replay of a periodic multi-row command stream: the bank
-  /// sees `cmd_rows[0]` activated `repeat` times, then `cmd_rows[1]`
-  /// `repeat` times, ..., wrapping around the list, for `events` total
-  /// activations.  This is the shape an FTL read pattern produces (each
-  /// command hammers one row `hammers_per_io` times).  Returns emissions
-  /// with bank-local 1-based activation indices; table state and
-  /// refreshes_issued() end exactly as `events` scalar on_activate()
-  /// calls would.  Same complexity argument as advance(): the table
-  /// either absorbs every pattern row (per-row closed-form fold) or
-  /// cycles (detected and fast-forwarded).
-  [[nodiscard]] std::vector<TrrEmission> advance_cmds(
-      std::uint32_t bank, std::span<const std::uint32_t> cmd_rows,
-      std::uint64_t repeat, std::uint64_t events);
+  /// Batched replay of a periodic command stream: the bank sees
+  /// `cmd_rows[0]` activated `repeat` times, then `cmd_rows[1]` `repeat`
+  /// times, ..., wrapping around the list, for `events` total
+  /// activations.  One row is one-location hammering, two alternating
+  /// rows are a double-sided pair, more are an FTL read pattern (each
+  /// command hammers one row `hammers_per_io` times) or a many-sided
+  /// one.  Replaces `out` with the emissions, in order, with bank-local
+  /// 1-based activation indices; the table and refreshes_issued() end
+  /// exactly as `events` scalar on_activate() calls would leave them.
+  /// Under a fixed periodic stream the Misra–Gries table either absorbs
+  /// every stream row (every later activation is a pure counter
+  /// increment: a closed-form fold per row) or settles into a cycle
+  /// (the TRRespass thrash regime: detected and fast-forwarded), so the
+  /// cost is O(transient + emissions), not O(events).
+  void advance_cmds(std::uint32_t bank,
+                    std::span<const std::uint32_t> cmd_rows,
+                    std::uint64_t repeat, std::uint64_t events,
+                    std::vector<TrrEmission>& out);
 
   /// Clear all per-window state (call at refresh-window boundaries).
   void reset();
@@ -91,6 +84,13 @@ class TrrTracker {
   // Misra–Gries summary per bank: row -> counter.
   std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> tables_;
   std::uint64_t refreshes_issued_ = 0;
+  // advance_cmds() scratch, kept for its storage: (row, command index)
+  // of one period, sorted; and the transient states seen so far
+  // (serialized state -> (activation index, emissions recorded)), empty
+  // between calls.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> by_row_;
+  std::unordered_map<std::string, std::pair<std::uint64_t, std::size_t>>
+      cycle_states_;
 };
 
 }  // namespace rhsd

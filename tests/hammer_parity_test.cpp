@@ -1,12 +1,14 @@
-// Bit-exactness of the batched hammer fast path.
+// Bit-exactness of the closed-form hammer replay.
 //
 // Every test drives two identically configured devices — one through
 // the batched entry points (hammer_pair / hammer_row / repeat_read /
-// repeat_write), one through the scalar reference path — and requires
-// *identical* outcomes: the same DramStats, the same FlipEvent sequence
-// (order included), and the same bytes in every row.  This is the
-// contract that lets the FTL and the attack orchestrator use the fast
-// path without changing any experiment's results.
+// repeat_write, which replay 1- and 2-row patterns through the same
+// core as hammer_pattern, and submit_pattern down the whole stack), one
+// through the scalar reference path — and requires *identical*
+// outcomes: the same DramStats, the same FlipEvent sequence (order
+// included), and the same bytes in every row.  This is the contract
+// that lets the FTL and the attack orchestrator use the replay without
+// changing any experiment's results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,11 +221,11 @@ TEST(HammerParity, EccMitigations) {
 }
 
 // ---------------------------------------------------------------------
-// TRR / PARA batched-replay parity.  The batched path no longer falls
-// back to scalar under mitigations: TrrTracker::advance replays the
-// tracker analytically and the PARA stream is pre-drawn in scalar
-// order, so the full matrix below (seeds x batch sizes x configs, plus
-// the thread-count sweep) must stay bit-exact: same FlipEvents, same
+// TRR / PARA replay parity.  The replay does not fall back to scalar
+// under mitigations: TrrTracker::advance_cmds replays the tracker
+// analytically and the PARA stream is pre-drawn in scalar order, so the
+// full matrix below (seeds x batch sizes x configs, plus the
+// thread-count sweep) must stay bit-exact: same FlipEvents, same
 // DramStats including trr_refreshes / para_refreshes, same memory.
 // ---------------------------------------------------------------------
 
@@ -551,6 +553,46 @@ TEST(HammerParity, RepeatWriteMatchesScalarWrites) {
       }
     }
   });
+}
+
+TEST(HammerParity, CacheConfiguredDevice) {
+  // A configured CPU cache sits in front of read()/write() only:
+  // hammer_pair() and hammer_row() still replay raw activations through
+  // the pattern core (which must not inherit hammer_pattern()'s no-cache
+  // precondition), and repeat_read()/repeat_write() replay cached spans
+  // through scalar read()/write() calls.
+  DramConfig c = BaseConfig(3);  // the seed FlipsActuallyHappen uses
+  c.mitigations.cache = CacheConfig{64, 4, 16};
+  const auto workload = [](DramDevice& d, bool batched) {
+    d.poke(DramAddr(10 * 512), std::vector<std::uint8_t>(512, 0xFF));
+    HammerPairEither(d, 9, 11, 5000, batched);
+    HammerRowEither(d, 20, 30000, batched);
+    const DramAddr raddr(30 * 512 + 64);
+    const DramAddr waddr(40 * 512 + 8);
+    std::uint8_t buf[4] = {0, 0, 0, 0};
+    const std::uint8_t data[4] = {0xDE, 0xAD, 0xBE, 0xEF};
+    for (int round = 0; round < 200; ++round) {
+      ASSERT_TRUE(d.read(raddr, buf).ok());
+      ASSERT_TRUE(d.write(waddr, data).ok());
+      if (batched) {
+        ASSERT_TRUE(d.repeat_read(raddr, buf, 4).ok());
+        ASSERT_TRUE(d.repeat_write(waddr, data, 4).ok());
+      } else {
+        for (int i = 0; i < 4; ++i) ASSERT_TRUE(d.read(raddr, buf).ok());
+        for (int i = 0; i < 4; ++i) ASSERT_TRUE(d.write(waddr, data).ok());
+      }
+    }
+  };
+  RunParity(c, [&workload](DramDevice& d, SimClock&, bool batched) {
+    workload(d, batched);
+  });
+
+  // Non-vacuity: the run flips bits and the cache absorbs reads.
+  SimClock clock;
+  auto probe = MakeDevice(c, clock);
+  workload(*probe, /*batched=*/true);
+  EXPECT_GT(probe->stats().bitflips, 0u);
+  EXPECT_GT(probe->stats().cache_hits, 0u);
 }
 
 TEST(HammerParity, AliasedOppositeCellsFallBackExactly) {

@@ -107,13 +107,16 @@ TEST(Trr, RejectsBadConfig) {
 }
 
 TEST(Trr, BatchedAdvanceMatchesScalarOnRandomHistories) {
-  // advance() must leave the tracker exactly where `events` scalar
+  // advance_cmds() must leave the tracker exactly where `events` scalar
   // on_activate calls would, and emit the same refreshes at the same
   // activation indices — from *any* starting table, including ones the
-  // two-row pattern thrashes against.  Randomize the prehistory, the
-  // config, the pattern rows, and the batch length.
+  // command stream thrashes against.  Randomize the prehistory, the
+  // config, the command list, the repeat, and the batch length.  The
+  // lists cycle through the three shapes the DRAM replay feeds it: one
+  // row (one-location hammering, the FTL's per-I/O repeats), an
+  // alternating pair (double-sided), and 1-6 rows (a read pattern).
   Rng rng(0xADBA7C4);
-  for (int iter = 0; iter < 300; ++iter) {
+  for (int iter = 0; iter < 900; ++iter) {
     TrrConfig config;
     config.trackers_per_bank = 1 + static_cast<std::uint32_t>(
         rng.next_below(4));
@@ -130,17 +133,35 @@ TEST(Trr, BatchedAdvanceMatchesScalarOnRandomHistories) {
       ASSERT_EQ(fb, fs);
     }
 
-    const auto row_a = static_cast<std::uint32_t>(rng.next_below(8));
-    const auto row_b = rng.next_bool(0.25)
-                           ? row_a
-                           : static_cast<std::uint32_t>(rng.next_below(8));
+    std::vector<std::uint32_t> cmd_rows;
+    const auto pool_row = [&] {
+      return static_cast<std::uint32_t>(rng.next_below(8));
+    };
+    switch (iter % 3) {
+      case 0:
+        cmd_rows = {pool_row()};
+        break;
+      case 1: {
+        const std::uint32_t a = pool_row();
+        cmd_rows = {a, (a + 1 + static_cast<std::uint32_t>(
+                                    rng.next_below(7))) % 8};
+        break;
+      }
+      default:
+        for (std::uint64_t n = 1 + rng.next_below(6); n > 0; --n) {
+          cmd_rows.push_back(pool_row());
+        }
+    }
+    const std::uint64_t repeat = 1 + rng.next_below(6);
     const std::uint64_t events = rng.next_below(600);
 
-    const std::vector<TrrEmission> emissions =
-        batched.advance(0, row_a, row_b, events);
+    std::vector<TrrEmission> emissions;
+    batched.advance_cmds(0, cmd_rows, repeat, events, emissions);
     std::size_t next = 0;
     for (std::uint64_t e = 1; e <= events; ++e) {
-      const auto fired = scalar.on_activate(0, (e % 2) ? row_a : row_b);
+      const std::uint32_t row =
+          cmd_rows[((e - 1) / repeat) % cmd_rows.size()];
+      const auto fired = scalar.on_activate(0, row);
       if (fired.has_value()) {
         ASSERT_LT(next, emissions.size()) << "iter " << iter << " event " << e;
         EXPECT_EQ(emissions[next].index, e) << "iter " << iter;
