@@ -3,7 +3,8 @@
 # tests under AddressSanitizer + UndefinedBehaviorSanitizer
 # (-DRHSD_SANITIZE=address,undefined), a ThreadSanitizer smoke of the
 # parallel experiment engine (tests/exec_smoke.cpp, -DRHSD_SANITIZE=
-# thread), the chaos digest diff, and the perf gates.
+# thread), the chaos digest diff, the repo benchmark's pinned output
+# digests, and the perf gates.
 #
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
@@ -53,6 +54,25 @@ for BUILD_DIR in build build-asan; do
     exit 1
   }
   echo "${BUILD_DIR}: $(wc -l <"${BUILD_DIR}/chaos.run1") digests stable"
+done
+
+echo "== perfbench: pinned digests of the simulated outputs =="
+# Each workload's seed-1 digest is pinned in perfbench/src/main.cpp
+# (kPinned): a run exits 0 only when every pass's digest matches it.
+# Its last stdout line is the JSON result, which must also report
+# correct outputs and no failed operations.
+for W in exploit mitigations cloud_read cloud_rw; do
+  RESULT="$(python3 perfbench/run.py --workload "${W}" --seed 1 \
+      --seconds 1 --trace 0 | tail -n 1)" || {
+    echo "perfbench gate: ${W} exited nonzero" >&2
+    exit 1
+  }
+  if [[ "${RESULT}" != *'"correct": true,'* ||
+        "${RESULT}" != *'"failed": 0,'* ]]; then
+    echo "perfbench gate: ${W}: ${RESULT:0:200}" >&2
+    exit 1
+  fi
+  echo "perfbench ${W}: pinned digest, correct, 0 failed"
 done
 
 echo "== perf gate: batched hammer hot path =="

@@ -50,10 +50,6 @@ class Tenant {
   /// single-block read per LBA in `req.slbas` per round, until the
   /// round and/or deadline bound is hit.  Bit-exact with the
   /// equivalent scalar read_blocks() loop but replayed in closed form.
-  /// With `req.data` set the same interface drives a *write* pattern —
-  /// one single-block write per LBA per round, the scalar
-  /// write_blocks() loop under the same bounds (writes mutate FTL
-  /// state, so there is no closed-form replay to take).
   Status submit(const PatternRequest& req);
   Status write_blocks(std::uint64_t slba,
                       std::span<const std::uint8_t> data);

@@ -101,9 +101,10 @@ class Divisor {
 
 }  // namespace
 
-/// Working storage of one replay_pattern() call, kept across calls so a
-/// small call allocates nothing.  Every field is rebuilt per call (the
-/// cross-run accumulators) or per window run (the rest).
+/// Working storage of one replay_reads()/replay_pattern() call, kept
+/// across calls so a small call allocates nothing.  Every field is
+/// rebuilt per call (the cross-run accumulators) or per window run (the
+/// rest).
 struct DramDevice::PatternScratch {
   /// A targeted refresh inside a run: at `event`, the neighbors of
   /// `aggressor` up to `distance` rows away re-baseline.
@@ -156,6 +157,8 @@ struct DramDevice::PatternScratch {
   std::vector<std::uint64_t> bank_pos;
   std::vector<std::uint32_t> bank_rows;
   std::vector<TrrEmission> emissions;
+
+  std::vector<std::uint64_t> entry_rows;  // replay_reads()'s row pattern
 };
 
 DramDevice::DramDevice(DramConfig config,
@@ -1061,43 +1064,110 @@ void DramDevice::replay_window_run(std::span<const std::uint64_t> rows,
   }
 }
 
-void DramDevice::account_cache_pattern(
-    std::span<const DramAddr> lines,
-    std::span<const std::uint64_t> rel_stamps, std::uint64_t hits) {
-  RHSD_CHECK(cache_.has_value());
-  RHSD_CHECK(lines.size() == rel_stamps.size());
-  const std::uint64_t use_before = cache_->use_counter();
-  cache_->account_hits(hits);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    cache_->set_last_use(lines[i], use_before + rel_stamps[i]);
-  }
-  stats_.reads += hits;
-  stats_.cache_hits = cache_->hits();
-  stats_.cache_misses = cache_->misses();
+std::uint64_t DramDevice::row_of(DramAddr addr) const {
+  const std::uint64_t a = addr.value();
+  return mapper_->decode(DramAddr(a - a % config_.geometry.row_bytes))
+      .global_row(config_.geometry);
 }
 
-bool DramDevice::ecc_clean(std::uint64_t global_row, std::uint32_t byte_lo,
-                           std::uint32_t byte_hi) const {
-  if (!config_.mitigations.ecc || byte_lo >= byte_hi) return true;
-  const RowData* rd = row_data_[global_row].get();
-  if (rd == nullptr || rd->data.empty()) return true;
-  const std::uint32_t first_word = byte_lo / 8;
-  const std::uint32_t last_word = (byte_hi - 1) / 8;
-  for (std::uint32_t w = first_word; w <= last_word; ++w) {
-    const std::uint64_t word = LoadWord(&rd->data[w * 8]);
-    if (SecdedDecode(word, rd->ecc[w]).status != SecdedStatus::kOk) {
-      return false;
+bool DramDevice::reads_replayable(std::span<const DramAddr> entries,
+                                  std::uint32_t bytes) const {
+  RHSD_CHECK(bytes > 0);
+  if (!cache_.has_value() &&
+      config_.row_buffer_policy != RowBufferPolicy::kClosedPage) {
+    return false;  // hammer_pattern() models closed-page streams only
+  }
+  const std::uint32_t row_bytes = config_.geometry.row_bytes;
+  for (const DramAddr addr : entries) {
+    const std::uint64_t a = addr.value();
+    const auto off = static_cast<std::uint32_t>(a % row_bytes);
+    if (off + bytes > row_bytes) return false;
+    if (cache_.has_value()) {
+      // One line per touch, resident: a guaranteed hit.
+      const std::uint32_t line = cache_->config().line_bytes;
+      if (a / line != (a + bytes - 1) / line || !cache_->contains(addr)) {
+        return false;
+      }
+    }
+    if (!config_.mitigations.ecc) continue;
+    const RowData* rd = row_data_[row_of(addr)].get();
+    if (rd == nullptr || rd->data.empty()) continue;  // clean by construction
+    for (std::uint32_t w = off / 8; w <= (off + bytes - 1) / 8; ++w) {
+      if (SecdedDecode(LoadWord(&rd->data[w * 8]), rd->ecc[w]).status !=
+          SecdedStatus::kOk) {
+        return false;
+      }
     }
   }
   return true;
 }
 
-std::uint64_t DramDevice::injected_read_faults_away() const {
+std::uint64_t DramDevice::read_fault_horizon(std::uint64_t touches) const {
   if (injector_ == nullptr) return FaultInjector::kNoFault;
   const std::uint64_t at =
       injector_->next_fault_at(FaultClass::kDramBitError);
   if (at == FaultInjector::kNoFault) return at;
-  return at - injector_->ops(FaultClass::kDramBitError);
+  return (at - injector_->ops(FaultClass::kDramBitError)) /
+         read_ticks_per_cmd(touches);
+}
+
+bool DramDevice::replay_reads(std::span<const DramAddr> entries,
+                              std::uint64_t start, std::uint64_t n_cmds,
+                              std::uint64_t touches, const CmdTimes& cmd_times,
+                              std::span<const PatternHazard> hazards) {
+  RHSD_CHECK(!entries.empty());
+  RHSD_CHECK(touches > 0);
+  if (n_cmds == 0) return true;
+  const std::uint64_t P = entries.size();
+  if (!cache_.has_value()) {
+    // The entries' rows, rotated so the pattern starts at `start`'s
+    // position; the hazard list is row-keyed and unaffected.
+    std::vector<std::uint64_t>& rows = scratch_->entry_rows;
+    rows.resize(P);
+    for (std::uint64_t i = 0; i < P; ++i) {
+      rows[i] = row_of(entries[(start + i) % P]);
+    }
+    if (!hammer_pattern(rows, n_cmds, touches, cmd_times, hazards)) {
+      return false;
+    }
+  } else {
+    // All hits: no activations.  Each touched line ends with the LRU
+    // stamp of its last touch, the last touch of the last chunk command
+    // reading any entry in it (chunk command c reads entries[(start + c)
+    // % P]).  A line is handled at its first position in the pattern.
+    const std::uint32_t line = cache_->config().line_bytes;
+    const std::uint64_t use_before = cache_->use_counter();
+    const std::uint64_t s0 = start % P;
+    for (std::uint64_t q = 0; q < P; ++q) {
+      const std::uint64_t id = entries[q].value() / line;
+      bool seen = false;
+      for (std::uint64_t q2 = 0; q2 < q && !seen; ++q2) {
+        seen = entries[q2].value() / line == id;
+      }
+      if (seen) continue;
+      std::uint64_t last = 0;
+      bool touched = false;
+      for (std::uint64_t q2 = q; q2 < P; ++q2) {
+        if (entries[q2].value() / line != id) continue;
+        const std::uint64_t c0 = (q2 + P - s0) % P;
+        if (c0 >= n_cmds) continue;
+        last = std::max(last, c0 + (n_cmds - 1 - c0) / P * P);
+        touched = true;
+      }
+      if (touched) {
+        cache_->set_last_use(entries[q], use_before + (last + 1) * touches);
+      }
+    }
+    cache_->account_hits(n_cmds * touches);
+    stats_.cache_hits = cache_->hits();
+    stats_.cache_misses = cache_->misses();
+  }
+  stats_.reads += n_cmds * touches;
+  if (injector_ != nullptr) {
+    injector_->skip_ops(FaultClass::kDramBitError,
+                        n_cmds * read_ticks_per_cmd(touches));
+  }
+  return true;
 }
 
 Status DramDevice::verify_and_correct_ecc(RowData* rd,
@@ -1144,7 +1214,55 @@ void DramDevice::update_ecc(RowData& rd, std::uint32_t first_byte,
   }
 }
 
-Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
+Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out,
+                        std::uint64_t touches) {
+  RHSD_CHECK(touches > 0);
+  RHSD_RETURN_IF_ERROR(read_once(addr, out));
+  if (repeat_in_row(addr, out.size(), touches - 1)) {
+    stats_.reads += touches - 1;
+    return Status::Ok();
+  }
+  for (std::uint64_t i = 1; i < touches; ++i) {
+    RHSD_RETURN_IF_ERROR(read_once(addr, out));
+  }
+  return Status::Ok();
+}
+
+Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data,
+                         std::uint64_t touches) {
+  RHSD_CHECK(touches > 0);
+  RHSD_RETURN_IF_ERROR(write_once(addr, data));
+  if (repeat_in_row(addr, data.size(), touches - 1)) {
+    stats_.writes += touches - 1;
+    return Status::Ok();
+  }
+  for (std::uint64_t i = 1; i < touches; ++i) {
+    RHSD_RETURN_IF_ERROR(write_once(addr, data));
+  }
+  return Status::Ok();
+}
+
+bool DramDevice::repeat_in_row(DramAddr addr, std::size_t bytes,
+                               std::uint64_t extra) {
+  if (extra == 0 || bytes == 0) return true;
+  // Cache state evolves per access, and a span touching two adjacent
+  // rows lets each repeat disturb data it then reads: those repeats
+  // stay scalar.  Otherwise a repeat of the access just completed
+  // cannot change the bytes (the row's own activations disturb only its
+  // neighbors), the ECC state (scrubbed or rewritten by the first
+  // touch) or the outcome; only the activations and their neighbor
+  // disturbance remain.
+  const std::uint32_t row_bytes = config_.geometry.row_bytes;
+  const std::uint64_t a = addr.value();
+  if (cache_.has_value() || a / row_bytes != (a + bytes - 1) / row_bytes) {
+    return false;
+  }
+  const std::uint64_t row = row_of(addr);
+  hammer_events(row, row, extra);
+  return true;
+}
+
+Status DramDevice::read_once(DramAddr addr, std::span<std::uint8_t> out) {
   if (addr.value() + out.size() > config_.geometry.total_bytes()) {
     return OutOfRange("DRAM read past end of device");
   }
@@ -1158,9 +1276,7 @@ Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
       // bit (low 3 bits) and the byte within the accessed span.
       const std::uint64_t target =
           addr.value() + (fault->param >> 3) % out.size();
-      RowData& rd = materialize(
-          mapper_->decode(DramAddr(target - target % config_.geometry.row_bytes))
-              .global_row(config_.geometry));
+      RowData& rd = materialize(row_of(DramAddr(target)));
       rd.data[target % config_.geometry.row_bytes] ^=
           static_cast<std::uint8_t>(1u << (fault->param & 7));
       ++stats_.injected_bit_errors;
@@ -1202,7 +1318,8 @@ Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out) {
   return Status::Ok();
 }
 
-Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data) {
+Status DramDevice::write_once(DramAddr addr,
+                              std::span<const std::uint8_t> data) {
   if (addr.value() + data.size() > config_.geometry.total_bytes()) {
     return OutOfRange("DRAM write past end of device");
   }
@@ -1234,71 +1351,6 @@ Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data) {
     a += chunk;
     done += chunk;
   }
-  return Status::Ok();
-}
-
-Status DramDevice::repeat_read(DramAddr addr, std::span<std::uint8_t> out,
-                               std::uint64_t extra) {
-  if (addr.value() + out.size() > config_.geometry.total_bytes()) {
-    return OutOfRange("DRAM read past end of device");
-  }
-  if (extra == 0) return Status::Ok();
-  if (out.empty()) {
-    stats_.reads += extra;  // empty reads touch no rows
-    return Status::Ok();
-  }
-  const std::uint32_t row_bytes = config_.geometry.row_bytes;
-  const std::uint64_t first_row = addr.value() / row_bytes;
-  const std::uint64_t last_row = (addr.value() + out.size() - 1) / row_bytes;
-  if (cache_.has_value() || first_row != last_row) {
-    // Cache state evolves per access, and a span touching two adjacent
-    // rows lets each repeat disturb data it then reads — replay the
-    // accesses faithfully in either case.
-    for (std::uint64_t i = 0; i < extra; ++i) {
-      RHSD_RETURN_IF_ERROR(read(addr, out));
-    }
-    return Status::Ok();
-  }
-  // One row, no cache: repeats of the just-completed read cannot change
-  // the buffer (the row's own activations disturb only its neighbors),
-  // the ECC state (scrubbed by the first read), or the outcome — only
-  // the activations and their neighbor disturbance remain.
-  stats_.reads += extra;
-  const DramCoord coord =
-      mapper_->decode(DramAddr(addr.value() - addr.value() % row_bytes));
-  hammer_events(coord.global_row(config_.geometry),
-                coord.global_row(config_.geometry), extra);
-  return Status::Ok();
-}
-
-Status DramDevice::repeat_write(DramAddr addr,
-                                std::span<const std::uint8_t> data,
-                                std::uint64_t extra) {
-  if (addr.value() + data.size() > config_.geometry.total_bytes()) {
-    return OutOfRange("DRAM write past end of device");
-  }
-  if (extra == 0) return Status::Ok();
-  if (data.empty()) {
-    stats_.writes += extra;
-    return Status::Ok();
-  }
-  const std::uint32_t row_bytes = config_.geometry.row_bytes;
-  const std::uint64_t first_row = addr.value() / row_bytes;
-  const std::uint64_t last_row = (addr.value() + data.size() - 1) / row_bytes;
-  if (cache_.has_value() || first_row != last_row) {
-    for (std::uint64_t i = 0; i < extra; ++i) {
-      RHSD_RETURN_IF_ERROR(write(addr, data));
-    }
-    return Status::Ok();
-  }
-  // Rewriting identical bytes is idempotent (memcpy and ECC update
-  // reproduce the state the first write left); only the activations and
-  // their neighbor disturbance remain.
-  stats_.writes += extra;
-  const DramCoord coord =
-      mapper_->decode(DramAddr(addr.value() - addr.value() % row_bytes));
-  hammer_events(coord.global_row(config_.geometry),
-                coord.global_row(config_.geometry), extra);
   return Status::Ok();
 }
 

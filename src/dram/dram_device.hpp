@@ -9,17 +9,23 @@
 // injection.
 //
 // One closed-form hammer engine, bit-exact with the scalar path:
-//  * the scalar path — read()/write() activate rows one at a time and
-//    run a victim check per activation (hammer_pair_scalar() and
+//  * the scalar path — one access activates rows one at a time and runs
+//    a victim check per activation (hammer_pair_scalar() and
 //    hammer_row_scalar() drive it as the test oracle);
 //  * the pattern replay — a periodic activation stream (command c
 //    hammers rows[c % P] `repeat` times) applied as one row-state update
 //    plus a closed-form victim check per refresh-window run.  One-,
 //    double- and many-sided hammering are its 1-, 2- and N-row cases:
-//    the FTL's per-I/O repeats (repeat_read()/repeat_write()) and
-//    hammer_row() replay one row, hammer_pair() the pair {a, b}, and
-//    hammer_pattern() the FTL's whole read patterns.  Same seed, same
-//    FlipEvent sequence, same DramStats as the scalar path.
+//    the repeated touches of one read()/write() call and hammer_row()
+//    replay one row, hammer_pair() the pair {a, b}, and replay_reads()
+//    the FTL's whole read patterns.  Same seed, same FlipEvent
+//    sequence, same DramStats as the scalar path.
+//
+// The FTL makes one call per L2P access (read()/write() with the
+// firmware's touch count) and one per replayed chunk of a read pattern
+// (replay_reads(), after reads_replayable() and read_fault_horizon()):
+// how a stream of touches is accounted — reads, fault-injector ticks,
+// cache LRU stamps, ECC state — is decided here only.
 //
 // Optional mitigations (all off by default, matching the paper's
 // testbed): SECDED ECC, TRR, PARA, a CPU cache in front of the arrays,
@@ -172,12 +178,24 @@ class DramDevice {
   DramDevice(const DramDevice&) = delete;
   DramDevice& operator=(const DramDevice&) = delete;
 
-  /// Read bytes. Activates each touched row (unless the cache absorbs
-  /// it).  Returns Corruption if ECC detects an uncorrectable error.
-  Status read(DramAddr addr, std::span<std::uint8_t> out);
+  /// Read bytes `touches` times back to back (firmware touching one L2P
+  /// entry several times per command).  A touch activates each row it
+  /// touches (unless the cache absorbs it), ticks the fault injector
+  /// and verifies ECC.  The touches after the first replay as the 1-row
+  /// pattern when the span lies in one row and no cache is configured:
+  /// they then cannot change the buffer, the ECC state or the outcome,
+  /// so only their activations remain.  Otherwise each is a further
+  /// scalar touch.  Returns Corruption, after the failing touch, if ECC
+  /// detects an uncorrectable error.  DramStats::reads counts every
+  /// touch issued, a failing one included.
+  Status read(DramAddr addr, std::span<std::uint8_t> out,
+              std::uint64_t touches = 1);
 
-  /// Write bytes. Always activates the touched rows.
-  Status write(DramAddr addr, std::span<const std::uint8_t> data);
+  /// Write bytes `touches` times.  Always activates the touched rows;
+  /// the touches after the first follow read()'s rule (rewriting
+  /// identical bytes is idempotent).  DramStats::writes counts touches.
+  Status write(DramAddr addr, std::span<const std::uint8_t> data,
+               std::uint64_t touches = 1);
 
   /// `pairs` alternating activations of the two aggressors (a, b, a, b,
   /// ... — 2*pairs accesses): the 2-row pattern {a, b}, replayed in
@@ -199,7 +217,8 @@ class DramDevice {
                           std::uint64_t pairs);
   void hammer_row_scalar(std::uint64_t global_row, std::uint64_t count);
 
-  /// Batched replay of an FTL read-pattern chunk: command c (0-based,
+  /// Batched replay of an activation pattern (replay_reads() feeds it
+  /// uncached FTL read-pattern chunks): command c (0-based,
   /// c < n_cmds) activates rows[c % rows.size()] `repeat` times, i.e.
   /// the activation stream is rows[0]*repeat, rows[1]*repeat, ...,
   /// wrapping around the pattern — exactly what `n_cmds` scalar
@@ -218,7 +237,7 @@ class DramDevice {
   /// fall in the clock's current refresh window.
   /// Preconditions: closed-page policy, no cache (the entry points that
   /// resolve row-buffer hits and cache fallbacks first — hammer_pair(),
-  /// hammer_row(), repeat_read(), repeat_write() — reach the same replay
+  /// hammer_row(), read()/write() with touches — reach the same replay
   /// core without them).  Bit-exact with the scalar loop: same flips in
   /// the same order, same DramStats, same TRR/PARA state.
   ///
@@ -231,57 +250,37 @@ class DramDevice {
                                     std::uint64_t repeat, CmdTimes cmd_times,
                                     std::span<const PatternHazard> hazards);
 
-  /// Replay-accounting hooks for the FTL's batched pattern path.  Each
-  /// mirrors exactly the bookkeeping the equivalent scalar read() calls
-  /// would have performed, without re-running them.
+  /// The FTL's read patterns, one call each.  Such a stream is a run of
+  /// commands where command g reads `bytes` at entries[g % P], P =
+  /// entries.size(), with `touches` touches: the L2P lookups of a round
+  /// of reads of unmapped LBAs.
   ///
-  /// Bump DramStats::reads by `n` (the scalar path counts one per read()
-  /// call; hammer_pattern() replays only the activations).
-  void account_pattern_reads(std::uint64_t n) { stats_.reads += n; }
-  /// True when a cache is configured and `addr`'s line is resident (so a
-  /// read of it is a guaranteed hit that activates nothing).
-  [[nodiscard]] bool cache_resident(DramAddr addr) const {
-    return cache_.has_value() && cache_->contains(addr);
-  }
-  /// Batched all-hit cache replay: account `hits` cache hits (each one
-  /// also a read), then stamp line `lines[i]` with LRU time
-  /// `use_counter_before + rel_stamps[i]` — the stamp its last scalar
-  /// access would have left.  Preconditions: cache configured, every
-  /// line resident.
-  void account_cache_pattern(std::span<const DramAddr> lines,
-                             std::span<const std::uint64_t> rel_stamps,
-                             std::uint64_t hits);
-  /// True when the SECDED state of `[byte_lo, byte_hi)` in `global_row`
-  /// is consistent (a scalar read's ECC verify would be a no-op).  Rows
-  /// never materialized are clean by construction.  Pure check.
-  [[nodiscard]] bool ecc_clean(std::uint64_t global_row,
-                               std::uint32_t byte_lo,
-                               std::uint32_t byte_hi) const;
-  /// Injected-read-fault lookahead/skip, for fault-aligned batching:
-  /// read() ticks FaultClass::kDramBitError once per call, so a batched
-  /// replay of n fault-free reads must skip n ops to stay aligned.
-  /// Returns how many read() ticks away the next injected bit error is
-  /// (0 = the very next read), or FaultInjector::kNoFault.
-  [[nodiscard]] std::uint64_t injected_read_faults_away() const;
-  void skip_injected_read_faults(std::uint64_t n) {
-    if (injector_ != nullptr) {
-      injector_->skip_ops(FaultClass::kDramBitError, n);
-    }
-  }
-
-  /// Repeat the read of `out`'s span `extra` more times, batched.  Must
-  /// directly follow a *successful* read() of the same span into the
-  /// same buffer: the repeats then cannot change the buffer, the ECC
-  /// state, or the error outcome, so only the activations (and their
-  /// disturbance) are replayed, as the 1-row pattern.  Spans crossing a
-  /// row boundary or a configured cache fall back to scalar read()
-  /// calls.
-  Status repeat_read(DramAddr addr, std::span<std::uint8_t> out,
-                     std::uint64_t extra);
-  /// Repeat the write of `data` `extra` more times, batched.  Must
-  /// directly follow a write() of the same data to the same span.
-  Status repeat_write(DramAddr addr, std::span<const std::uint8_t> data,
-                      std::uint64_t extra);
+  /// True when the stream replays exactly from the current state: every
+  /// entry lies in one row; with a cache, in one resident line (every
+  /// touch hits and nothing activates); without one, the row-buffer
+  /// policy is closed page; and with ECC every entry's check words are
+  /// consistent (a scalar read's verify would be a no-op).  Pure check.
+  [[nodiscard]] bool reads_replayable(std::span<const DramAddr> entries,
+                                      std::uint32_t bytes) const;
+  /// Commands of such a stream that run before the next injected bit
+  /// error (0 = the very next command carries it), or
+  /// FaultInjector::kNoFault.
+  [[nodiscard]] std::uint64_t read_fault_horizon(
+      std::uint64_t touches) const;
+  /// Replay commands [start, start + n_cmds) of such a stream in closed
+  /// form, bit-exact with n_cmds read() calls of `touches` touches: same
+  /// DramStats, flips, cache LRU state and fault-op alignment.  Without
+  /// a cache the stream is the entries' row pattern, rotated to start,
+  /// through the hammer_pattern() engine (`cmd_times`, `hazards` and the
+  /// abort as there: false leaves the device untouched); with one, it
+  /// is pure hit accounting plus the LRU stamp each line's last touch
+  /// leaves.  Preconditions: reads_replayable(), n_cmds at most
+  /// read_fault_horizon().  No allocation once the scratch has grown.
+  [[nodiscard]] bool replay_reads(std::span<const DramAddr> entries,
+                                  std::uint64_t start, std::uint64_t n_cmds,
+                                  std::uint64_t touches,
+                                  const CmdTimes& cmd_times,
+                                  std::span<const PatternHazard> hazards);
 
   /// Inspect memory without activations, stats, or ECC (for tests and
   /// experiment harnesses, not part of the modeled device interface).
@@ -366,6 +365,25 @@ class DramDevice {
   [[nodiscard]] std::uint64_t current_window() const {
     return clock_.now_ns() / window_ns_;
   }
+
+  /// One touch of read()/write().
+  Status read_once(DramAddr addr, std::span<std::uint8_t> out);
+  Status write_once(DramAddr addr, std::span<const std::uint8_t> data);
+  /// The touches after the first of a read()/write() of `bytes` at
+  /// `addr`: replays `extra` of them as the 1-row pattern and returns
+  /// true when the span lies in one row and no cache is configured (an
+  /// empty span touches no row); otherwise returns false and leaves them
+  /// to the caller as scalar touches.
+  bool repeat_in_row(DramAddr addr, std::size_t bytes, std::uint64_t extra);
+  /// Fault-injector ticks per command of `touches` touches replayed by
+  /// replay_reads(): read_once() ticks FaultClass::kDramBitError once
+  /// per call, which is every touch with a cache and only the first one
+  /// without (repeat_in_row() ticks nothing).
+  [[nodiscard]] std::uint64_t read_ticks_per_cmd(std::uint64_t touches) const {
+    return cache_.has_value() ? touches : 1;
+  }
+  /// Global row holding `addr`.
+  [[nodiscard]] std::uint64_t row_of(DramAddr addr) const;
 
   void roll_window(std::uint64_t global_row);
   RowData& materialize(std::uint64_t global_row);
@@ -459,7 +477,7 @@ class DramDevice {
   /// True iff TRR or PARA can write refresh_bases_; when false the
   /// activation path skips the baseline lookup entirely.
   bool neighbor_refresh_active_ = false;
-  std::unique_ptr<PatternScratch> scratch_;  // replay_pattern() storage
+  std::unique_ptr<PatternScratch> scratch_;  // replay storage
 };
 
 }  // namespace rhsd

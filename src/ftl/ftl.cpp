@@ -37,13 +37,12 @@ Ftl::Ftl(FtlConfig config, NandDevice& nand, DramDevice& dram)
     : config_(config),
       nand_(nand),
       dram_(dram),
-      layout_(MakeL2pLayout(config.layout, config.l2p_base, config.num_lbas,
+      layout_(MakeL2pLayout(config.layout, DramAddr(0), config.num_lbas,
                             config.device_key)) {
   RHSD_CHECK_MSG(config_.num_lbas > 0, "FTL needs a nonzero capacity");
   RHSD_CHECK_MSG(config_.hammers_per_io >= 1, "hammers_per_io must be >= 1");
   RHSD_CHECK_MSG(
-      config_.l2p_base.value() + layout_->table_bytes() <=
-          dram_.config().geometry.total_bytes(),
+      layout_->table_bytes() <= dram_.config().geometry.total_bytes(),
       "L2P table does not fit in device DRAM");
   RHSD_CHECK_MSG(nand_.geometry().page_bytes == kBlockSize,
                  "FTL assumes 4 KiB NAND pages");
@@ -61,7 +60,7 @@ Ftl::Ftl(FtlConfig config, NandDevice& nand, DramDevice& dram)
   // Power-on initialization: the whole table starts unmapped. Uses poke
   // so the bring-up does not count as hammering activity.
   std::vector<std::uint8_t> ff(layout_->table_bytes(), 0xFF);
-  dram_.poke(config_.l2p_base, ff);
+  dram_.poke(DramAddr(0), ff);
 
   const std::uint32_t blocks = nand_.geometry().total_blocks();
   page_valid_.assign(nand_.geometry().total_pages(), false);
@@ -118,6 +117,13 @@ void Ftl::update_degradation() {
   }
 }
 
+Ftl::EntryLoc Ftl::entry_loc(Lba lba) const {
+  const std::uint64_t a = layout_->entry_addr(lba.value()).value();
+  const auto& geo = dram_.config().geometry;
+  const auto off = static_cast<std::uint32_t>(a % geo.row_bytes);
+  return {dram_.mapper().decode(DramAddr(a - off)).global_row(geo), off};
+}
+
 Status Ftl::check_lba(Lba lba) const {
   if (lba.value() >= config_.num_lbas) {
     return OutOfRange("LBA " + std::to_string(lba.value()) +
@@ -145,70 +151,32 @@ Status Ftl::guard_op(bool mutating) {
   return Status::Ok();
 }
 
-bool Ftl::l2p_batched_ok(DramAddr addr) const {
-  // The batched repeat path needs the per-access cache interaction and
-  // cross-row disturbance cases out of the way; otherwise replay the
-  // accesses one by one exactly as before.
-  if (dram_.config().mitigations.cache.has_value()) return false;
-  const std::uint32_t row_bytes = dram_.config().geometry.row_bytes;
-  return addr.value() % row_bytes + L2pLayout::kEntryBytes <= row_bytes;
-}
-
 Status Ftl::l2p_load(Lba lba, std::uint32_t& pba32) {
-  const DramAddr addr = layout_->entry_addr(lba.value());
   std::uint8_t buf[L2pLayout::kEntryBytes];
-  // Amplification: firmware touches the entry's row several times per
-  // request (§4.1 used 5 hammers per I/O).  The first touch does the
-  // real transfer; the repeats reduce to row activations, which the
-  // DRAM's batched fast path coalesces.
-  ++stats_.l2p_dram_reads;
-  Status s = dram_.read(addr, buf);
+  // Amplification: firmware touches the entry hammers_per_io times per
+  // request (§4.1 used 5 hammers per I/O).  DramStats::reads counts
+  // every touch the call issues, a failing one included; the FTL's
+  // counter takes the same count.
+  const std::uint64_t reads_before = dram_.stats().reads;
+  const Status s = dram_.read(layout_->entry_addr(lba.value()), buf,
+                              config_.hammers_per_io);
+  stats_.l2p_dram_reads += dram_.stats().reads - reads_before;
   if (!s.ok()) {
     ++stats_.l2p_corruption_errors;
     return s;
-  }
-  if (config_.hammers_per_io > 1) {
-    if (l2p_batched_ok(addr)) {
-      stats_.l2p_dram_reads += config_.hammers_per_io - 1;
-      s = dram_.repeat_read(addr, buf, config_.hammers_per_io - 1);
-      if (!s.ok()) {
-        ++stats_.l2p_corruption_errors;
-        return s;
-      }
-    } else {
-      for (std::uint32_t i = 1; i < config_.hammers_per_io; ++i) {
-        ++stats_.l2p_dram_reads;
-        s = dram_.read(addr, buf);
-        if (!s.ok()) {
-          ++stats_.l2p_corruption_errors;
-          return s;
-        }
-      }
-    }
   }
   pba32 = Load32(buf);
   return Status::Ok();
 }
 
 Status Ftl::l2p_store(Lba lba, std::uint32_t pba32) {
-  const DramAddr addr = layout_->entry_addr(lba.value());
   std::uint8_t buf[L2pLayout::kEntryBytes];
   Store32(buf, pba32);
-  ++stats_.l2p_dram_writes;
-  RHSD_RETURN_IF_ERROR(dram_.write(addr, buf));
-  if (config_.hammers_per_io > 1) {
-    if (l2p_batched_ok(addr)) {
-      stats_.l2p_dram_writes += config_.hammers_per_io - 1;
-      RHSD_RETURN_IF_ERROR(
-          dram_.repeat_write(addr, buf, config_.hammers_per_io - 1));
-    } else {
-      for (std::uint32_t i = 1; i < config_.hammers_per_io; ++i) {
-        ++stats_.l2p_dram_writes;
-        RHSD_RETURN_IF_ERROR(dram_.write(addr, buf));
-      }
-    }
-  }
-  return Status::Ok();
+  const std::uint64_t writes_before = dram_.stats().writes;
+  const Status s = dram_.write(layout_->entry_addr(lba.value()), buf,
+                               config_.hammers_per_io);
+  stats_.l2p_dram_writes += dram_.stats().writes - writes_before;
+  return s;
 }
 
 void Ftl::mark_invalid(Pba pba) {
@@ -464,44 +432,14 @@ bool Ftl::plan_pattern_replay(std::span<const Lba> lbas,
                               PatternReplayPlan* plan) {
   *plan = PatternReplayPlan{};
   if (lbas.empty() || powered_off_ || needs_recovery_) return false;
-  const auto& geo = dram_.config().geometry;
-  const std::uint32_t row_bytes = geo.row_bytes;
-  const bool cache = dram_.config().mitigations.cache.has_value();
-  if (!cache &&
-      dram_.config().row_buffer_policy != RowBufferPolicy::kClosedPage) {
-    // hammer_pattern models closed-page activation streams only.
-    return false;
-  }
-  plan->cache_mode = cache;
-  plan->hammers_per_io = config_.hammers_per_io;
   plan->scrub_enabled =
       config_.scrub_interval_ios > 0 && journal_ != nullptr;
   const bool ecc = dram_.config().mitigations.ecc;
   const std::uint64_t total_pages = nand_.geometry().total_pages();
   for (const Lba lba : lbas) {
     if (!check_lba(lba).ok()) return false;
-    const DramAddr addr = layout_->entry_addr(lba.value());
-    const auto off = static_cast<std::uint32_t>(addr.value() % row_bytes);
-    if (cache) {
-      // One access batch per read: the entry must sit in one row and
-      // one cache line, so a resident line means a pure hit.
-      const std::uint32_t line =
-          dram_.config().mitigations.cache->line_bytes;
-      if (off + L2pLayout::kEntryBytes > row_bytes) return false;
-      if (addr.value() / line !=
-          (addr.value() + L2pLayout::kEntryBytes - 1) / line) {
-        return false;
-      }
-    } else if (!l2p_batched_ok(addr)) {
-      return false;
-    }
-    const std::uint64_t row_base = addr.value() - off;
-    const std::uint64_t grow =
-        dram_.mapper().decode(DramAddr(row_base)).global_row(geo);
     plan->lbas.push_back(lba);
-    plan->entry_addrs.push_back(addr);
-    plan->entry_rows.push_back(grow);
-    if (cache) continue;  // all-hit replay activates nothing
+    plan->entry_addrs.push_back(layout_->entry_addr(lba.value()));
     // Hazard analysis: could a disturbance flip inside this entry feed
     // back into the replayed reads?  With ECC the entry's check words
     // must stay consistent (a dirty word makes the scalar read correct
@@ -510,6 +448,7 @@ bool Ftl::plan_pattern_replay(std::span<const Lba> lbas,
     // as *mapped* changes behaviour; flips drive bits to their failure
     // values monotonically, so the reachable minimum is the current
     // value with every vulnerable clear-to-0 bit cleared.
+    const auto [grow, off] = entry_loc(lba);
     PatternHazard hz;
     hz.global_row = grow;
     if (ecc) {
@@ -528,9 +467,7 @@ bool Ftl::plan_pattern_replay(std::span<const Lba> lbas,
           clear_mask |= 1u << ((c.byte_offset - off) * 8 + c.bit);
         }
       }
-      std::uint8_t buf[L2pLayout::kEntryBytes];
-      dram_.peek(addr, buf);
-      const std::uint32_t reach_min = Load32(buf) & ~clear_mask;
+      const std::uint32_t reach_min = debug_lookup(lba) & ~clear_mask;
       if (reach_min == kUnmappedPba32 || reach_min >= total_pages) {
         continue;  // provably stays unmapped under any flip subset
       }
@@ -552,41 +489,24 @@ bool Ftl::plan_pattern_replay(std::span<const Lba> lbas,
 
 bool Ftl::pattern_state_ok(const PatternReplayPlan& plan) const {
   if (powered_off_ || needs_recovery_) return false;
+  if (!dram_.reads_replayable(plan.entry_addrs, L2pLayout::kEntryBytes)) {
+    return false;
+  }
   const std::uint64_t total_pages = nand_.geometry().total_pages();
-  const std::uint32_t row_bytes = dram_.config().geometry.row_bytes;
-  const bool ecc = dram_.config().mitigations.ecc;
-  for (std::size_t i = 0; i < plan.lbas.size(); ++i) {
-    const std::uint32_t pba32 = debug_lookup(plan.lbas[i]);
+  for (const Lba lba : plan.lbas) {
+    const std::uint32_t pba32 = debug_lookup(lba);
     if (pba32 != kUnmappedPba32 && pba32 < total_pages) return false;
-    if (ecc) {
-      const auto off =
-          static_cast<std::uint32_t>(plan.entry_addrs[i].value() % row_bytes);
-      if (!dram_.ecc_clean(plan.entry_rows[i], off & ~7u,
-                           (off + L2pLayout::kEntryBytes + 7u) & ~7u)) {
-        return false;
-      }
-    }
-    if (plan.cache_mode && !dram_.cache_resident(plan.entry_addrs[i])) {
-      return false;
-    }
   }
   return true;
 }
 
 std::uint64_t Ftl::replay_safe_cmds(const PatternReplayPlan& plan) const {
-  std::uint64_t safe = FaultInjector::kNoFault;
+  std::uint64_t safe = dram_.read_fault_horizon(config_.hammers_per_io);
   if (injector_ != nullptr) {
     const std::uint64_t at = injector_->next_fault_at(FaultClass::kPowerLoss);
     if (at != FaultInjector::kNoFault) {
       safe = std::min(safe, at - injector_->ops(FaultClass::kPowerLoss));
     }
-  }
-  const std::uint64_t d = dram_.injected_read_faults_away();
-  if (d != FaultInjector::kNoFault) {
-    // One DRAM read tick per command — hammers_per_io of them when each
-    // amplified touch is a separate cache-path read() call.
-    const std::uint64_t mult = plan.cache_mode ? plan.hammers_per_io : 1;
-    safe = std::min(safe, d / mult);
   }
   if (plan.scrub_enabled) {
     safe = std::min<std::uint64_t>(
@@ -595,69 +515,15 @@ std::uint64_t Ftl::replay_safe_cmds(const PatternReplayPlan& plan) const {
   return safe;
 }
 
-Status Ftl::replay_pattern_reads(const PatternReplayPlan& plan,
-                                 std::uint64_t start_cmd,
-                                 std::uint64_t n_cmds, CmdTimes cmd_times,
-                                 bool* applied) {
-  RHSD_CHECK(applied != nullptr);
-  *applied = false;
-  if (n_cmds == 0) {
-    *applied = true;
-    return Status::Ok();
-  }
-  const std::uint64_t P = plan.lbas.size();
-  const std::uint64_t h = plan.hammers_per_io;
-  if (!plan.cache_mode) {
-    // Rotate the row pattern so the replay starts at start_cmd's
-    // pattern position; the hazard list is row-keyed and unaffected.
-    std::vector<std::uint64_t> rot(P);
-    for (std::uint64_t i = 0; i < P; ++i) {
-      rot[i] = plan.entry_rows[(start_cmd + i) % P];
-    }
-    if (!dram_.hammer_pattern(rot, n_cmds, h, cmd_times, plan.hazards)) {
-      return Status::Ok();  // hazard: caller replays this chunk scalar
-    }
-    dram_.account_pattern_reads(h * n_cmds);
-    dram_.skip_injected_read_faults(n_cmds);
-  } else {
-    // All-hit steady state: no activations; replay is hit accounting
-    // plus the final LRU stamp each touched line would carry.
-    std::vector<DramAddr> lines;
-    std::vector<std::uint64_t> stamps;
-    const std::uint32_t line_bytes =
-        dram_.config().mitigations.cache->line_bytes;
-    const std::uint64_t s0 = start_cmd % P;
-    for (std::uint64_t q = 0; q < P; ++q) {
-      const std::uint64_t id = plan.entry_addrs[q].value() / line_bytes;
-      bool seen = false;
-      for (const DramAddr& prev : lines) {
-        if (prev.value() / line_bytes == id) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) continue;
-      // Last chunk-local command touching this line, across all pattern
-      // positions that live in it.
-      std::uint64_t last = 0;
-      bool touched = false;
-      for (std::uint64_t q2 = 0; q2 < P; ++q2) {
-        if (plan.entry_addrs[q2].value() / line_bytes != id) continue;
-        const std::uint64_t c0 = (q2 + P - s0) % P;
-        if (c0 >= n_cmds) continue;
-        const std::uint64_t c_last = c0 + ((n_cmds - 1 - c0) / P) * P;
-        if (!touched || c_last > last) last = c_last;
-        touched = true;
-      }
-      if (!touched) continue;
-      lines.push_back(plan.entry_addrs[q]);
-      stamps.push_back((last + 1) * h);
-    }
-    dram_.account_cache_pattern(lines, stamps, h * n_cmds);
-    dram_.skip_injected_read_faults(n_cmds * h);
+bool Ftl::replay_pattern_reads(const PatternReplayPlan& plan,
+                               std::uint64_t start_cmd, std::uint64_t n_cmds,
+                               const CmdTimes& cmd_times) {
+  if (!dram_.replay_reads(plan.entry_addrs, start_cmd, n_cmds,
+                          config_.hammers_per_io, cmd_times, plan.hazards)) {
+    return false;  // hazard: the caller replays this chunk scalar
   }
   stats_.host_reads += n_cmds;
-  stats_.l2p_dram_reads += h * n_cmds;
+  stats_.l2p_dram_reads += config_.hammers_per_io * n_cmds;
   stats_.unmapped_reads += n_cmds;
   if (plan.scrub_enabled) {
     ios_since_scrub_ += n_cmds;
@@ -666,8 +532,7 @@ Status Ftl::replay_pattern_reads(const PatternReplayPlan& plan,
   if (injector_ != nullptr) {
     injector_->skip_ops(FaultClass::kPowerLoss, n_cmds);
   }
-  *applied = true;
-  return Status::Ok();
+  return true;
 }
 
 void Ftl::xts_whiten(Lba lba, std::span<std::uint8_t> data) const {
@@ -834,20 +699,7 @@ Status Ftl::scrub(std::uint64_t* repaired) {
     }
     // Authoritative mapping: snapshot plus every flushed record in
     // sequence order.
-    std::vector<std::uint32_t> truth = std::move(r.table);
-    std::vector<std::uint64_t> last(config_.num_lbas, r.snapshot_write_seq);
-    std::stable_sort(r.records.begin(), r.records.end(),
-                     [](const JournalRecord& a, const JournalRecord& b) {
-                       return a.seq < b.seq;
-                     });
-    for (const JournalRecord& rec : r.records) {
-      if (rec.lpn >= config_.num_lbas) continue;
-      if (rec.seq > last[rec.lpn]) {
-        truth[rec.lpn] = rec.pba32;
-        last[rec.lpn] = rec.seq;
-      }
-    }
-    scrub_truth_ = std::move(truth);
+    scrub_truth_ = r.replay(config_.num_lbas).table;
     if (cacheable) {
       scrub_truth_valid_ = true;
       scrub_truth_epoch_ = journal_->epoch();
@@ -863,32 +715,15 @@ Status Ftl::scrub(std::uint64_t* repaired) {
     if (scrub_locs_.empty()) {
       // Decode every entry's DRAM location once; the layout never
       // changes underneath a live FTL.
-      const std::uint32_t row_bytes = dram_.config().geometry.row_bytes;
       scrub_locs_.resize(config_.num_lbas);
       for (std::uint64_t lpn = 0; lpn < config_.num_lbas; ++lpn) {
-        const DramAddr addr = layout_->entry_addr(lpn);
-        const auto off = static_cast<std::uint32_t>(
-            addr.value() % row_bytes);
-        if (off + L2pLayout::kEntryBytes <= row_bytes) {
-          const DramCoord coord =
-              dram_.mapper().decode(DramAddr(addr.value() - off));
-          scrub_locs_[lpn].row =
-              coord.global_row(dram_.config().geometry);
-          scrub_locs_[lpn].offset = off;
-        }
+        scrub_locs_[lpn] = entry_loc(Lba(lpn));
       }
     }
     std::uint8_t entry[L2pLayout::kEntryBytes];
     for (std::uint64_t lpn = 0; lpn < config_.num_lbas; ++lpn) {
-      const ScrubLoc& loc = scrub_locs_[lpn];
-      std::uint32_t actual;
-      if (loc.row != ScrubLoc::kNoRow) {
-        dram_.peek_row(loc.row, loc.offset, entry);
-        actual = Load32(entry);
-      } else {
-        actual = debug_lookup(Lba(lpn));
-      }
-      if (actual != scrub_truth_[lpn]) {
+      dram_.peek_row(scrub_locs_[lpn].row, scrub_locs_[lpn].offset, entry);
+      if (Load32(entry) != scrub_truth_[lpn]) {
         // Drifted from the journaled state: a hammer flip or an injected
         // soft error.  Repair in place (poke: maintenance traffic is not
         // modeled as hammering).
@@ -928,31 +763,15 @@ Status Ftl::recover(FtlRecoveryReport* report) {
   rep.epoch = r.epoch;
   rep.corrupt_journal_pages = r.corrupt_pages;
 
-  const std::uint64_t n = config_.num_lbas;
-  std::vector<std::uint32_t> table =
-      r.snapshot_found ? std::move(r.table)
-                       : std::vector<std::uint32_t>(n, kUnmappedPba32);
-  std::vector<std::uint64_t> last_seq(n, r.snapshot_write_seq);
-  std::uint64_t max_seq = r.snapshot_write_seq;
-
   // 1. Replay journal records newer than the snapshot, in sequence
   //    order.
-  std::stable_sort(r.records.begin(), r.records.end(),
-                   [](const JournalRecord& a, const JournalRecord& b) {
-                     return a.seq < b.seq;
-                   });
-  for (const JournalRecord& rec : r.records) {
-    if (rec.lpn >= n) {
-      ++rep.invalid_records;
-      continue;
-    }
-    max_seq = std::max(max_seq, rec.seq);
-    if (rec.seq > last_seq[rec.lpn]) {
-      table[rec.lpn] = rec.pba32;
-      last_seq[rec.lpn] = rec.seq;
-      ++rep.records_applied;
-    }
-  }
+  const std::uint64_t n = config_.num_lbas;
+  JournalLoadResult::Replay journal = r.replay(n);
+  std::vector<std::uint32_t>& table = journal.table;
+  std::vector<std::uint64_t>& last_seq = journal.last_seq;
+  std::uint64_t max_seq = journal.max_seq;
+  rep.records_applied = journal.applied;
+  rep.invalid_records = journal.invalid;
 
   // 2. OOB scan: every programmed data page names its owner and write
   //    sequence, which re-adopts journaled-but-unflushed writes (data

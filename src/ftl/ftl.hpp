@@ -30,10 +30,9 @@
 namespace rhsd {
 
 struct FtlConfig {
-  /// Logical capacity in 4 KiB pages (1 GiB SSD => 262144).
+  /// Logical capacity in 4 KiB pages (1 GiB SSD => 262144).  The L2P
+  /// table starts at DRAM address 0.
   std::uint64_t num_lbas = (1 * kGiB) / kBlockSize;
-  /// Where the L2P table starts in device DRAM.
-  DramAddr l2p_base{0};
   L2pLayoutKind layout = L2pLayoutKind::kLinear;
   std::uint64_t device_key = 0;  // for the hashed layout
   /// DRAM touches per L2P access (paper's 5× amplification; 1 = none).
@@ -137,25 +136,20 @@ enum class FtlDegradation : std::uint8_t {
 struct PatternReplayPlan {
   /// The pattern's device LBAs, in issue order (duplicates allowed).
   std::vector<Lba> lbas;
-  /// L2P entry address and containing global DRAM row, per element.
+  /// L2P entry address per element.
   std::vector<DramAddr> entry_addrs;
-  std::vector<std::uint64_t> entry_rows;
   /// Byte ranges a batched replay must not flip (entries whose value
   /// could feed back into the replay itself); see DramDevice::
   /// hammer_pattern.
   std::vector<PatternHazard> hazards;
-  /// True when a DRAM cache is configured: steady-state replay is pure
-  /// hit accounting (no activations) instead of hammering.
-  bool cache_mode = false;
   /// Whether ios_since_scrub advances per command (journal + interval).
   bool scrub_enabled = false;
-  std::uint32_t hammers_per_io = 1;
 };
 
 class Ftl {
  public:
   /// `nand`, `dram` must outlive the FTL.  The DRAM must be large enough
-  /// to hold the table at l2p_base.
+  /// to hold the table.
   Ftl(FtlConfig config, NandDevice& nand, DramDevice& dram);
 
   Ftl(const Ftl&) = delete;
@@ -176,17 +170,16 @@ class Ftl {
 
   /// Build a replay plan for `lbas` — the state needed to push whole
   /// rounds of read(lbas[0]), read(lbas[1]), ... down to the DRAM in
-  /// one call.  Returns false when the pattern cannot take the batched
-  /// path (open-page DRAM, an entry crossing a row or cache line,
-  /// device not operational); the caller then stays on scalar reads.
+  /// one call.  Returns false when an LBA is out of range or the device
+  /// is not operational; the caller then stays on scalar reads.
   [[nodiscard]] bool plan_pattern_replay(std::span<const Lba> lbas,
                                          PatternReplayPlan* plan);
 
   /// True while the planned pattern still replays exactly: device
-  /// operational, every entry still unmapped, its ECC state clean (a
-  /// scalar read's verify would be a no-op), and — in cache mode —
-  /// every entry line resident (all-hit).  Callers re-check after any
-  /// scalar command that may have perturbed state.
+  /// operational, every entry still unmapped, and the DRAM able to
+  /// replay the entries' read stream from its current state
+  /// (DramDevice::reads_replayable).  Callers re-check after any scalar
+  /// command that may have perturbed state.
   [[nodiscard]] bool pattern_state_ok(const PatternReplayPlan& plan) const;
 
   /// Commands that may be replayed in closed form before one must run
@@ -203,13 +196,14 @@ class Ftl {
   /// time command start_cmd+i's DRAM work happens (head plus arithmetic
   /// tail, cmd_times.size() == n_cmds); the first falls in the DRAM's
   /// current refresh window, later ones may cross window edges.
-  /// Preconditions: pattern_state_ok(), fewer than replay_safe_cmds()
-  /// commands.  Sets *applied=false (and does nothing) when a
-  /// disturbance flip would land in a hazard range — the caller must run
-  /// this chunk through scalar reads.
-  Status replay_pattern_reads(const PatternReplayPlan& plan,
-                              std::uint64_t start_cmd, std::uint64_t n_cmds,
-                              CmdTimes cmd_times, bool* applied);
+  /// Preconditions: pattern_state_ok(), at most replay_safe_cmds()
+  /// commands.  Returns false (and does nothing) when a disturbance
+  /// flip would land in a hazard range — the caller must run this chunk
+  /// through scalar reads.
+  [[nodiscard]] bool replay_pattern_reads(const PatternReplayPlan& plan,
+                                          std::uint64_t start_cmd,
+                                          std::uint64_t n_cmds,
+                                          const CmdTimes& cmd_times);
 
   /// Reconstruct the L2P table after a power loss: newest complete
   /// journal snapshot, plus CRC-valid records, plus an OOB scan of the
@@ -264,16 +258,23 @@ class Ftl {
   }
 
  private:
+  /// Global DRAM row and in-row offset of an L2P entry.  Entries are 4
+  /// bytes at multiples of 4 from address 0 and rows a multiple of 8
+  /// bytes, so no entry crosses a row end or an ECC word.
+  struct EntryLoc {
+    std::uint64_t row = 0;
+    std::uint32_t offset = 0;
+  };
+  [[nodiscard]] EntryLoc entry_loc(Lba lba) const;
+
   Status check_lba(Lba lba) const;
   /// Per-host-op gate: power-loss tick, recovery and read-only state.
   Status guard_op(bool mutating);
 
-  /// L2P entry access through DRAM, with hammer amplification.
+  /// L2P entry access through DRAM, with hammer amplification: one
+  /// DRAM call of hammers_per_io touches.
   Status l2p_load(Lba lba, std::uint32_t& pba32);
   Status l2p_store(Lba lba, std::uint32_t pba32);
-  /// Whether the amplification repeats for `addr` may use the DRAM's
-  /// batched fast path (no cache in front, entry within one row).
-  [[nodiscard]] bool l2p_batched_ok(DramAddr addr) const;
 
   StatusOr<Pba> allocate_page();
   Status garbage_collect();
@@ -338,14 +339,8 @@ class Ftl {
   std::optional<std::uint64_t> scrub_clean_epoch_;
   /// Pre-decoded DRAM location of each LPN's L2P entry (the layout is
   /// fixed for the FTL's lifetime), so the verify walk reads rows
-  /// directly instead of decoding every address.  `row == kNoRow` marks
-  /// an entry crossing a row end — walked through debug_lookup().
-  struct ScrubLoc {
-    static constexpr std::uint64_t kNoRow = ~0ull;
-    std::uint64_t row = kNoRow;
-    std::uint32_t offset = 0;
-  };
-  std::vector<ScrubLoc> scrub_locs_;  // built on first scrub walk
+  /// directly instead of decoding every address.
+  std::vector<EntryLoc> scrub_locs_;  // built on first scrub walk
 
   std::deque<std::uint32_t> free_blocks_;
   std::uint32_t active_block_ = 0;

@@ -30,6 +30,32 @@ void Store64(std::uint8_t* p, std::uint64_t v) {
 
 }  // namespace
 
+JournalLoadResult::Replay JournalLoadResult::replay(std::uint64_t num_lbas) {
+  Replay out;
+  out.table = snapshot_found
+                  ? std::move(table)
+                  : std::vector<std::uint32_t>(num_lbas, kUnmappedPba32);
+  out.last_seq.assign(num_lbas, snapshot_write_seq);
+  out.max_seq = snapshot_write_seq;
+  std::stable_sort(records.begin(), records.end(),
+                   [](const JournalRecord& a, const JournalRecord& b) {
+                     return a.seq < b.seq;
+                   });
+  for (const JournalRecord& rec : records) {
+    if (rec.lpn >= num_lbas) {
+      ++out.invalid;
+      continue;
+    }
+    out.max_seq = std::max(out.max_seq, rec.seq);
+    if (rec.seq > out.last_seq[rec.lpn]) {
+      out.table[rec.lpn] = rec.pba32;
+      out.last_seq[rec.lpn] = rec.seq;
+      ++out.applied;
+    }
+  }
+  return out;
+}
+
 L2pJournal::L2pJournal(L2pJournalConfig config, NandDevice& nand,
                        std::uint64_t num_lbas)
     : config_(config), nand_(nand), num_lbas_(num_lbas) {

@@ -80,6 +80,19 @@ struct JournalLoadResult {
   /// Pages that were neither valid nor erased (torn writes, injected
   /// media faults).  Record scanning stops at the first such page.
   std::uint32_t corrupt_pages = 0;
+
+  /// The mapping this load describes, as replay() rebuilds it.
+  struct Replay {
+    std::vector<std::uint32_t> table;     // pba32 per LPN
+    std::vector<std::uint64_t> last_seq;  // newest sequence per LPN
+    std::uint64_t applied = 0;  // records newer than their LPN's last
+    std::uint64_t invalid = 0;  // records naming an LPN >= num_lbas
+    std::uint64_t max_seq = 0;  // newest valid record or snapshot seq
+  };
+  /// The snapshot (all unmapped when none was found) plus every record
+  /// newer than its LPN's last sequence, applied in sequence order.
+  /// Moves the snapshot table out and sorts `records`.
+  [[nodiscard]] Replay replay(std::uint64_t num_lbas);
 };
 
 class L2pJournal {

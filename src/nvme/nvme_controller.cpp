@@ -89,43 +89,46 @@ double NvmeController::measured_iops() const {
   return static_cast<double>(commands_) / seconds;
 }
 
-Status NvmeController::read(std::uint32_t nsid, std::uint64_t slba,
-                            std::span<std::uint8_t> out) {
+template <typename Body>
+Status NvmeController::transport(const char* cmd, Body&& body) {
   const TransportFault fault = tick_transport();
   if (fault == TransportFault::kDrop) {
-    return Unavailable("read command lost in transit");
+    return Unavailable(std::string(cmd) + " command lost in transit");
   }
-  const Status s = read_body(nsid, slba, out);
+  const Status s = body();
   if (fault == TransportFault::kTimeout) {
-    return DeadlineExceeded("read command completion timed out");
+    return DeadlineExceeded(std::string(cmd) +
+                            " command completion timed out");
   }
   return s;
 }
 
-Status NvmeController::read_body(std::uint32_t nsid, std::uint64_t slba,
-                                 std::span<std::uint8_t> out) {
-  if (out.size() % kBlockSize != 0 || out.empty()) {
-    ++stats_.errors;
-    return InvalidArgument("read length must be a multiple of 4 KiB");
-  }
-  const std::uint64_t nblocks = out.size() / kBlockSize;
-  for (std::uint64_t i = 0; i < nblocks; ++i) {
-    auto lba = translate(nsid, slba + i);
-    if (!lba.ok()) {
+Status NvmeController::read(std::uint32_t nsid, std::uint64_t slba,
+                            std::span<std::uint8_t> out) {
+  return transport("read", [&]() -> Status {
+    if (out.size() % kBlockSize != 0 || out.empty()) {
       ++stats_.errors;
-      return lba.status();
+      return InvalidArgument("read length must be a multiple of 4 KiB");
     }
-    FtlIoInfo info;
-    Status s = ftl_.read(*lba,
-                         out.subspan(i * kBlockSize, kBlockSize), &info);
-    ++stats_.read_cmds;
-    charge(info.flash_accessed);
-    if (!s.ok()) {
-      ++stats_.errors;
-      return s;
+    const std::uint64_t nblocks = out.size() / kBlockSize;
+    for (std::uint64_t i = 0; i < nblocks; ++i) {
+      auto lba = translate(nsid, slba + i);
+      if (!lba.ok()) {
+        ++stats_.errors;
+        return lba.status();
+      }
+      FtlIoInfo info;
+      Status s = ftl_.read(*lba,
+                           out.subspan(i * kBlockSize, kBlockSize), &info);
+      ++stats_.read_cmds;
+      charge(info.flash_accessed);
+      if (!s.ok()) {
+        ++stats_.errors;
+        return s;
+      }
     }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 Status NvmeController::submit_pattern(std::uint32_t nsid,
@@ -139,47 +142,8 @@ Status NvmeController::submit_pattern(std::uint32_t nsid,
     return InvalidArgument(
         "pattern request needs a rounds or deadline bound");
   }
-  if (!req.data.empty()) {
-    return run_write_pattern(nsid, req.slbas, req.data, req.rounds,
-                             req.deadline_ns, done);
-  }
   return run_pattern(nsid, req.slbas, req.out, req.rounds,
                      req.deadline_ns, done);
-}
-
-Status NvmeController::run_write_pattern(std::uint32_t nsid,
-                                         std::span<const std::uint64_t> slbas,
-                                         std::span<const std::uint8_t> data,
-                                         std::uint64_t max_rounds,
-                                         std::uint64_t deadline_ns,
-                                         std::uint64_t* rounds_done) {
-  *rounds_done = 0;
-  const bool until = deadline_ns != kNoDeadline;
-  const bool bounded = max_rounds != kNoRounds;
-  if (data.size() != kBlockSize) {
-    ++stats_.errors;
-    return InvalidArgument("pattern writes are one 4 KiB block each");
-  }
-  if (slbas.empty()) {
-    if (!bounded) {
-      ++stats_.errors;
-      return InvalidArgument(
-          "deadline-bound pattern must not be empty (it would never "
-          "advance the clock)");
-    }
-    *rounds_done = max_rounds;  // empty rounds are no-ops
-    return Status::Ok();
-  }
-  for (std::uint64_t r = 0;; ++r) {
-    if ((until && clock_.now_ns() >= deadline_ns) ||
-        (bounded && r >= max_rounds)) {
-      return Status::Ok();
-    }
-    for (const std::uint64_t slba : slbas) {
-      RHSD_RETURN_IF_ERROR(write(nsid, slba, data));
-    }
-    *rounds_done = r + 1;
-  }
 }
 
 std::uint64_t NvmeController::transport_faults_away() const {
@@ -220,10 +184,9 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
   }
   const std::uint64_t P = slbas.size();
 
-  // Set up the closed-form replay; any obstacle (bad LBA, open-page
-  // DRAM, entry crossing a row/line, device down) leaves can_batch
-  // false and every round below runs scalar — identical behaviour,
-  // original speed.
+  // Set up the closed-form replay; an obstacle (bad LBA, device down)
+  // leaves can_batch false and every round below runs scalar —
+  // identical behaviour, original speed.
   PatternReplayPlan plan;
   bool can_batch = true;
   {
@@ -283,7 +246,7 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
         // replay then proves invariant (cache residency, latent ECC
         // corrections, the zeroed output buffer).
         for (std::uint64_t p = 0; p < P; ++p) {
-          RHSD_RETURN_IF_ERROR(read_one(nsid, slbas[p], out));
+          RHSD_RETURN_IF_ERROR(read(nsid, slbas[p], out));
           ++g;
         }
         *rounds_done = g / P;
@@ -296,7 +259,7 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
       // repaired one, a line got evicted): finish this round scalar and
       // re-check at the next boundary.
       do {
-        RHSD_RETURN_IF_ERROR(read_one(nsid, slbas[g % P], out));
+        RHSD_RETURN_IF_ERROR(read(nsid, slbas[g % P], out));
         ++g;
       } while (g % P != 0);
       *rounds_done = g / P;
@@ -308,7 +271,7 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
       // This command carries an injected fault or the scrub trigger —
       // run it for real so the event lands exactly where the scalar
       // loop would put it.
-      RHSD_RETURN_IF_ERROR(read_one(nsid, slbas[g % P], out));
+      RHSD_RETURN_IF_ERROR(read(nsid, slbas[g % P], out));
       ++g;
       *rounds_done = g / P;
       continue;
@@ -365,15 +328,12 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
       }
       times.head = head;
     }
-    bool applied = false;
-    RHSD_RETURN_IF_ERROR(
-        ftl_.replay_pattern_reads(plan, g, n, times, &applied));
-    if (!applied) {
+    if (!ftl_.replay_pattern_reads(plan, g, n, times)) {
       // A disturbance flip would land inside the pattern's own entries;
       // only the scalar path models that feedback.  Scalar to the round
       // edge, then re-plan from the new state.
       do {
-        RHSD_RETURN_IF_ERROR(read_one(nsid, slbas[g % P], out));
+        RHSD_RETURN_IF_ERROR(read(nsid, slbas[g % P], out));
         ++g;
       } while (g % P != 0);
       *rounds_done = g / P;
@@ -398,125 +358,67 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
   }
 }
 
-Status NvmeController::read_one(std::uint32_t nsid, std::uint64_t slba,
-                                std::span<std::uint8_t> out) {
-  const TransportFault fault = tick_transport();
-  if (fault == TransportFault::kDrop) {
-    return Unavailable("read command lost in transit");
-  }
-  Status s;
-  {
-    auto lba = translate(nsid, slba);
-    if (!lba.ok()) {
-      ++stats_.errors;
-      s = lba.status();
-    } else {
-      FtlIoInfo info;
-      s = ftl_.read(*lba, out, &info);
-      ++stats_.read_cmds;
-      charge(info.flash_accessed);
-      if (!s.ok()) ++stats_.errors;
-    }
-  }
-  if (fault == TransportFault::kTimeout) {
-    return DeadlineExceeded("read command completion timed out");
-  }
-  return s;
-}
-
 Status NvmeController::write(std::uint32_t nsid, std::uint64_t slba,
                              std::span<const std::uint8_t> data) {
-  const TransportFault fault = tick_transport();
-  if (fault == TransportFault::kDrop) {
-    return Unavailable("write command lost in transit");
-  }
-  const Status s = write_body(nsid, slba, data);
-  if (fault == TransportFault::kTimeout) {
-    return DeadlineExceeded("write command completion timed out");
-  }
-  return s;
-}
-
-Status NvmeController::write_body(std::uint32_t nsid, std::uint64_t slba,
-                                  std::span<const std::uint8_t> data) {
-  if (data.size() % kBlockSize != 0 || data.empty()) {
-    ++stats_.errors;
-    return InvalidArgument("write length must be a multiple of 4 KiB");
-  }
-  const std::uint64_t nblocks = data.size() / kBlockSize;
-  for (std::uint64_t i = 0; i < nblocks; ++i) {
-    auto lba = translate(nsid, slba + i);
-    if (!lba.ok()) {
+  return transport("write", [&]() -> Status {
+    if (data.size() % kBlockSize != 0 || data.empty()) {
       ++stats_.errors;
-      return lba.status();
+      return InvalidArgument("write length must be a multiple of 4 KiB");
     }
-    FtlIoInfo info;
-    Status s = ftl_.write(*lba,
-                          data.subspan(i * kBlockSize, kBlockSize), &info);
-    ++stats_.write_cmds;
-    charge(/*flash_accessed=*/true);
-    if (!s.ok()) {
-      ++stats_.errors;
-      return s;
+    const std::uint64_t nblocks = data.size() / kBlockSize;
+    for (std::uint64_t i = 0; i < nblocks; ++i) {
+      auto lba = translate(nsid, slba + i);
+      if (!lba.ok()) {
+        ++stats_.errors;
+        return lba.status();
+      }
+      FtlIoInfo info;
+      Status s = ftl_.write(*lba,
+                            data.subspan(i * kBlockSize, kBlockSize), &info);
+      ++stats_.write_cmds;
+      charge(/*flash_accessed=*/true);
+      if (!s.ok()) {
+        ++stats_.errors;
+        return s;
+      }
     }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 Status NvmeController::trim(std::uint32_t nsid, std::uint64_t slba,
                             std::uint64_t nblocks) {
-  const TransportFault fault = tick_transport();
-  if (fault == TransportFault::kDrop) {
-    return Unavailable("trim command lost in transit");
-  }
-  const Status s = trim_body(nsid, slba, nblocks);
-  if (fault == TransportFault::kTimeout) {
-    return DeadlineExceeded("trim command completion timed out");
-  }
-  return s;
-}
-
-Status NvmeController::trim_body(std::uint32_t nsid, std::uint64_t slba,
-                                 std::uint64_t nblocks) {
-  for (std::uint64_t i = 0; i < nblocks; ++i) {
-    auto lba = translate(nsid, slba + i);
-    if (!lba.ok()) {
-      ++stats_.errors;
-      return lba.status();
+  return transport("trim", [&]() -> Status {
+    for (std::uint64_t i = 0; i < nblocks; ++i) {
+      auto lba = translate(nsid, slba + i);
+      if (!lba.ok()) {
+        ++stats_.errors;
+        return lba.status();
+      }
+      Status s = ftl_.trim(*lba);
+      ++stats_.trim_cmds;
+      charge(/*flash_accessed=*/false);
+      if (!s.ok()) {
+        ++stats_.errors;
+        return s;
+      }
     }
-    Status s = ftl_.trim(*lba);
-    ++stats_.trim_cmds;
-    charge(/*flash_accessed=*/false);
-    if (!s.ok()) {
-      ++stats_.errors;
-      return s;
-    }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 Status NvmeController::flush(std::uint32_t nsid) {
-  const TransportFault fault = tick_transport();
-  if (fault == TransportFault::kDrop) {
-    return Unavailable("flush command lost in transit");
-  }
-  const Status s = flush_body(nsid);
-  if (fault == TransportFault::kTimeout) {
-    return DeadlineExceeded("flush command completion timed out");
-  }
-  return s;
-}
-
-Status NvmeController::flush_body(std::uint32_t nsid) {
-  if (nsid < 1 || nsid > config_.namespaces.size()) {
-    ++stats_.errors;
-    return InvalidArgument("unknown namespace " + std::to_string(nsid));
-  }
-  // All writes in this model are durable on completion; flush is a
-  // timing no-op charged like a command.
-  ++stats_.flush_cmds;
-  charge(/*flash_accessed=*/false);
-  return Status::Ok();
+  return transport("flush", [&]() -> Status {
+    if (nsid < 1 || nsid > config_.namespaces.size()) {
+      ++stats_.errors;
+      return InvalidArgument("unknown namespace " + std::to_string(nsid));
+    }
+    // All writes in this model are durable on completion; flush is a
+    // timing no-op charged like a command.
+    ++stats_.flush_cmds;
+    charge(/*flash_accessed=*/false);
+    return Status::Ok();
+  });
 }
 
 }  // namespace rhsd

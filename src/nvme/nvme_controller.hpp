@@ -58,21 +58,13 @@ struct NvmeStats {
 /// of `rounds` / `deadline_ns` must be set; when both are, whichever
 /// trips first ends the run — bit-exact with the scalar shape
 /// `while (now < deadline && r < rounds)` issuing one single-round
-/// submit_pattern() per iteration.
-///
-/// With `data` empty (the default) every command is a read into `out`.
-/// With `data` set (exactly one 4 KiB block) every command instead
-/// *writes* that block — a write pattern hammers the same L2P entry
-/// rows as the equivalent read pattern, plus the programs, so tenants
-/// can drive write pressure through the same submission interface.
+/// submit_pattern() per iteration.  Every command is a read into `out`.
 struct PatternRequest {
   static constexpr std::uint64_t kNoRounds = ~0ull;
   static constexpr std::uint64_t kNoDeadline = ~0ull;
 
   std::span<const std::uint64_t> slbas;
-  std::span<std::uint8_t> out = {};  // reads: exactly one 4 KiB block, shared
-  /// Non-empty turns the pattern into writes of this one 4 KiB block.
-  std::span<const std::uint8_t> data = {};
+  std::span<std::uint8_t> out = {};  // exactly one 4 KiB block, shared
   std::uint64_t rounds = kNoRounds;
   std::uint64_t deadline_ns = kNoDeadline;
   /// Completed rounds, reported also on error.  Optional.
@@ -100,9 +92,7 @@ class NvmeController {
   /// faults or scrub triggers drop back to scalar automatically, and
   /// chunks spanning refresh-window edges are split per window inside
   /// the DRAM replay.  Aborts on the first command error, exactly like
-  /// the scalar loop.  A write pattern (`req.data` set) runs the plain
-  /// scalar loop under the same bounds: every write mutates FTL state,
-  /// so there is no invariant stretch to replay in closed form.
+  /// the scalar loop.
   Status submit_pattern(std::uint32_t nsid, const PatternRequest& req);
   Status write(std::uint32_t nsid, std::uint64_t slba,
                std::span<const std::uint8_t> data);
@@ -140,6 +130,12 @@ class NvmeController {
   enum class TransportFault { kNone, kTimeout, kDrop };
 
   [[nodiscard]] TransportFault tick_transport();
+  /// One dispatched command: ticks its transport faults, then runs
+  /// `body` unless the command was dropped (Unavailable); a timed-out
+  /// command runs but reports DeadlineExceeded.  `cmd` names it in the
+  /// message.
+  template <typename Body>
+  Status transport(const char* cmd, Body&& body);
 
   StatusOr<Lba> translate(std::uint32_t nsid, std::uint64_t slba) const;
   void charge(bool flash_accessed);
@@ -153,26 +149,9 @@ class NvmeController {
                      std::span<const std::uint64_t> slbas,
                      std::span<std::uint8_t> out, std::uint64_t max_rounds,
                      std::uint64_t deadline_ns, std::uint64_t* rounds_done);
-  /// Write-pattern engine: the literal scalar loop under the same round
-  /// and deadline bounds as run_pattern().
-  Status run_write_pattern(std::uint32_t nsid,
-                           std::span<const std::uint64_t> slbas,
-                           std::span<const std::uint8_t> data,
-                           std::uint64_t max_rounds,
-                           std::uint64_t deadline_ns,
-                           std::uint64_t* rounds_done);
   /// Commands until the next injected transport fault (timeout or
   /// drop), or FaultInjector::kNoFault.
   [[nodiscard]] std::uint64_t transport_faults_away() const;
-  Status read_one(std::uint32_t nsid, std::uint64_t slba,
-                  std::span<std::uint8_t> out);
-  Status read_body(std::uint32_t nsid, std::uint64_t slba,
-                   std::span<std::uint8_t> out);
-  Status write_body(std::uint32_t nsid, std::uint64_t slba,
-                    std::span<const std::uint8_t> data);
-  Status trim_body(std::uint32_t nsid, std::uint64_t slba,
-                   std::uint64_t nblocks);
-  Status flush_body(std::uint32_t nsid);
 
   NvmeConfig config_;
   Ftl& ftl_;

@@ -64,7 +64,6 @@ SsdDevice::SsdDevice(SsdConfig config) : config_(std::move(config)) {
 
   FtlConfig ftl_config;
   ftl_config.num_lbas = config_.num_lbas();
-  ftl_config.l2p_base = config_.l2p_base;
   ftl_config.layout = config_.l2p_layout;
   ftl_config.device_key = config_.device_key;
   ftl_config.hammers_per_io = config_.hammers_per_io;

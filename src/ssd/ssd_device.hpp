@@ -38,9 +38,6 @@ struct SsdConfig {
   bool xor_mapping = true;
   XorMapperConfig xor_config;
 
-  /// Where the L2P table is placed in DRAM (§4.1 places it in a region
-  /// confirmed vulnerable; callers can steer placement with this).
-  DramAddr l2p_base{0};
   L2pLayoutKind l2p_layout = L2pLayoutKind::kLinear;
   std::uint64_t device_key = 0;
   std::uint32_t hammers_per_io = 5;  // the paper's amplification

@@ -1,10 +1,10 @@
 // Bit-exactness of the closed-form hammer replay.
 //
 // Every test drives two identically configured devices — one through
-// the batched entry points (hammer_pair / hammer_row / repeat_read /
-// repeat_write, which replay 1- and 2-row patterns through the same
-// core as hammer_pattern, and submit_pattern down the whole stack), one
-// through the scalar reference path — and requires *identical*
+// the batched entry points (hammer_pair / hammer_row / read and write
+// with a touch count, which replay 1- and 2-row patterns through the
+// same core as hammer_pattern, and submit_pattern down the whole
+// stack), one through the scalar reference path — and requires *identical*
 // outcomes: the same DramStats, the same FlipEvent sequence (order
 // included), and the same bytes in every row.  This is the contract
 // that lets the FTL and the attack orchestrator use the replay without
@@ -530,11 +530,10 @@ TEST(HammerParity, RepeatReadMatchesScalarReads) {
     std::uint8_t buf[4] = {0, 0, 0, 0};
     // Aggressor row 10 hammers rows 9 and 11 via plain repeated reads.
     for (int round = 0; round < 1500; ++round) {
-      ASSERT_TRUE(d.read(addr, buf).ok());
       if (batched) {
-        ASSERT_TRUE(d.repeat_read(addr, buf, 9).ok());
+        ASSERT_TRUE(d.read(addr, buf, 10).ok());
       } else {
-        for (int i = 0; i < 9; ++i) ASSERT_TRUE(d.read(addr, buf).ok());
+        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.read(addr, buf).ok());
       }
     }
   });
@@ -545,11 +544,10 @@ TEST(HammerParity, RepeatWriteMatchesScalarWrites) {
     const DramAddr addr(20 * 512 + 8);
     const std::uint8_t data[4] = {0xDE, 0xAD, 0xBE, 0xEF};
     for (int round = 0; round < 1500; ++round) {
-      ASSERT_TRUE(d.write(addr, data).ok());
       if (batched) {
-        ASSERT_TRUE(d.repeat_write(addr, data, 9).ok());
+        ASSERT_TRUE(d.write(addr, data, 10).ok());
       } else {
-        for (int i = 0; i < 9; ++i) ASSERT_TRUE(d.write(addr, data).ok());
+        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.write(addr, data).ok());
       }
     }
   });
@@ -559,8 +557,8 @@ TEST(HammerParity, CacheConfiguredDevice) {
   // A configured CPU cache sits in front of read()/write() only:
   // hammer_pair() and hammer_row() still replay raw activations through
   // the pattern core (which must not inherit hammer_pattern()'s no-cache
-  // precondition), and repeat_read()/repeat_write() replay cached spans
-  // through scalar read()/write() calls.
+  // precondition), and read()/write() with a touch count run cached
+  // spans' repeated touches as scalar ones.
   DramConfig c = BaseConfig(3);  // the seed FlipsActuallyHappen uses
   c.mitigations.cache = CacheConfig{64, 4, 16};
   const auto workload = [](DramDevice& d, bool batched) {
@@ -572,14 +570,12 @@ TEST(HammerParity, CacheConfiguredDevice) {
     std::uint8_t buf[4] = {0, 0, 0, 0};
     const std::uint8_t data[4] = {0xDE, 0xAD, 0xBE, 0xEF};
     for (int round = 0; round < 200; ++round) {
-      ASSERT_TRUE(d.read(raddr, buf).ok());
-      ASSERT_TRUE(d.write(waddr, data).ok());
       if (batched) {
-        ASSERT_TRUE(d.repeat_read(raddr, buf, 4).ok());
-        ASSERT_TRUE(d.repeat_write(waddr, data, 4).ok());
+        ASSERT_TRUE(d.read(raddr, buf, 5).ok());
+        ASSERT_TRUE(d.write(waddr, data, 5).ok());
       } else {
-        for (int i = 0; i < 4; ++i) ASSERT_TRUE(d.read(raddr, buf).ok());
-        for (int i = 0; i < 4; ++i) ASSERT_TRUE(d.write(waddr, data).ok());
+        for (int i = 0; i < 5; ++i) ASSERT_TRUE(d.read(raddr, buf).ok());
+        for (int i = 0; i < 5; ++i) ASSERT_TRUE(d.write(waddr, data).ok());
       }
     }
   };
@@ -898,15 +894,20 @@ TEST(PatternReplayParity, NvmeFaultsMidStream) {
 TEST(PatternReplayParity, DramBitErrorsMidStream) {
   // Injected DRAM bit errors do not abort the stream: the replay must
   // break around them, apply the same corruption, and carry on — with
-  // and without ECC soaking the error up.
+  // and without ECC soaking the error up, and with and without a cache
+  // (uncached, a command's touches tick the injector once; cached, every
+  // touch is a scalar read that ticks it).
   const std::vector<std::uint64_t> pattern = {100, 228};
   for (const bool ecc : {false, true}) {
-    SsdConfig c = test::SmallSsd();
-    c.seed = 16;
-    c.dram_mitigations.ecc = ecc;
-    c.fault_plan.add(FaultClass::kDramBitError, 900, 1, 0x15);
-    c.fault_plan.add(FaultClass::kDramBitError, 2400, 1, 0x2A);
-    RunStackParity(c, pattern, 1500);
+    for (const bool cache : {false, true}) {
+      SsdConfig c = test::SmallSsd();
+      c.seed = 16;
+      c.dram_mitigations.ecc = ecc;
+      if (cache) c.dram_mitigations.cache = CacheConfig{64, 4, 16};
+      c.fault_plan.add(FaultClass::kDramBitError, 900, 1, 0x15);
+      c.fault_plan.add(FaultClass::kDramBitError, 2400, 1, 0x2A);
+      RunStackParity(c, pattern, 1500);
+    }
   }
 }
 
@@ -973,41 +974,6 @@ TEST(PatternReplayParity, WindowCrossingChunksSplitInsideReplay) {
     EXPECT_EQ(batched.clock().now_ns() % 625, 0u);
     EXPECT_GT(batched.clock().now_ns(), 3 * batched.dram().refresh_window_ns());
   }
-}
-
-TEST(PatternReplayParity, WritePatternMatchesScalarWrites) {
-  // `req.data` turns the pattern into writes: one single-block write
-  // per LBA per round, identical to the scalar write() loop (writes
-  // mutate FTL state, so the controller runs them scalar by design —
-  // this pins the bounds handling and stats, not a replay).
-  const std::vector<std::uint64_t> pattern = {100, 228, 356, 100};
-  SsdConfig c = test::SmallSsd();
-  c.seed = 22;
-  SsdDevice batched(c);
-  SsdDevice scalar(c);
-  const std::vector<std::uint8_t> data = test::MarkedBlock("write-pat!");
-  std::uint64_t rounds_done = 0;
-  ASSERT_TRUE(batched.controller()
-                  .submit_pattern(1, {.slbas = pattern,
-                                      .data = data,
-                                      .rounds = 40,
-                                      .rounds_done = &rounds_done})
-                  .ok());
-  EXPECT_EQ(rounds_done, 40u);
-  for (std::uint64_t r = 0; r < 40; ++r) {
-    for (const std::uint64_t slba : pattern) {
-      ASSERT_TRUE(scalar.controller().write(1, slba, data).ok());
-    }
-  }
-  ExpectSameStack(batched, scalar, DriveResult{"OK", {}},
-                  DriveResult{"OK", {}});
-
-  // A write pattern must carry exactly one block of data.
-  std::vector<std::uint8_t> half(kBlockSize / 2, 0xAB);
-  EXPECT_FALSE(batched.controller()
-                   .submit_pattern(
-                       1, {.slbas = pattern, .data = half, .rounds = 1})
-                   .ok());
 }
 
 TEST(PatternReplayParity, RepeatAcrossThreadCounts) {
