@@ -278,6 +278,81 @@ struct MemberParaLoop {
   }
 };
 
+/// The integrity scrub's device for the verify-walk A/B: the perfbench
+/// `mitigations` table shape (4096 LBAs, a 16 KiB L2P table over 128
+/// rows of 128 bytes) with the L2P journal on and every DRAM row
+/// vulnerable at 10 K accesses/s (cell thresholds 640-1920 activations
+/// per window).  hammer() flips cells of one table row per call.
+struct ScrubRig {
+  static constexpr std::uint64_t kLbas = 4096;
+
+  explicit ScrubRig(bool extra_poke) : poke(extra_poke) {
+    DramConfig dc;
+    dc.geometry = DramGeometry{.channels = 1,
+                               .dimms_per_channel = 1,
+                               .ranks_per_dimm = 1,
+                               .banks_per_rank = 2,
+                               .rows_per_bank = 128,
+                               .row_bytes = 128};
+    dc.profile.min_rate_kaccess_s = 10.0;
+    dc.profile.vulnerable_row_fraction = 1.0;
+    dc.profile.max_cells_per_row = 2;
+    dc.profile.threshold_spread = 0.5;
+    dc.seed = 7;
+    dram = std::make_unique<DramDevice>(dc, MakeLinearMapper(dc.geometry),
+                                        clock);
+    nand = std::make_unique<NandDevice>(NandGeometry{.channels = 1,
+                                                     .dies_per_channel = 1,
+                                                     .planes_per_die = 1,
+                                                     .blocks_per_plane = 80,
+                                                     .pages_per_block = 64,
+                                                     .page_bytes = kBlockSize});
+    FtlConfig fc;
+    fc.num_lbas = kLbas;
+    fc.journal.enabled = true;
+    ftl = std::make_unique<Ftl>(fc, *nand, *dram);
+    // 64 mapped entries spread over the table; the rest stay unmapped.
+    const std::vector<std::uint8_t> block(kBlockSize, 0x5A);
+    for (std::uint64_t lba = 0; lba < 64; ++lba) {
+      RHSD_CHECK(ftl->write(Lba(lba * 61), block).ok());
+    }
+    RHSD_CHECK(ftl->scrub().ok());
+    // Double-sided victims: table rows with both neighbors in the bank.
+    const DramGeometry& geo = dc.geometry;
+    for (std::uint64_t lba = 0; lba < kLbas; ++lba) {
+      const std::uint64_t row =
+          dram->mapper().decode(ftl->layout().entry_addr(lba)).global_row(geo);
+      const std::uint64_t in_bank = row % geo.rows_per_bank;
+      if (in_bank > 0 && in_bank + 1 < geo.rows_per_bank &&
+          (victims.empty() || victims.back() != row)) {
+        victims.push_back(row);
+      }
+    }
+  }
+
+  ScrubRig(const ScrubRig&) = delete;
+  ScrubRig& operator=(const ScrubRig&) = delete;
+
+  /// Double-sided hammering of the next victim in a fresh refresh
+  /// window: 630 pairs expose it to 1260 activations (flipping about
+  /// half its cells) and its other neighbors to 630 (none).  Then, with
+  /// `poke`, the extra poke: LBA 1's entry rewritten with its own value.
+  void hammer() {
+    clock.advance_ns(dram->refresh_window_ns());
+    const std::uint64_t v = victims[next++ % victims.size()];
+    dram->hammer_pair(v - 1, v + 1, 630);
+    if (poke) ftl->debug_store(Lba(1), ftl->debug_lookup(Lba(1)));
+  }
+
+  bool poke;
+  SimClock clock;
+  std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<NandDevice> nand;
+  std::unique_ptr<Ftl> ftl;
+  std::vector<std::uint64_t> victims;
+  std::uint64_t next = 0;
+};
+
 /// A host-time quantity: the minimum of its runs, the standard stable
 /// estimator for a fixed workload.
 struct BestOf {
@@ -435,6 +510,28 @@ void ReportHammerHotPath() {
   BestOf scan_member{[&] { return time_scan(false); }};
   BestOf scan_batched{[&] { return time_scan(true); }};
 
+  // The integrity scrub after one hammered table row, on the cached
+  // journal truth: with disturbance flips as the only DRAM change since
+  // its last clean walk it verifies the flipped rows' entries only; one
+  // extra poke of an unrelated entry (rewriting its own value) makes it
+  // verify all 4096.  Only the scrub() calls are timed, in ns per scrub;
+  // both sides must repair the same entries.
+  ScrubRig scrub_flipped(false);
+  ScrubRig scrub_poked(true);
+  const auto time_scrub = [&](ScrubRig& rig) {
+    constexpr int kScrubs = 64;
+    double elapsed = 0;
+    for (int i = 0; i < kScrubs; ++i) {
+      rig.hammer();
+      const double t0 = bench::HostSeconds();
+      RHSD_CHECK(rig.ftl->scrub().ok());
+      elapsed += bench::HostSeconds() - t0;
+    }
+    return elapsed / kScrubs * 1e9;
+  };
+  BestOf scrub_rows{[&] { return time_scrub(scrub_flipped); }};
+  BestOf scrub_full{[&] { return time_scrub(scrub_poked); }};
+
   // The runs of every quantity interleave round-robin across the whole
   // report (~5 s).  Host speed here flips between a fast and a slow
   // state, per CPU, every 0.1-2 s, and the slow state slows some loops
@@ -447,7 +544,8 @@ void ReportHammerHotPath() {
                                 &amp_scalar,     &amp_batched,
                                 &amp_mit_scalar, &amp_mit_batched,
                                 &pattern_2,      &pattern_8,
-                                &pattern_64,     &pattern_1024};
+                                &pattern_64,     &pattern_1024,
+                                &scrub_rows,     &scrub_full};
   for (int i = 0; i < 8; ++i) {
     round.push_back(&scan_member);
     round.push_back(&scan_batched);
@@ -475,6 +573,12 @@ void ReportHammerHotPath() {
   RHSD_CHECK_MSG(scan_batched_hits == scan_member_hits,
                  "bernoulli_hits diverged from the scalar loop in the bench");
   RHSD_CHECK_MSG(scan_member_hits.size() > 1, "PARA scan bench never hit");
+  RHSD_CHECK_MSG(scrub_flipped.ftl->stats().scrub_repairs ==
+                     scrub_poked.ftl->stats().scrub_repairs,
+                 "flip-driven scrub walk repaired differently from the full "
+                 "walk in the bench");
+  RHSD_CHECK_MSG(scrub_flipped.ftl->stats().scrub_repairs > 0,
+                 "scrub bench never repaired an entry");
   for (const auto& sides : amp_stats) {
     RHSD_CHECK_MSG(sides[0].bitflips == sides[1].bitflips &&
                        sides[0].activations == sides[1].activations &&
@@ -517,6 +621,9 @@ void ReportHammerHotPath() {
   report.set("para_scan_ns_per_draw_scalar", scan_member_ns);
   report.set("para_scan_ns_per_draw", scan_batched_ns);
   report.set("para_scan_speedup", scan_member_ns / scan_batched_ns);
+  report.set("scrub_walk_ns_flipped_rows", scrub_rows.best);
+  report.set("scrub_walk_ns_full", scrub_full.best);
+  report.set("scrub_walk_speedup", scrub_full.best / scrub_rows.best);
   report.write();
   std::printf(
       "\nhot path: scalar %.1f ns/pair, batched %.1f ns/pair "
@@ -524,7 +631,8 @@ void ReportHammerHotPath() {
       "(%.1fx); FTL repeat %.0f -> %.0f ns/call (%.2fx), with TRR + PARA "
       "%.0f -> %.0f ns/call (%.2fx); hammer_pattern %.0f / %.0f / %.0f / "
       "%.0f ns per row-call at 2 / 8 / 64 / 1024 rows; PARA scan %.2f -> "
-      "%.2f ns/draw (%.2fx) -> BENCH_hotpath.json\n",
+      "%.2f ns/draw (%.2fx); scrub %.0f -> %.0f ns (%.1fx) -> "
+      "BENCH_hotpath.json\n",
       scalar_ns, batched_ns, scalar_ns / batched_ns,
       static_cast<double>(activations) / batched_s, trr_scalar_ns,
       trr_batched_ns, trr_scalar_ns / trr_batched_ns, amp_scalar.best,
@@ -532,7 +640,8 @@ void ReportHammerHotPath() {
       amp_mit_scalar.best, amp_mit_batched.best,
       amp_mit_scalar.best / amp_mit_batched.best, pattern_2_ns, pattern_8_ns,
       pattern_64_ns, pattern_1024_ns, scan_member_ns, scan_batched_ns,
-      scan_member_ns / scan_batched_ns);
+      scan_member_ns / scan_batched_ns, scrub_full.best, scrub_rows.best,
+      scrub_full.best / scrub_rows.best);
 }
 
 }  // namespace

@@ -75,6 +75,49 @@ for W in exploit mitigations cloud_read cloud_rw; do
   echo "perfbench ${W}: pinned digest, correct, 0 failed"
 done
 
+echo "== perfbench: pinned device counts of the mitigations matrix =="
+# The mitigations digest covers only the 16 MitigationResult rows, which
+# leave out para_refreshes and every NAND count: a wrong PARA scan that
+# still ends in zero flips would pass it.  A traced pass reports the
+# matrix's dram.*, ftl.* and nand.* metrics (sums over its trials); each
+# must equal its value pinned here, and no other such metric may appear.
+RESULT="$(python3 perfbench/run.py --workload mitigations --seed 1 \
+    --seconds 1 --trace 1 | tail -n 1)" || {
+  echo "perfbench counts gate: traced mitigations exited nonzero" >&2
+  exit 1
+}
+python3 -c '
+import json, sys
+PINNED = {
+    "dram.activations": 3425550859,
+    "dram.bitflips": 18213,
+    "dram.cache_hit_ratio": 0.9998863680412615,
+    "dram.ecc_corrected": 24,
+    "dram.para_refreshes": 400493,
+    "dram.trr_refreshes": 132544,
+    "ftl.flash_programs": 546602,
+    "ftl.flash_reads": 802147,
+    "ftl.gc_relocations": 115873,
+    "ftl.gc_runs": 7559,
+    "ftl.l2p_dram_reads": 3832879234,
+    "ftl.scrub_runs": 20028,
+    "ftl.unmapped_reads": 765443662,
+    "ftl.write_amp": 1.2690160170315907,
+    "nand.erases": 7579,
+    "nand.programs": 547967,
+    "nand.reads": 895364,
+}
+got = {k: v["value"] for k, v in json.loads(sys.argv[1])["metrics"].items()
+       if k.startswith(("dram.", "ftl.", "nand."))}
+bad = sorted(k for k in PINNED.keys() | got.keys()
+             if PINNED.get(k) != got.get(k))
+for k in bad:
+    print(f"perfbench counts gate: {k}: pinned {PINNED.get(k)}, "
+          f"got {got.get(k)}", file=sys.stderr)
+sys.exit(1 if bad else 0)
+' "${RESULT}"
+echo "perfbench mitigations: every dram.*, ftl.* and nand.* count as pinned"
+
 echo "== perf gate: batched hammer hot path =="
 # bench_micro emits BENCH_hotpath.json into its working directory; the
 # hot-path comparison runs from main() even when the filter matches no
@@ -188,10 +231,14 @@ gate_ceiling loop_idle_stream_overhead 2.0
 # (~1.7x with the indexed per-row side tables; linear ones, O(P^2) per
 # call, land near 11x).
 gate_ceiling hammer_pattern_row_cost_ratio_1024_to_64 4
-# The PARA Bernoulli scan (Rng::bernoulli_hits, the loop on a register
-# copy of the generator) over the loop it replaced, which loaded and
-# stored the member generator's state on every draw (1.1-1.3x on 4
-# vCPUs): not slower.
-gate_floor para_scan_speedup 0.9
+# The PARA Bernoulli scan (Rng::bernoulli_hits: 314,092 draws in 16
+# jump-ahead lanes of AVX-512 vectors, bit-exact with the scalar loop)
+# over the per-draw loop on a member generator (3.3-4.2x on 4 vCPUs with
+# AVX-512; the scalar loop alone read 1.1-1.3x).
+gate_floor para_scan_speedup 2.0
+# The integrity scrub after one hammered table row: the walk over the
+# flipped rows' entries against the full 4096-entry walk that one extra
+# unrelated poke forces (30-41x on 4 vCPUs).
+gate_floor scrub_walk_speedup 10
 
 echo "== ci.sh: all green =="

@@ -67,12 +67,26 @@ class Rng {
   /// index of every true draw to `hits` in ascending order and leaves
   /// the generator where the loop
   ///   for (i = 1..n) if (next_bool_at(threshold)) hits.push_back(i);
-  /// would.  The loop runs on a local copy of the state, which the
-  /// compiler keeps in registers; on a member Rng, the loop above
-  /// reloads and stores the state around every draw, because the
-  /// push_back might alias it.
+  /// would.  Calls of at least 16 * kMinLaneBlock draws scan in 16
+  /// lanes: the next 16B draws (B the largest power of two that fits,
+  /// up to 2^31) split into 16 consecutive blocks of B, lane l starting
+  /// l*B draws ahead through advance_pow2(), all lanes stepped together
+  /// in vector registers (AVX-512 where the CPU has it), their hits
+  /// sorted back into draw order; the scan repeats from lane 15's end
+  /// state.  What remains runs the loop above on a register copy of
+  /// the state.  Any threshold, including those >= 2^53 that every draw
+  /// meets, gives the loop's result.
   void bernoulli_hits(std::uint64_t threshold, std::uint64_t n,
                       std::vector<std::uint64_t>& hits);
+  static constexpr std::uint64_t kMinLaneBlock = 256;
+
+  /// Advance the generator by 2^k draws (k < 32) without drawing: one
+  /// multiplication of the state by the precomputed 2^k-th power of the
+  /// generator's transition matrix over GF(2).  The 32 powers (256 KiB)
+  /// are built on the first call in the process.
+  void advance_pow2(unsigned k);
+
+  bool operator==(const Rng&) const = default;
 
   /// Standard normal via Box–Muller (one value per call; no caching so
   /// the stream position stays easy to reason about).
@@ -85,6 +99,13 @@ class Rng {
   Rng fork();
 
  private:
+  /// bernoulli_hits()'s 16-lane passes over the first of `n` draws:
+  /// appends their hits, advances the generator past them and returns
+  /// how many draws they took.  Kept apart so that bernoulli_hits()'s
+  /// scalar loop runs on a copy whose address never escapes.
+  std::uint64_t bernoulli_lanes(std::uint64_t threshold, std::uint64_t n,
+                                std::vector<std::uint64_t>& hits);
+
   std::uint64_t s_[4];
 };
 

@@ -34,8 +34,9 @@
 // deterministically: the replay advances the TRR tracker analytically
 // (TrrTracker::advance_cmds), draws the stream's PARA decisions in one
 // Rng::bernoulli_hits scan (same hits, same final RNG state as one
-// para_decide() per activation), and runs the closed-form victim check
-// on the segments between the resulting targeted refreshes.
+// para_decide() per activation; 16 jump-ahead lanes in vector registers
+// from 4,096 draws up), and runs the closed-form victim check on the
+// segments between the resulting targeted refreshes.
 #pragma once
 
 #include <algorithm>
@@ -226,9 +227,10 @@ class DramDevice {
   /// `cmd_times[c]` is the simulated time of command c's DRAM work
   /// (used to stamp FlipEvents and to place each command in its refresh
   /// window); cmd_times.size() == n_cmds.  Apart from the PARA draws
-  /// (one Rng::bernoulli_hits scan per window, ~1.5 ns per activation),
-  /// host work scales with the pattern's rows, the windows crossed, the
-  /// refreshes and the flips, not with n_cmds.  Commands may span
+  /// (one Rng::bernoulli_hits scan per window, ~0.45 ns per activation
+  /// with AVX-512 in a window of 4,096 or more), host work scales with
+  /// the pattern's rows, the windows crossed, the refreshes and the
+  /// flips, not with n_cmds.  Commands may span
   /// refresh-window boundaries: the replay splits the stream into
   /// maximal same-window runs internally, and a run in a window beyond
   /// the clock's current one starts from zeroed per-window counters,

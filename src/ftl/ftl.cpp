@@ -690,7 +690,7 @@ Status Ftl::scrub(std::uint64_t* repaired) {
                          scrub_truth_next_page_ == journal_->next_page();
   if (!cache_hit) {
     scrub_truth_valid_ = false;
-    scrub_clean_epoch_.reset();
+    scrub_clean_.reset();
     RHSD_ASSIGN_OR_RETURN(JournalLoadResult r, journal_->load());
     if (!r.snapshot_found || r.corrupt_pages > 0) {
       ++stats_.scrub_aborts;
@@ -706,37 +706,78 @@ Status Ftl::scrub(std::uint64_t* repaired) {
       scrub_truth_next_page_ = journal_->next_page();
     }
   }
-
-  std::uint64_t fixed = 0;
-  // Skip the verify walk only when the truth is the cached one AND the
-  // DRAM provably has not mutated since the table was last drift-free.
-  if (!(cache_hit && scrub_clean_epoch_.has_value() &&
-        *scrub_clean_epoch_ == dram_.content_epoch())) {
-    if (scrub_locs_.empty()) {
-      // Decode every entry's DRAM location once; the layout never
-      // changes underneath a live FTL.
-      scrub_locs_.resize(config_.num_lbas);
-      for (std::uint64_t lpn = 0; lpn < config_.num_lbas; ++lpn) {
-        scrub_locs_[lpn] = entry_loc(Lba(lpn));
-      }
-    }
-    std::uint8_t entry[L2pLayout::kEntryBytes];
+  if (scrub_locs_.empty()) {
+    // Decode every entry's DRAM location once; the layout never changes
+    // underneath a live FTL.
+    scrub_locs_.resize(config_.num_lbas);
+    scrub_row_lpns_.resize(config_.num_lbas);
     for (std::uint64_t lpn = 0; lpn < config_.num_lbas; ++lpn) {
-      dram_.peek_row(scrub_locs_[lpn].row, scrub_locs_[lpn].offset, entry);
-      if (Load32(entry) != scrub_truth_[lpn]) {
-        // Drifted from the journaled state: a hammer flip or an injected
-        // soft error.  Repair in place (poke: maintenance traffic is not
-        // modeled as hammering).
-        debug_store(Lba(lpn), scrub_truth_[lpn]);
-        ++fixed;
-      }
+      scrub_locs_[lpn] = entry_loc(Lba(lpn));
+      scrub_row_lpns_[lpn] = {scrub_locs_[lpn].row, lpn};
     }
-    stats_.scrub_repairs += fixed;
-    // Post-repair epoch: the table now equals the truth, and the
-    // repairs' own pokes are inside this reading.
-    scrub_clean_epoch_ =
-        cacheable ? std::optional<std::uint64_t>(dram_.content_epoch())
-                  : std::nullopt;
+    std::sort(scrub_row_lpns_.begin(), scrub_row_lpns_.end());
+  }
+
+  // Which entries to verify.  With the cached truth, every entry held
+  // it at the clean mark.  While the DRAM content is unchanged since
+  // (same content epoch) none can differ; while disturbance flips are
+  // the only change (the epoch moved by the bitflips alone: no write,
+  // poke, injected error or ECC correction), only the entries in rows
+  // the new FlipEvents name.  Any other change, or flip_events()
+  // cleared so that the new events are not all there, verifies every
+  // entry.
+  const DramStats& ds = dram_.stats();
+  const std::vector<FlipEvent>& events = dram_.flip_events();
+  bool full = true;
+  std::vector<std::uint64_t> lpns;
+  if (cache_hit && scrub_clean_.has_value()) {
+    const ScrubMark& mark = *scrub_clean_;
+    const std::uint64_t flips = ds.bitflips - mark.bitflips;
+    if (dram_.content_epoch() - mark.content_epoch == flips &&
+        (flips == 0 || events.size() == mark.flip_events + flips)) {
+      full = false;
+      std::vector<std::uint64_t> rows;
+      for (std::size_t i = events.size() - flips; i < events.size(); ++i) {
+        rows.push_back(events[i].global_row);
+      }
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+      for (const std::uint64_t row : rows) {
+        auto it = std::lower_bound(
+            scrub_row_lpns_.begin(), scrub_row_lpns_.end(),
+            std::pair<std::uint64_t, std::uint64_t>{row, 0});
+        for (; it != scrub_row_lpns_.end() && it->first == row; ++it) {
+          lpns.push_back(it->second);
+        }
+      }
+      std::sort(lpns.begin(), lpns.end());
+    }
+  }
+  std::uint64_t fixed = 0;
+  std::uint8_t entry[L2pLayout::kEntryBytes];
+  const auto verify = [&](std::uint64_t lpn) {
+    dram_.peek_row(scrub_locs_[lpn].row, scrub_locs_[lpn].offset, entry);
+    if (Load32(entry) != scrub_truth_[lpn]) {
+      // Drifted from the journaled state: a hammer flip or an injected
+      // soft error.  Repair in place (poke: maintenance traffic is not
+      // modeled as hammering).
+      debug_store(Lba(lpn), scrub_truth_[lpn]);
+      ++fixed;
+    }
+  };
+  if (full) {
+    for (std::uint64_t lpn = 0; lpn < config_.num_lbas; ++lpn) verify(lpn);
+  } else {
+    for (const std::uint64_t lpn : lpns) verify(lpn);
+  }
+  stats_.scrub_repairs += fixed;
+  // Post-repair readings: the table now equals the truth, and the
+  // repairs' own pokes are inside them.
+  if (cacheable) {
+    scrub_clean_ = ScrubMark{dram_.content_epoch(), ds.bitflips,
+                             dram_.flip_events().size()};
+  } else {
+    scrub_clean_.reset();
   }
   if (repaired != nullptr) *repaired = fixed;
   return Status::Ok();

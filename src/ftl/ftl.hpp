@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -329,18 +330,26 @@ class Ftl {
   /// Integrity-scrub fast path (see Ftl::scrub): the authoritative
   /// table parsed from the last clean journal load, reusable while the
   /// journal writer has not moved and no injected NAND/power fault
-  /// could alter the flash behind the FTL's back.  `scrub_clean_epoch_`
-  /// is the DRAM content epoch right after the table was last verified
-  /// drift-free; while it still matches, the verify walk is skipped.
+  /// could alter the flash behind the FTL's back.
   std::vector<std::uint32_t> scrub_truth_;
   bool scrub_truth_valid_ = false;
   std::uint64_t scrub_truth_epoch_ = 0;
   std::uint32_t scrub_truth_next_page_ = 0;
-  std::optional<std::uint64_t> scrub_clean_epoch_;
+  /// DRAM readings taken right after the table was last verified
+  /// drift-free against the cached truth.
+  struct ScrubMark {
+    std::uint64_t content_epoch = 0;
+    std::uint64_t bitflips = 0;
+    std::uint64_t flip_events = 0;  // DramDevice::flip_events().size()
+  };
+  std::optional<ScrubMark> scrub_clean_;
   /// Pre-decoded DRAM location of each LPN's L2P entry (the layout is
   /// fixed for the FTL's lifetime), so the verify walk reads rows
-  /// directly instead of decoding every address.
-  std::vector<EntryLoc> scrub_locs_;  // built on first scrub walk
+  /// directly instead of decoding every address; and every entry as a
+  /// (row, LPN) pair, sorted, so a walk can find the entries of a row.
+  /// Both built on the first scrub walk.
+  std::vector<EntryLoc> scrub_locs_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> scrub_row_lpns_;
 
   std::deque<std::uint32_t> free_blocks_;
   std::uint32_t active_block_ = 0;

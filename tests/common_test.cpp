@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/crc32c.hpp"
@@ -224,38 +226,107 @@ TEST(Rng, BoolThresholdMatchesNextBoolDrawForDraw) {
   }
 }
 
+/// Rng::bernoulli_hits(threshold, n) against the scalar loop it must
+/// equal: the same hit indices in the same order, appended after what
+/// `hits` held, and the same generator state afterwards.  Returns the
+/// number of hits; records a failure naming `what` on a mismatch.
+std::uint64_t CheckBernoulliHits(std::uint64_t seed, std::uint64_t threshold,
+                                 std::uint64_t n, const std::string& what) {
+  Rng batched(seed);
+  Rng scalar(seed);
+  std::vector<std::uint64_t> got = {42};
+  std::vector<std::uint64_t> want = {42};
+  batched.bernoulli_hits(threshold, n, got);
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    if (scalar.next_bool_at(threshold)) want.push_back(i);
+  }
+  EXPECT_TRUE(got == want) << what << ": " << got.size() - 1 << " hits, "
+                           << want.size() - 1 << " expected";
+  EXPECT_TRUE(batched == scalar) << what << ": generator state differs";
+  return got.size() - 1;
+}
+
 TEST(Rng, BernoulliHitsMatchesScalarLoop) {
-  // The batched scan against the loop it replaces: the same hit
-  // indices in the same order, appended after what `hits` held, and the
-  // same stream position afterwards -- from empty calls up to the ~314k
-  // draws of a §5 PARA replay chunk, and at the extreme thresholds.
-  const std::uint64_t thresholds[] = {
-      1, Rng::bool_threshold(1.0 / 1024), Rng::bool_threshold(0.005),
-      Rng::bool_threshold(0.5), (std::uint64_t{1} << 53) - 1};
-  const std::uint64_t sizes[] = {0, 1, 31, 32768, 314092};
+  // From empty calls up to the ~314k draws of a §5 PARA replay chunk
+  // and beyond: the sizes around the 16-lane cut-off (16 *
+  // kMinLaneBlock = 4096), one past a full lane pass, and 1,048,593 =
+  // 2^20 + 2^16 + 17, two lane passes plus a scalar remainder.
+  // Thresholds from never-hit to always-hit, including 2^53 and ~0,
+  // which every draw meets and which overflow if shifted left by 11.
+  const std::uint64_t thresholds[] = {0,
+                                      1,
+                                      Rng::bool_threshold(1.0 / 1024),
+                                      Rng::bool_threshold(0.005),
+                                      Rng::bool_threshold(0.5),
+                                      (std::uint64_t{1} << 53) - 1,
+                                      std::uint64_t{1} << 53,
+                                      ~std::uint64_t{0}};
+  const std::uint64_t sizes[] = {0,     1,     31,    4095,   4096,
+                                 4097,  32768, 65537, 314092, 1048593};
+  static_assert(16 * Rng::kMinLaneBlock == 4096);
   for (const std::uint64_t seed : {1ull, 7ull, 0xC0FFEEull}) {
     for (const std::uint64_t thr : thresholds) {
       for (const std::uint64_t n : sizes) {
-        Rng batched(seed);
-        Rng scalar(seed);
-        std::vector<std::uint64_t> got = {42};
-        std::vector<std::uint64_t> want = {42};
-        batched.bernoulli_hits(thr, n, got);
-        for (std::uint64_t i = 1; i <= n; ++i) {
-          if (scalar.next_bool_at(thr)) want.push_back(i);
-        }
-        ASSERT_EQ(got, want) << "seed=" << seed << " thr=" << thr
-                             << " n=" << n;
-        for (int k = 0; k < 8; ++k) {
-          ASSERT_EQ(batched.next(), scalar.next())
-              << "seed=" << seed << " thr=" << thr << " n=" << n;
-        }
+        const std::uint64_t hits = CheckBernoulliHits(
+            seed, thr, n,
+            "seed=" + std::to_string(seed) + " thr=" + std::to_string(thr) +
+                " n=" + std::to_string(n));
         // Non-vacuity: every long scan at p >= 1/1024 hits.
         if (n >= 32768 && thr >= Rng::bool_threshold(1.0 / 1024)) {
-          EXPECT_GT(got.size(), 1u) << "thr=" << thr << " n=" << n;
+          EXPECT_GT(hits, 0u) << "thr=" << thr << " n=" << n;
         }
       }
     }
+    if (HasFailure()) return;
+  }
+}
+
+// Seeded randomized sweep over (generator seed, threshold, n <= 2^21)
+// against the scalar loop.  A failure prints a one-line
+// RHSD_DIFF_SEED=<n> repro; with that variable set, only that case runs.
+TEST(Rng, BernoulliHitsDifferentialSweep) {
+  const auto run_case = [](std::uint64_t seed) {
+    Rng draw(0xD1FF + seed);
+    const std::uint64_t gen_seed = draw.next();
+    // n log-uniform up to 2^21, so the lane passes and the scalar tail
+    // both vary; thresholds from p = 2^-20 to always-hit.
+    const std::uint64_t n = draw.next_below(
+        (std::uint64_t{1} << draw.next_in(0, 21)) + 1);
+    std::uint64_t thr = 0;
+    switch (draw.next_below(4)) {
+      case 0: thr = std::uint64_t{1} << draw.next_in(33, 45); break;
+      case 1: thr = draw.next_below(std::uint64_t{1} << 53); break;
+      case 2: thr = draw.next(); break;  // mostly >= 2^53: every draw
+      default: thr = Rng::bool_threshold(1.0 / 1024); break;
+    }
+    CheckBernoulliHits(gen_seed, thr, n,
+                       "RHSD_DIFF_SEED=" + std::to_string(seed) +
+                           " (thr=" + std::to_string(thr) +
+                           " n=" + std::to_string(n) + ")");
+    return n;
+  };
+  if (const char* env = std::getenv("RHSD_DIFF_SEED")) {
+    run_case(std::strtoull(env, nullptr, 10));
+    return;
+  }
+  std::uint64_t lane_calls = 0;
+  for (std::uint64_t seed = 0; seed < 48; ++seed) {
+    lane_calls += run_case(seed) >= 16 * Rng::kMinLaneBlock;
+    if (HasFailure()) return;  // the failure names the seed to re-run
+  }
+  EXPECT_GT(lane_calls, 8u);  // the sweep reached the lane scan
+}
+
+TEST(Rng, AdvancePow2EqualsRepeatedNext) {
+  for (const unsigned k : {0u, 1u, 5u, 12u, 20u}) {
+    Rng jumped(0xABCD + k);
+    Rng stepped(0xABCD + k);
+    jumped.advance_pow2(k);
+    for (std::uint64_t i = 0; i < (std::uint64_t{1} << k); ++i) {
+      (void)stepped.next();
+    }
+    EXPECT_TRUE(jumped == stepped) << "k=" << k;
+    EXPECT_EQ(jumped.next(), stepped.next()) << "k=" << k;
   }
 }
 

@@ -4,6 +4,8 @@
 // SECDED), and the journal-backed integrity scrub.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -249,6 +251,180 @@ TEST(FaultRecovery, PeriodicScrubRunsAndRepairsAutomatically) {
 TEST(FaultRecovery, ScrubWithoutJournalIsRejected) {
   FaultRig rig(FaultPlan{});  // journal disabled
   EXPECT_EQ(rig.ftl->scrub().code(), StatusCode::kFailedPrecondition);
+}
+
+// The scrub verifies only the entries in rows named by new FlipEvents
+// while disturbance flips are the only DRAM change since its last clean
+// walk, and every entry otherwise.  A journal + scrub device is hammered
+// into flips before every scrub; the rounds mix in each change that must
+// force the full walk, aimed at rows the round's flips did not touch.
+// After every scrub each entry must equal the journaled mapping, and
+// scrub_repairs must grow by exactly the drift counted before the call.
+enum class ScrubRound {
+  kFlipsOnly,
+  kPoke,              // debug_store
+  kInjectedBitError,  // FaultClass::kDramBitError on a host read
+  kReadAll,           // host reads of every LBA: ECC corrections if on
+  kHostWrite,
+  kClearFlipEvents,
+};
+
+struct ScrubWalkTotals {
+  std::uint64_t flips_only_scrubs = 0;   // cached truth, flips only
+  std::uint64_t flips_only_repairs = 0;
+  std::uint64_t injected_bit_errors = 0;
+  std::uint64_t ecc_corrected = 0;
+};
+
+ScrubWalkTotals RunScrubRounds(bool ecc) {
+  constexpr std::uint64_t kLbas = 1024;  // 4 KiB table: 8 row chunks
+  ScrubWalkTotals totals;
+  SimClock clock;
+  DramConfig dc;
+  dc.geometry = test::SmallDram();
+  dc.profile = test::EasyFlipProfile();
+  dc.mitigations.ecc = ecc;
+  DramDevice dram(dc, MakeLinearMapper(dc.geometry), clock);
+  NandDevice nand(NandGeometry{.channels = 1,
+                               .dies_per_channel = 1,
+                               .planes_per_die = 1,
+                               .blocks_per_plane = 128,
+                               .pages_per_block = 16,
+                               .page_bytes = kBlockSize});
+  FtlConfig config;
+  config.num_lbas = kLbas;
+  config.journal.enabled = true;
+  Ftl ftl(config, nand, dram);
+
+  std::vector<std::uint32_t> truth(kLbas);
+  for (std::uint64_t lba = 0; lba < kLbas; ++lba) {
+    EXPECT_TRUE(
+        ftl.write(Lba(lba), Block(static_cast<std::uint8_t>(lba))).ok());
+    truth[lba] = ftl.debug_lookup(Lba(lba));
+  }
+  EXPECT_TRUE(ftl.scrub().ok());
+
+  // Each entry's DRAM row, and the table rows whose neighbors on both
+  // sides sit in the same bank: double-sided victims.
+  const DramGeometry& geo = dc.geometry;
+  std::vector<std::uint64_t> row_of(kLbas);
+  std::vector<std::uint64_t> victims;
+  for (std::uint64_t lba = 0; lba < kLbas; ++lba) {
+    row_of[lba] = dram.mapper()
+                      .decode(ftl.layout().entry_addr(lba))
+                      .global_row(geo);
+    const std::uint64_t in_bank = row_of[lba] % geo.rows_per_bank;
+    if (in_bank > 0 && in_bank + 1 < geo.rows_per_bank &&
+        std::find(victims.begin(), victims.end(), row_of[lba]) ==
+            victims.end()) {
+      victims.push_back(row_of[lba]);
+    }
+  }
+  EXPECT_GE(victims.size(), 2u);
+
+  constexpr ScrubRound kSchedule[] = {
+      ScrubRound::kFlipsOnly, ScrubRound::kPoke,
+      ScrubRound::kFlipsOnly, ScrubRound::kInjectedBitError,
+      ScrubRound::kFlipsOnly, ScrubRound::kReadAll,
+      ScrubRound::kFlipsOnly, ScrubRound::kHostWrite,
+      ScrubRound::kFlipsOnly, ScrubRound::kClearFlipEvents};
+  std::vector<std::uint8_t> out(kBlockSize);
+  std::uint64_t mark_epoch = dram.content_epoch();
+  std::uint64_t mark_flips = dram.stats().bitflips;
+  for (std::uint64_t round = 0; round < 30; ++round) {
+    const ScrubRound kind = kSchedule[round % std::size(kSchedule)];
+    const std::uint64_t victim = victims[round % victims.size()];
+    const std::size_t events_before = dram.flip_events().size();
+    clock.advance_ns(dram.refresh_window_ns());
+    dram.hammer_pair(victim - 1, victim + 1, 20000);
+
+    // An LBA whose row this round's flips did not touch: a change aimed
+    // there is missed by a walk of the flipped rows alone.
+    std::vector<std::uint64_t> flipped_rows;
+    for (std::size_t i = events_before; i < dram.flip_events().size(); ++i) {
+      flipped_rows.push_back(dram.flip_events()[i].global_row);
+    }
+    std::uint64_t quiet = 0;
+    while (std::find(flipped_rows.begin(), flipped_rows.end(),
+                     row_of[quiet]) != flipped_rows.end()) {
+      ++quiet;
+    }
+    EXPECT_LT(quiet, kLbas);
+    switch (kind) {
+      case ScrubRound::kFlipsOnly:
+        break;
+      case ScrubRound::kPoke:
+        ftl.debug_store(Lba(quiet), truth[quiet] ^ 0x10);
+        break;
+      case ScrubRound::kInjectedBitError: {
+        FaultPlan plan;
+        plan.add(FaultClass::kDramBitError, /*op_index=*/0, /*count=*/1,
+                 /*param=*/(1u << 3) | 5u);  // entry byte 1, bit 5
+        FaultInjector injector(plan);
+        const std::uint64_t injected = dram.stats().injected_bit_errors;
+        dram.set_fault_injector(&injector);
+        (void)ftl.read(Lba(quiet), out);  // reads the corrupted mapping
+        dram.set_fault_injector(nullptr);
+        totals.injected_bit_errors +=
+            dram.stats().injected_bit_errors - injected;
+        break;
+      }
+      case ScrubRound::kReadAll:
+        for (std::uint64_t lba = 0; lba < kLbas; ++lba) {
+          (void)ftl.read(Lba(lba), out);
+        }
+        break;
+      case ScrubRound::kHostWrite:
+        EXPECT_TRUE(ftl.write(Lba(quiet), Block(0xEE)).ok());
+        truth[quiet] = ftl.debug_lookup(Lba(quiet));
+        break;
+      case ScrubRound::kClearFlipEvents:
+        dram.clear_flip_events();
+        break;
+    }
+
+    std::uint64_t drift = 0;
+    for (std::uint64_t lba = 0; lba < kLbas; ++lba) {
+      drift += ftl.debug_lookup(Lba(lba)) != truth[lba];
+    }
+    const std::uint64_t flips = dram.stats().bitflips - mark_flips;
+    const bool flips_only = kind == ScrubRound::kFlipsOnly && flips > 0 &&
+                            dram.content_epoch() - mark_epoch == flips;
+    const std::uint64_t repairs_before = ftl.stats().scrub_repairs;
+    EXPECT_TRUE(ftl.scrub().ok()) << "round " << round;
+    EXPECT_EQ(ftl.stats().scrub_repairs - repairs_before, drift)
+        << "round " << round;
+    for (std::uint64_t lba = 0; lba < kLbas; ++lba) {
+      EXPECT_EQ(ftl.debug_lookup(Lba(lba)), truth[lba])
+          << "round " << round << " lba " << lba;
+    }
+    if (flips_only) {
+      ++totals.flips_only_scrubs;
+      totals.flips_only_repairs += drift;
+    }
+    mark_epoch = dram.content_epoch();
+    mark_flips = dram.stats().bitflips;
+  }
+  // The test's truth assumes no GC moved a mapping behind it.
+  EXPECT_EQ(ftl.stats().gc_runs, 0u);
+  totals.ecc_corrected = dram.stats().ecc_corrected;
+  return totals;
+}
+
+TEST(FaultRecovery, ScrubFlipDrivenWalkMatchesJournal) {
+  const ScrubWalkTotals t = RunScrubRounds(/*ecc=*/false);
+  // Non-vacuity: scrubs ran on the cached truth with disturbance flips
+  // as the only change, and repaired entries there.
+  EXPECT_GT(t.flips_only_scrubs, 0u);
+  EXPECT_GT(t.flips_only_repairs, 0u);
+  EXPECT_GT(t.injected_bit_errors, 0u);
+}
+
+TEST(FaultRecovery, ScrubFlipDrivenWalkMatchesJournalUnderEcc) {
+  const ScrubWalkTotals t = RunScrubRounds(/*ecc=*/true);
+  EXPECT_GT(t.flips_only_scrubs, 0u);
+  EXPECT_GT(t.flips_only_repairs, 0u);
+  EXPECT_GT(t.ecc_corrected, 0u);
 }
 
 }  // namespace
