@@ -169,8 +169,7 @@ ScaleResult RunScale(std::uint32_t tenants, bool quick,
   for (std::uint32_t t = 0; t < tenants; ++t) {
     qps.push_back(std::make_unique<NvmeQueuePair>(
         ctrl, static_cast<std::uint16_t>(t + 1), kDepth));
-    // Foreground pair gets double the arbitration weight of background.
-    loop.attach(*qps[t], t < 2 ? 2 : 1);
+    loop.attach(*qps[t]);
   }
 
   // Scripts: the victim and attacker scripts above, plus Zipfian /
@@ -237,7 +236,7 @@ ScaleResult RunScale(std::uint32_t tenants, bool quick,
   RHSD_CHECK(!latencies.empty());
   res.victim_p50_us = latencies[latencies.size() / 2] / 1e3;
   res.victim_p99_us = latencies[latencies.size() * 99 / 100] / 1e3;
-  res.trr_refreshes = ssd.dram().trr_refreshes_issued();
+  res.trr_refreshes = ssd.dram().stats().trr_refreshes;
   res.para_refreshes = ssd.dram().stats().para_refreshes;
   res.sim_seconds = ssd.clock().now_ns() * 1e-9;
   res.sim_iops = res.commands / res.sim_seconds;
@@ -290,7 +289,7 @@ MixedResult RunMixed(std::uint32_t tenants, bool quick) {
   for (std::uint32_t t = 0; t < tenants; ++t) {
     qps.push_back(std::make_unique<NvmeQueuePair>(
         ctrl, static_cast<std::uint16_t>(t + 1), kDepth));
-    loop.attach(*qps[t], 1);
+    loop.attach(*qps[t]);
   }
 
   const std::uint64_t ops = quick ? 600 : 2000;
@@ -381,7 +380,7 @@ FaultDomainResult RunFaultDomains() {
   for (std::uint32_t t = 0; t < kStormTenants; ++t) {
     qps.push_back(std::make_unique<NvmeQueuePair>(
         ssd.controller(), static_cast<std::uint16_t>(t + 1), kDepth));
-    loop.attach(*qps[t], 1 + t % 3);
+    loop.attach(*qps[t]);
   }
   std::vector<std::vector<WorkloadOp>> scripts(kStormTenants);
   for (std::uint32_t t = 0; t < kStormTenants; ++t) {
@@ -455,7 +454,7 @@ IdleStreamResult RunIdleStreams(std::uint32_t idle, bool quick) {
   for (std::uint32_t t = 0; t < 2 + idle; ++t) {
     qps.push_back(std::make_unique<NvmeQueuePair>(
         ctrl, static_cast<std::uint16_t>(t + 1), kDepth));
-    loop.attach(*qps[t], t < 2 ? 2 : 1);
+    loop.attach(*qps[t]);
   }
   const std::vector<std::vector<WorkloadOp>> scripts = {
       VictimScript(host, quick), AttackerScript(quick)};

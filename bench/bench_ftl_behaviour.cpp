@@ -220,8 +220,8 @@ int main() {
     NandReliability reliability;
     reliability.base_rber = 1e-6;
     reliability.wear_rber_per_pe = 2e-7;
-    NandDevice nand(NandGeometry{1, 1, 1, 8, 16, kBlockSize},
-                    NandLatency{}, 0, reliability, 2026);
+    NandDevice nand(NandGeometry{1, 1, 1, 8, 16, kBlockSize}, reliability,
+                    2026);
     for (int i = 0; i < pe; ++i) RHSD_CHECK(nand.erase(0).ok());
     std::vector<std::uint8_t> page(kBlockSize, 0x11);
     RHSD_CHECK(nand.program(0, 0, page, PageOob{0, 1}).ok());

@@ -146,24 +146,36 @@ if [[ ! -f "${REPORT}" ]]; then
   exit 1
 fi
 
-# Trajectory check against the newest archived report (before this
+# Trajectory check against the newest archived reports (before this
 # run's report is archived): any *_speedup ratio or *_per_s / *_iops
 # throughput metric regressing by more than 20% fails the gate even while still
 # above its fixed floor, so slow perf erosion can't hide under a
-# generous absolute threshold.
+# generous absolute threshold.  Each key's baseline is its median over
+# the newest three archived reports (those of them that carry the key),
+# so one report archived in a slow or fast host spell cannot pin the
+# baseline on its own.
 extract_metric() {  # extract_metric <file> <key>
   sed -n "s/.*\"$2\": *\\([0-9.eE+-]*\\).*/\\1/p" "$1" | head -n 1
 }
 
-BASELINE="$(ls -1 bench_history/BENCH_hotpath.*.json 2>/dev/null \
-  | sort | tail -n 1 || true)"
-if [[ -n "${BASELINE}" ]]; then
-  echo "trajectory baseline: ${BASELINE}"
+median_metric() {  # median_metric <key> <file>...; empty if none has it
+  local KEY="$1" F
+  shift
+  for F in "$@"; do extract_metric "${F}" "${KEY}"; done | sort -g |
+    awk '{ v[NR] = $1 }
+         END { if (NR % 2) print v[(NR + 1) / 2]
+               else if (NR) printf "%.10g\n", (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+mapfile -t BASELINES < <(ls -1 bench_history/BENCH_hotpath.*.json \
+  2>/dev/null | sort | tail -n 3 || true)
+if [[ ${#BASELINES[@]} -gt 0 ]]; then
+  echo "trajectory baseline: median of ${BASELINES[*]}"
   for KEY in $(sed -n \
       's/.*"\([a-z_]*_speedup\|[a-z_]*_per_s\|[a-z_]*_iops\)".*/\1/p' \
       "${REPORT}"); do
     NEW="$(extract_metric "${REPORT}" "${KEY}")"
-    OLD="$(extract_metric "${BASELINE}" "${KEY}")"
+    OLD="$(median_metric "${KEY}" "${BASELINES[@]}")"
     [[ -z "${NEW}" || -z "${OLD}" ]] && continue
     echo "${KEY}: ${OLD} -> ${NEW}"
     awk -v n="${NEW}" -v o="${OLD}" 'BEGIN { exit !(n + 0 >= 0.8 * o) }' || {

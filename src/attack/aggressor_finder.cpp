@@ -56,19 +56,6 @@ std::vector<TripleSet> AggressorFinder::half_double_triples(
   return out;
 }
 
-std::vector<TripleSet> AggressorFinder::self_triples(
-    const LpnRange& range) const {
-  std::vector<TripleSet> out;
-  for (const TripleSet& t : all_triples()) {
-    if (row_has_lpn_in(t.left_row, range) &&
-        row_has_lpn_in(t.right_row, range) &&
-        row_has_lpn_in(t.victim_row, range)) {
-      out.push_back(t);
-    }
-  }
-  return out;
-}
-
 bool AggressorFinder::pick_lpn(std::uint64_t row, const LpnRange& range,
                                std::uint64_t& lpn_out) const {
   for (const std::uint64_t lpn : map_.lpns_in_row(row)) {

@@ -57,11 +57,6 @@ class AggressorFinder {
   [[nodiscard]] std::vector<TripleSet> cross_partition_triples(
       const LpnRange& attacker, const LpnRange& victim) const;
 
-  /// Triples fully inside `range` on both aggressors and victim — used
-  /// for online self-templating within the attacker's own partition.
-  [[nodiscard]] std::vector<TripleSet> self_triples(
-      const LpnRange& range) const;
-
   /// Half-Double placement ([42]): victim rows holding `victim` entries
   /// whose *distance-2* rows hold `attacker` entries (the driven rows).
   /// The returned TripleSet is victim-centered (left/right are the

@@ -4,6 +4,12 @@
 #include <vector>
 
 namespace rhsd {
+namespace {
+
+/// Decoy rows added around the aggressors in kManySided mode.
+constexpr std::size_t kManySidedWidth = 9;
+
+}  // namespace
 
 const char* to_string(HammerMode mode) {
   switch (mode) {
@@ -67,7 +73,7 @@ StatusOr<HammerStats> HammerOrchestrator::hammer_triple(
       const std::uint64_t bank = triple.victim_row / rows_per_bank;
       std::vector<std::uint64_t> decoys;
       for (const std::uint64_t row : finder_.map().rows()) {
-        if (decoys.size() >= many_sided_width_) break;
+        if (decoys.size() >= kManySidedWidth) break;
         if (row / rows_per_bank != bank) continue;
         const std::uint64_t d = row > triple.victim_row
                                     ? row - triple.victim_row
@@ -97,15 +103,13 @@ StatusOr<HammerStats> HammerOrchestrator::hammer_triple(
     }
   }
 
-  if (trim_first_) {
-    // Unmapped reads skip flash — the accelerated path of §3's threat
-    // model. Using the SSD strictly as intended, still.
-    std::vector<std::uint64_t> unique = pattern;
-    std::sort(unique.begin(), unique.end());
-    unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-    for (const std::uint64_t slba : unique) {
-      RHSD_RETURN_IF_ERROR(tenant_.trim_blocks(slba, 1));
-    }
+  // Unmapped reads skip flash — the accelerated path of §3's threat
+  // model. Using the SSD strictly as intended, still.
+  std::vector<std::uint64_t> unique = pattern;
+  std::sort(unique.begin(), unique.end());
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  for (const std::uint64_t slba : unique) {
+    RHSD_RETURN_IF_ERROR(tenant_.trim_blocks(slba, 1));
   }
 
   DramDevice& dram = tenant_.controller().ftl().dram();

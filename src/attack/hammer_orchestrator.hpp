@@ -62,26 +62,15 @@ class HammerOrchestrator {
                      LpnRange attacker_range)
       : tenant_(tenant), finder_(finder), attacker_range_(attacker_range) {}
 
-  /// Issue reads hammering `triple` for `duration_s` simulated seconds.
-  /// Returns stats; NotFound if no usable hammer LBA exists in a needed
-  /// row.  (Flip counts in the stats come from device instrumentation —
-  /// experiment bookkeeping, not attacker knowledge.)
+  /// Issue reads hammering `triple` for `duration_s` simulated seconds,
+  /// after trimming the hammer LBAs so the reads skip flash (§3:
+  /// "attackers with direct access to unmapped/trimmed blocks may
+  /// accelerate access rates").  Returns stats; NotFound if no usable
+  /// hammer LBA exists in a needed row.  (Flip counts in the stats come
+  /// from device instrumentation — experiment bookkeeping, not attacker
+  /// knowledge.)
   StatusOr<HammerStats> hammer_triple(const TripleSet& triple,
                                       HammerMode mode, double duration_s);
-
-  /// Trim the hammer LBAs first so reads skip flash (§3: "attackers with
-  /// direct access to unmapped/trimmed blocks may accelerate access
-  /// rates").
-  void set_trim_first(bool on) { trim_first_ = on; }
-
-  /// Decoy rows added around the aggressors in kManySided mode.
-  void set_many_sided_width(std::uint32_t rows) {
-    many_sided_width_ = rows;
-  }
-
-  [[nodiscard]] std::uint32_t many_sided_width() const {
-    return many_sided_width_;
-  }
 
  private:
   /// Namespace-relative LBA for a device LPN.
@@ -92,8 +81,6 @@ class HammerOrchestrator {
   Tenant& tenant_;
   const AggressorFinder& finder_;
   LpnRange attacker_range_;
-  bool trim_first_ = true;
-  std::uint32_t many_sided_width_ = 9;
 };
 
 }  // namespace rhsd

@@ -94,9 +94,4 @@ std::pair<Lba, Lba> CloudHost::partition_range(TenantId id) const {
   return {info.start, info.start + info.blocks};
 }
 
-std::pair<Lba, Lba> CloudHost::partition_range(const Tenant& t) const {
-  const auto& info = ssd_->controller().namespace_info(t.nsid());
-  return {info.start, info.start + info.blocks};
-}
-
 }  // namespace rhsd

@@ -85,9 +85,6 @@ class CloudHost {
 
   /// Device LBA range [first, last) of a tenant's partition.
   [[nodiscard]] std::pair<Lba, Lba> partition_range(TenantId id) const;
-  /// Same, keyed by the tenant object (any registered tenant works —
-  /// the range only depends on its namespace).
-  [[nodiscard]] std::pair<Lba, Lba> partition_range(const Tenant& t) const;
 
  private:
   /// One registry entry: the tenant plus, for indirect (FS) tenants,

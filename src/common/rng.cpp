@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numbers>
 
 namespace rhsd {
 
@@ -40,27 +39,10 @@ std::uint64_t Rng::next_in(std::uint64_t lo, std::uint64_t hi) {
   return lo + next_below(hi - lo + 1);
 }
 
-double Rng::next_gaussian() {
-  // Box–Muller; u1 in (0,1] so log() stays finite.
-  double u1;
-  do {
-    u1 = next_double();
-  } while (u1 <= 0.0);
-  const double u2 = next_double();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
-
-double Rng::next_lognormal(double mu, double sigma) {
-  return std::exp(mu + sigma * next_gaussian());
-}
-
 std::uint64_t Rng::bool_threshold(double p) {
   RHSD_CHECK(p > 0.0 && p < 1.0);
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
-
-Rng Rng::fork() { return Rng(next()); }
 
 namespace {
 

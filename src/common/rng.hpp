@@ -88,16 +88,6 @@ class Rng {
 
   bool operator==(const Rng&) const = default;
 
-  /// Standard normal via Box–Muller (one value per call; no caching so
-  /// the stream position stays easy to reason about).
-  double next_gaussian();
-
-  /// Log-normal with the given parameters of the underlying normal.
-  double next_lognormal(double mu, double sigma);
-
-  /// Derive an independent child generator (for per-subsystem streams).
-  Rng fork();
-
  private:
   /// bernoulli_hits()'s 16-lane passes over the first of `n` draws:
   /// appends their hits, advances the generator past them and returns

@@ -49,10 +49,6 @@ void CacheModel::invalidate(DramAddr addr) {
   }
 }
 
-void CacheModel::flush_all() {
-  for (Line& line : lines_) line.valid = false;
-}
-
 bool CacheModel::contains(DramAddr addr) const {
   const std::uint64_t id = line_id(addr);
   const std::uint64_t set = id % config_.sets;

@@ -40,8 +40,6 @@ class CacheModel {
   /// Drop the line containing `addr` (write-invalidate path).
   void invalidate(DramAddr addr);
 
-  void flush_all();
-
   /// Residency probe without LRU/stat side effects (batched-replay
   /// planning: a pattern whose lines are all resident stays all-hit).
   [[nodiscard]] bool contains(DramAddr addr) const;

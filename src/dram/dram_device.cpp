@@ -195,9 +195,6 @@ DramDevice::DramDevice(DramConfig config,
   if (para_p > 0.0 && para_p < 1.0) {
     para_threshold_ = Rng::bool_threshold(para_p);
   }
-  if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
-    open_rows_.assign(config_.geometry.total_banks(), ~0ull);
-  }
   const std::uint64_t total_rows = config_.geometry.total_rows();
   row_window_.assign(total_rows, ~0ull);
   row_acts_.assign(total_rows, 0);
@@ -278,17 +275,6 @@ std::optional<std::uint64_t> DramDevice::neighbor(std::uint64_t global_row,
 }
 
 void DramDevice::activate(std::uint64_t global_row) {
-  if (config_.row_buffer_policy == RowBufferPolicy::kOpenPage) {
-    // Row-buffer hit: the row is already open, no wordline activation —
-    // and therefore no disturbance on the neighbors.
-    const std::uint64_t bank =
-        global_row / config_.geometry.rows_per_bank;
-    if (open_rows_[bank] == global_row) {
-      ++stats_.row_buffer_hits;
-      return;
-    }
-    open_rows_[bank] = global_row;
-  }
   ++stats_.activations;
   roll_window(global_row);
   ++row_acts_[global_row];
@@ -427,54 +413,19 @@ void DramDevice::hammer_events(std::uint64_t a, std::uint64_t b,
   RHSD_CHECK(a < config_.geometry.total_rows());
   RHSD_CHECK(b < config_.geometry.total_rows());
   if (events == 0) return;
-
-  const bool open_page =
-      config_.row_buffer_policy == RowBufferPolicy::kOpenPage;
-  if (open_page) {
-    if (a == b) {
-      // One row: at most the first access activates, the rest hit the
-      // row buffer (activate() resolves hit-vs-conflict itself).
-      activate(a);
-      stats_.row_buffer_hits += events - 1;
-      return;
-    }
-    const std::uint64_t bank_a = a / config_.geometry.rows_per_bank;
-    const std::uint64_t bank_b = b / config_.geometry.rows_per_bank;
-    if (bank_a != bank_b) {
-      // Different banks: the rows never evict each other, so only the
-      // first access to each can activate.
-      activate(a);
-      if (events >= 2) activate(b);
-      stats_.row_buffer_hits += events - std::min<std::uint64_t>(events, 2);
-      return;
-    }
-    // Same bank: the alternation forces a conflict on every access —
-    // unless row_a is already open, in which case only the very first
-    // access hits and the remaining sequence starts from row_b.
-    if (open_rows_[bank_a] == a) {
-      ++stats_.row_buffer_hits;
-      if (--events == 0) return;
-      std::swap(a, b);
-    }
-  }
-  // Every remaining access activates: the 1- or 2-row pattern, one
-  // command per activation, all at the current time.
+  // The 1- or 2-row pattern, one command per activation, all at the
+  // current time.
   const std::uint64_t pair[2] = {a, b};
   const std::span<const std::uint64_t> rows(pair, a == b ? 1 : 2);
   const CmdTimes times{{}, clock_.now_ns(), 0, events};
   const bool ok = replay_pattern(rows, events, 1, times, {});
   RHSD_CHECK(ok);  // no hazards, nothing to abort
-  if (open_page) {
-    // The last access leaves its row open.
-    open_rows_[a / config_.geometry.rows_per_bank] = rows[(events - 1) % 2];
-  }
 }
 
 bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
                                 std::uint64_t n_cmds, std::uint64_t repeat,
                                 CmdTimes cmd_times,
                                 std::span<const PatternHazard> hazards) {
-  RHSD_CHECK(config_.row_buffer_policy == RowBufferPolicy::kClosedPage);
   RHSD_CHECK(!cache_.has_value());
   for (const std::uint64_t r : rows) {
     RHSD_CHECK(r < config_.geometry.total_rows());
@@ -1073,10 +1024,6 @@ std::uint64_t DramDevice::row_of(DramAddr addr) const {
 bool DramDevice::reads_replayable(std::span<const DramAddr> entries,
                                   std::uint32_t bytes) const {
   RHSD_CHECK(bytes > 0);
-  if (!cache_.has_value() &&
-      config_.row_buffer_policy != RowBufferPolicy::kClosedPage) {
-    return false;  // hammer_pattern() models closed-page streams only
-  }
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
   for (const DramAddr addr : entries) {
     const std::uint64_t a = addr.value();
@@ -1104,11 +1051,10 @@ bool DramDevice::reads_replayable(std::span<const DramAddr> entries,
 
 std::uint64_t DramDevice::read_fault_horizon(std::uint64_t touches) const {
   if (injector_ == nullptr) return FaultInjector::kNoFault;
-  const std::uint64_t at =
-      injector_->next_fault_at(FaultClass::kDramBitError);
-  if (at == FaultInjector::kNoFault) return at;
-  return (at - injector_->ops(FaultClass::kDramBitError)) /
-         read_ticks_per_cmd(touches);
+  const std::uint64_t away =
+      injector_->ops_until_fault(FaultClass::kDramBitError);
+  if (away == FaultInjector::kNoFault) return away;
+  return away / read_ticks_per_cmd(touches);
 }
 
 bool DramDevice::replay_reads(std::span<const DramAddr> entries,

@@ -8,6 +8,11 @@
 // configuration, the FTL's L2P table — organically rather than by fault
 // injection.
 //
+// The memory controller is closed-page, like the simple embedded
+// controllers in SSDs: it precharges after every access, so every access
+// that reaches the arrays activates its row (which is what makes §3.1's
+// one-location variant viable).
+//
 // One closed-form hammer engine, bit-exact with the scalar path:
 //  * the scalar path — one access activates rows one at a time and runs
 //    a victim check per activation (hammer_pair_scalar() and
@@ -75,24 +80,10 @@ struct DramMitigations {
   double refresh_interval_ms_override = 0.0;
 };
 
-/// Row-buffer management policy of the memory controller.
-enum class RowBufferPolicy {
-  /// Precharge after every access: each access is a fresh activation.
-  /// Typical for simple embedded controllers (and what makes §3.1's
-  /// one-location variant viable).
-  kClosedPage,
-  /// Keep the row open: back-to-back accesses to the same row hit the
-  /// row buffer and do NOT re-activate — one-location hammering stops
-  /// working, alternating (double-sided) patterns are unaffected since
-  /// they force a conflict on every access.
-  kOpenPage,
-};
-
 struct DramConfig {
   DramGeometry geometry;
   DramProfile profile;
   std::uint64_t seed = 1;
-  RowBufferPolicy row_buffer_policy = RowBufferPolicy::kClosedPage;
   DramMitigations mitigations;
 };
 
@@ -100,7 +91,9 @@ struct DramStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t activations = 0;
-  std::uint64_t row_buffer_hits = 0;  // open-page policy only
+  /// Always 0 (the controller is closed-page); kept because perfbench's
+  /// output digest names it.
+  std::uint64_t row_buffer_hits = 0;
   std::uint64_t bitflips = 0;
   std::uint64_t ecc_corrected = 0;
   std::uint64_t ecc_uncorrectable = 0;
@@ -200,14 +193,11 @@ class DramDevice {
 
   /// `pairs` alternating activations of the two aggressors (a, b, a, b,
   /// ... — 2*pairs accesses): the 2-row pattern {a, b}, replayed in
-  /// closed form.  Under open page the row-buffer hits are resolved
-  /// first (a cross-bank pair activates each row once; an already open
-  /// `row_a` turns the first access into a hit).
+  /// closed form.
   void hammer_pair(std::uint64_t row_a, std::uint64_t row_b,
                    std::uint64_t pairs);
-  /// `count` back-to-back accesses of one row (one-location hammering):
-  /// the 1-row pattern (under open page, one activation and then
-  /// row-buffer hits).
+  /// `count` back-to-back activations of one row (one-location
+  /// hammering): the 1-row pattern.
   void hammer_row(std::uint64_t global_row, std::uint64_t count);
 
   /// Scalar reference implementations of hammer_pair()/hammer_row():
@@ -237,11 +227,11 @@ class DramDevice {
   /// baselines, and a freshly reset TRR tracker — exactly what the
   /// scalar walk's roll_window() would produce.  The first command must
   /// fall in the clock's current refresh window.
-  /// Preconditions: closed-page policy, no cache (the entry points that
-  /// resolve row-buffer hits and cache fallbacks first — hammer_pair(),
-  /// hammer_row(), read()/write() with touches — reach the same replay
-  /// core without them).  Bit-exact with the scalar loop: same flips in
-  /// the same order, same DramStats, same TRR/PARA state.
+  /// Precondition: no cache (the entry points that resolve cache
+  /// fallbacks first — hammer_pair(), hammer_row(), read()/write() with
+  /// touches — reach the same replay core without it).
+  /// Bit-exact with the scalar loop: same flips in the same order, same
+  /// DramStats, same TRR/PARA state.
   ///
   /// Returns false and leaves the device completely untouched if a flip
   /// would land inside one of `hazards` — the caller must then replay
@@ -259,9 +249,9 @@ class DramDevice {
   ///
   /// True when the stream replays exactly from the current state: every
   /// entry lies in one row; with a cache, in one resident line (every
-  /// touch hits and nothing activates); without one, the row-buffer
-  /// policy is closed page; and with ECC every entry's check words are
-  /// consistent (a scalar read's verify would be a no-op).  Pure check.
+  /// touch hits and nothing activates); and with ECC every entry's check
+  /// words are consistent (a scalar read's verify would be a no-op).
+  /// Pure check.
   [[nodiscard]] bool reads_replayable(std::span<const DramAddr> entries,
                                       std::uint32_t bytes) const;
   /// Commands of such a stream that run before the next injected bit
@@ -331,11 +321,6 @@ class DramDevice {
   /// disturbance flip to the ECC machinery.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   [[nodiscard]] FaultInjector* fault_injector() const { return injector_; }
-
-  /// TRR refreshes fired so far (0 when TRR is off).
-  [[nodiscard]] std::uint64_t trr_refreshes_issued() const {
-    return trr_.has_value() ? trr_->refreshes_issued() : 0;
-  }
 
  private:
   /// Lazily allocated backing store of one row.
@@ -417,13 +402,12 @@ class DramDevice {
     RefreshBases bases;
   };
 
-  /// The access sequence a, b, a, b, ... for `events` accesses (a == b
-  /// means one-location): resolves the open-page row-buffer hits, then
-  /// replays the accesses that activate as the 1- or 2-row pattern.
+  /// The activation sequence a, b, a, b, ... of `events` activations
+  /// (a == b means one-location), replayed as the 1- or 2-row pattern.
   void hammer_events(std::uint64_t a, std::uint64_t b, std::uint64_t events);
   /// The replay core behind hammer_pattern() and hammer_events(), with
-  /// hammer_pattern()'s contract minus its policy/cache preconditions:
-  /// every command is an activation.
+  /// hammer_pattern()'s contract minus its cache precondition: every
+  /// command is an activation.
   [[nodiscard]] bool replay_pattern(std::span<const std::uint64_t> rows,
                                     std::uint64_t n_cmds, std::uint64_t repeat,
                                     const CmdTimes& cmd_times,
@@ -462,8 +446,6 @@ class DramDevice {
   /// the float comparison per draw.
   std::uint64_t para_threshold_ = 0;
   std::vector<std::uint64_t> para_hits_;  // para_events() scratch
-  /// Open row per flat bank (kOpenPage policy); ~0 = none open.
-  std::vector<std::uint64_t> open_rows_;
   DramStats stats_;
   std::vector<FlipEvent> flip_events_;
   std::uint64_t pokes_ = 0;  // content mutations via poke()

@@ -51,6 +51,11 @@ std::uint64_t FaultInjector::next_fault_at(FaultClass cls) const {
   return best;
 }
 
+std::uint64_t FaultInjector::ops_until_fault(FaultClass cls) const {
+  const std::uint64_t at = next_fault_at(cls);
+  return at == kNoFault ? kNoFault : at - ops(cls);
+}
+
 void FaultInjector::skip_ops(FaultClass cls, std::uint64_t n) {
   counters_[index(cls)] += n;
 }

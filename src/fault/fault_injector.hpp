@@ -51,8 +51,12 @@ class FaultInjector {
   static constexpr std::uint64_t kNoFault = ~0ull;
   [[nodiscard]] std::uint64_t next_fault_at(FaultClass cls) const;
 
+  /// Fault-free `cls` operations before the next faulting one (0 = the
+  /// very next tick faults), or kNoFault: next_fault_at() - ops().
+  [[nodiscard]] std::uint64_t ops_until_fault(FaultClass cls) const;
+
   /// Advance class `cls`'s counter by `n` operations that are known to be
-  /// fault-free (callers must have checked next_fault_at).  Replaces `n`
+  /// fault-free (callers must have checked ops_until_fault).  Replaces `n`
   /// individual ticks without touching the log.
   void skip_ops(FaultClass cls, std::uint64_t n);
 

@@ -9,6 +9,9 @@
 namespace rhsd::fs {
 namespace {
 
+/// Volume UUID written at format; seeds the extent-node checksums.
+constexpr std::uint64_t kFsUuid = 0x52484344'46535631ull;
+
 std::uint32_t SuperChecksum(SuperblockDisk super) {
   super.checksum = 0;
   return Crc32c(std::span(reinterpret_cast<const std::uint8_t*>(&super),
@@ -28,7 +31,7 @@ StatusOr<std::unique_ptr<FileSystem>> FileSystem::Format(
   super.magic = kSuperMagic;
   super.version = 1;
   super.block_size = kFsBlockSize;
-  super.uuid = options.uuid;
+  super.uuid = kFsUuid;
   super.total_blocks = total;
   super.inode_count = options.inode_count != 0
                           ? options.inode_count

@@ -29,7 +29,6 @@ namespace rhsd::fs {
 
 struct FormatOptions {
   std::uint32_t inode_count = 0;  // 0 = one inode per 8 blocks
-  std::uint64_t uuid = 0x52484344'46535631ull;
   /// §5 mitigation: refuse indirect-addressed files.
   bool forbid_indirect = false;
 };

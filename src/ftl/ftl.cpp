@@ -21,6 +21,12 @@ const char* to_string(FtlDegradation cause) {
 
 namespace {
 
+/// Garbage collection starts when free blocks drop to this count.
+constexpr std::uint32_t kGcLowWatermark = 3;
+/// Extra NAND read attempts after an uncorrectable media error
+/// (read-retry with shifted reference voltages on real NAND).
+constexpr std::uint32_t kReadRetryMax = 2;
+
 std::uint32_t Load32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -91,27 +97,23 @@ std::uint32_t Ftl::data_block_count() const {
          (journal_ != nullptr ? journal_->block_count() : 0);
 }
 
-std::uint64_t Ftl::spare_data_blocks() const {
+std::int64_t Ftl::spare_margin() const {
   const std::uint32_t ppb = nand_.geometry().pages_per_block;
-  std::uint64_t good = 0;
+  std::int64_t good = 0;
   for (std::uint32_t b = 0; b < data_block_count(); ++b) {
     if (!nand_.is_bad(b)) ++good;
   }
-  const std::uint64_t needed =
-      (config_.num_lbas + ppb - 1) / ppb + config_.gc_low_watermark + 1;
-  return good > needed ? good - needed : 0;
+  return good - static_cast<std::int64_t>((config_.num_lbas + ppb - 1) / ppb +
+                                          kGcLowWatermark + 1);
+}
+
+std::uint64_t Ftl::spare_data_blocks() const {
+  return static_cast<std::uint64_t>(std::max<std::int64_t>(spare_margin(), 0));
 }
 
 void Ftl::update_degradation() {
   if (read_only_) return;
-  const std::uint32_t ppb = nand_.geometry().pages_per_block;
-  std::uint64_t good = 0;
-  for (std::uint32_t b = 0; b < data_block_count(); ++b) {
-    if (!nand_.is_bad(b)) ++good;
-  }
-  const std::uint64_t needed =
-      (config_.num_lbas + ppb - 1) / ppb + config_.gc_low_watermark + 1;
-  if (good < needed) {
+  if (spare_margin() < 0) {
     read_only_ = true;
     degradation_ = FtlDegradation::kSpareExhausted;
   }
@@ -212,7 +214,7 @@ StatusOr<Pba> Ftl::allocate_page() {
     // GC itself allocates pages for relocation; it must not re-enter.
     // GC may adopt (and even fill) a fresh active block, so the loop
     // re-evaluates the active block's state after it runs.
-    while (!in_gc_ && free_blocks_.size() <= config_.gc_low_watermark) {
+    while (!in_gc_ && free_blocks_.size() <= kGcLowWatermark) {
       const std::uint64_t before = free_blocks_.size();
       const std::uint64_t erases_before = stats_.gc_erases;
       RHSD_RETURN_IF_ERROR(garbage_collect());
@@ -263,7 +265,7 @@ Status Ftl::nand_read_retry(Pba pba, std::span<std::uint8_t> out,
   Status s = nand_.read_pba(pba, out, oob, raw_bit_errors);
   for (std::uint32_t attempt = 0;
        !s.ok() && s.code() == StatusCode::kCorruption &&
-       attempt < config_.read_retry_max;
+       attempt < kReadRetryMax;
        ++attempt) {
     ++stats_.read_retries;
     s = nand_.read_pba(pba, out, oob, raw_bit_errors);
@@ -367,12 +369,8 @@ Status Ftl::garbage_collect() {
   const Status es = nand_.erase(victim);
   if (es.ok()) {
     ++stats_.gc_erases;
-    if (!nand_.is_bad(victim)) {
-      free_blocks_.push_back(victim);
-      block_is_free_or_active_[victim] = true;
-    } else {
-      update_degradation();  // wore out at its PE limit
-    }
+    free_blocks_.push_back(victim);
+    block_is_free_or_active_[victim] = true;
   } else if (es.code() == StatusCode::kUnavailable) {
     // Erase failure grew a bad block (the NAND marked it); the victim
     // holds no live data, so just drop it from circulation.
@@ -503,10 +501,7 @@ bool Ftl::pattern_state_ok(const PatternReplayPlan& plan) const {
 std::uint64_t Ftl::replay_safe_cmds(const PatternReplayPlan& plan) const {
   std::uint64_t safe = dram_.read_fault_horizon(config_.hammers_per_io);
   if (injector_ != nullptr) {
-    const std::uint64_t at = injector_->next_fault_at(FaultClass::kPowerLoss);
-    if (at != FaultInjector::kNoFault) {
-      safe = std::min(safe, at - injector_->ops(FaultClass::kPowerLoss));
-    }
+    safe = std::min(safe, injector_->ops_until_fault(FaultClass::kPowerLoss));
   }
   if (plan.scrub_enabled) {
     safe = std::min<std::uint64_t>(
@@ -551,15 +546,13 @@ void Ftl::xts_whiten(Lba lba, std::span<std::uint8_t> data) const {
   }
 }
 
-Status Ftl::write(Lba lba, std::span<const std::uint8_t> data,
-                  FtlIoInfo* info) {
+Status Ftl::write(Lba lba, std::span<const std::uint8_t> data) {
   RHSD_RETURN_IF_ERROR(guard_op(/*mutating=*/true));
   RHSD_RETURN_IF_ERROR(check_lba(lba));
   if (data.size() != kBlockSize) {
     return InvalidArgument("FTL writes are 4 KiB");
   }
   ++stats_.host_writes;
-  const std::uint64_t free_before = free_blocks_.size();
 
   std::uint64_t seq = 0;
   Pba dst(0);
@@ -581,10 +574,6 @@ Status Ftl::write(Lba lba, std::span<const std::uint8_t> data,
       l2p_store(lba, static_cast<std::uint32_t>(dst.value())));
   RHSD_RETURN_IF_ERROR(journal_append(
       lba.value(), static_cast<std::uint32_t>(dst.value()), seq, false));
-  if (info != nullptr) {
-    info->flash_accessed = true;
-    info->gc_ran = free_blocks_.size() != free_before;
-  }
   maybe_scrub();
   return Status::Ok();
 }
@@ -599,12 +588,13 @@ Status Ftl::trim(Lba lba) {
     mark_invalid(Pba(old));
   }
   // Trims advance the write sequence: the unmap must outrank the stale
-  // flash pages the OOB scan would otherwise resurrect, and sync_trims
-  // flushes the record because a trim leaves no other flash artifact.
+  // flash pages the OOB scan would otherwise resurrect, and the record is
+  // flushed at once because a trim leaves no other flash artifact (so
+  // unmaps survive a power loss exactly).
   const std::uint64_t seq = ++write_seq_;
   RHSD_RETURN_IF_ERROR(l2p_store(lba, kUnmappedPba32));
-  RHSD_RETURN_IF_ERROR(journal_append(lba.value(), kUnmappedPba32, seq,
-                                      config_.journal.sync_trims));
+  RHSD_RETURN_IF_ERROR(
+      journal_append(lba.value(), kUnmappedPba32, seq, /*sync=*/true));
   maybe_scrub();
   return Status::Ok();
 }

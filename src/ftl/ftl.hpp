@@ -38,8 +38,6 @@ struct FtlConfig {
   std::uint64_t device_key = 0;  // for the hashed layout
   /// DRAM touches per L2P access (paper's 5× amplification; 1 = none).
   std::uint32_t hammers_per_io = 1;
-  /// Start garbage collection when free blocks drop to this count.
-  std::uint32_t gc_low_watermark = 3;
   /// Page-level BCH-style ECC budget: NAND reads whose sampled raw bit
   /// errors exceed this count fail as Corruption ("uncorrectable flash
   /// error").  Only meaningful when the NAND has a reliability model.
@@ -55,9 +53,6 @@ struct FtlConfig {
   /// Flash-resident L2P journal (snapshot + record log).  Enables
   /// power-loss recovery via Ftl::recover() and the integrity scrub.
   L2pJournalConfig journal;
-  /// Extra NAND read attempts after an uncorrectable media error
-  /// (read-retry with shifted reference voltages on real NAND).
-  std::uint32_t read_retry_max = 2;
   /// Run the integrity scrub every this many host IOs (0 = never).
   /// Requires the journal: the scrub replays journal state against the
   /// DRAM-resident table and repairs entries that drifted — the
@@ -109,10 +104,9 @@ struct FtlRecoveryReport {
   std::vector<std::uint64_t> lost_lbas;
 };
 
-/// Outcome details of a single FTL operation, for the timing model.
+/// Outcome details of a single FTL read, for the timing model.
 struct FtlIoInfo {
   bool flash_accessed = false;
-  bool gc_ran = false;
 };
 
 /// Why the device degraded to read-only (kNone while fully writable).
@@ -163,8 +157,7 @@ class Ftl {
 
   /// Write one logical page (allocates a fresh NAND page; copy-on-write,
   /// §3.2: "flash writes are copy-on-write").
-  Status write(Lba lba, std::span<const std::uint8_t> data,
-               FtlIoInfo* info = nullptr);
+  Status write(Lba lba, std::span<const std::uint8_t> data);
 
   /// Unmap a logical page.
   Status trim(Lba lba);
@@ -304,6 +297,10 @@ class Ftl {
   [[nodiscard]] bool scrub_cacheable() const;
   /// Recompute read-only degradation from the good-block census.
   void update_degradation();
+  /// Good data blocks minus the floor that capacity and GC headroom
+  /// require (ceil(num_lbas / pages per block) + the GC low watermark +
+  /// 1); negative once grown bad blocks ate into that floor.
+  [[nodiscard]] std::int64_t spare_margin() const;
   [[nodiscard]] std::uint32_t data_block_count() const;
   /// XTS-style keystream XOR, tweaked by LBA (applied on write and on
   /// read with the *requested* LBA — misdirected reads come out as

@@ -66,7 +66,7 @@ L2pJournal::L2pJournal(L2pJournalConfig config, NandDevice& nand,
   first_block_ = nand_.geometry().total_blocks() - config_.blocks;
   half_blocks_ = config_.blocks / 2;
   RHSD_CHECK_MSG(
-      snapshot_pages() + config_.snapshot_headroom_pages < pages_per_half(),
+      snapshot_pages() + kSnapshotHeadroomPages < pages_per_half(),
       "journal half too small for a snapshot of " +
           std::to_string(num_lbas_) + " LBAs: raise L2pJournalConfig::blocks");
 }
@@ -238,7 +238,7 @@ Status L2pJournal::flush() {
 
 bool L2pJournal::needs_snapshot() const {
   const std::uint32_t remaining = pages_per_half() - next_page_;
-  if (remaining <= config_.snapshot_headroom_pages) return true;
+  if (remaining <= kSnapshotHeadroomPages) return true;
   return config_.snapshot_every_records > 0 &&
          records_since_snapshot_ >= config_.snapshot_every_records;
 }

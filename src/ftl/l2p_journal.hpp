@@ -19,7 +19,7 @@
 // relocations program their data page (with the owning LPN and write
 // sequence in the OOB area) before the record is appended, so
 // Ftl::recover() re-adopts them from the OOB scan.  Trims have no flash
-// artifact, which is why sync_trims flushes them synchronously.
+// artifact, which is why the FTL appends them with `sync` set.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +34,9 @@ namespace rhsd {
 struct L2pJournalConfig {
   bool enabled = false;
   /// NAND blocks reserved at the top of the device; even, >= 2.  One
-  /// half must fit a full snapshot plus `snapshot_headroom_pages`.
+  /// half must fit a full snapshot plus
+  /// L2pJournal::kSnapshotHeadroomPages.
   std::uint32_t blocks = 4;
-  /// Flush the record buffer on every trim so that unmap operations —
-  /// which leave no flash artifact for the OOB scan to find — survive a
-  /// power loss exactly.
-  bool sync_trims = true;
-  /// Roll to a fresh epoch when fewer record pages than this remain in
-  /// the active half.
-  std::uint32_t snapshot_headroom_pages = 4;
   /// Proactive epoch cadence: also roll once this many records have been
   /// appended since the active snapshot (0 = only roll on space).  Bounds
   /// the record tail recover() must replay after a crash, trading
@@ -150,6 +144,10 @@ class L2pJournal {
   /// sizing checks.
   [[nodiscard]] std::uint32_t pages_per_half() const;
   [[nodiscard]] std::uint32_t snapshot_pages() const;
+
+  /// needs_snapshot() turns true when this few record pages remain in
+  /// the active half.
+  static constexpr std::uint32_t kSnapshotHeadroomPages = 4;
 
  private:
   // On-media page layout: 24-byte header, payload, 4-byte CRC-32C

@@ -25,12 +25,9 @@ NandGeometry NandGeometry::ForCapacity(std::uint64_t data_bytes,
   return g;
 }
 
-NandDevice::NandDevice(NandGeometry geometry, NandLatency latency,
-                       std::uint32_t max_pe_cycles,
-                       NandReliability reliability, std::uint64_t seed)
+NandDevice::NandDevice(NandGeometry geometry, NandReliability reliability,
+                       std::uint64_t seed)
     : geometry_(geometry),
-      latency_(latency),
-      max_pe_cycles_(max_pe_cycles),
       reliability_(reliability),
       blocks_(geometry.total_blocks()),
       reads_since_erase_(geometry.total_blocks(), 0),
@@ -96,9 +93,6 @@ Status NandDevice::erase(std::uint32_t block) {
   b.write_pointer = 0;
   ++b.erase_count;
   reads_since_erase_[block] = 0;
-  if (max_pe_cycles_ != 0 && b.erase_count >= max_pe_cycles_) {
-    b.bad = true;
-  }
   return Status::Ok();
 }
 

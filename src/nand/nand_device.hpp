@@ -7,6 +7,10 @@
 // programming within a block, page-granularity reads/writes, per-block
 // wear, and out-of-band (OOB) metadata where the FTL records the reverse
 // (P2L) mapping used by garbage collection.
+//
+// Wear has no P/E-cycle limit: it only raises the raw bit-error rate of
+// the optional reliability model.  A block goes bad through an injected
+// erase fault or the FTL's retirement after a program fault (mark_bad).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +49,7 @@ struct NandGeometry {
                                                 double op_fraction = 0.125);
 };
 
+/// Array timings the NVMe IOPS model charges (NandDevice::latency()).
 struct NandLatency {
   std::uint64_t read_ns = 50'000;       // tR
   std::uint64_t program_ns = 600'000;   // tPROG
@@ -88,15 +93,15 @@ struct NandStats {
 
 class NandDevice {
  public:
-  NandDevice(NandGeometry geometry, NandLatency latency = {},
-             std::uint32_t max_pe_cycles = 0 /* 0 = unlimited */,
-             NandReliability reliability = {}, std::uint64_t seed = 1);
+  NandDevice(NandGeometry geometry, NandReliability reliability = {},
+             std::uint64_t seed = 1);
 
   NandDevice(const NandDevice&) = delete;
   NandDevice& operator=(const NandDevice&) = delete;
 
   [[nodiscard]] const NandGeometry& geometry() const { return geometry_; }
-  [[nodiscard]] const NandLatency& latency() const { return latency_; }
+  /// Array timings, the same for every device (the defaults above).
+  [[nodiscard]] static constexpr NandLatency latency() { return {}; }
   [[nodiscard]] const NandStats& stats() const { return stats_; }
 
   /// Erase a whole block, returning it to programmable state.
@@ -173,8 +178,6 @@ class NandDevice {
   [[nodiscard]] std::uint32_t sample_bit_errors(std::uint32_t block) const;
 
   NandGeometry geometry_;
-  NandLatency latency_;
-  std::uint32_t max_pe_cycles_;
   FaultInjector* injector_ = nullptr;
   NandReliability reliability_;
   std::vector<Block> blocks_;

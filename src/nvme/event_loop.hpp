@@ -90,7 +90,6 @@ class NvmeEventLoop {
 
   [[nodiscard]] const EventLoopConfig& config() const { return config_; }
   [[nodiscard]] const EventLoopStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t stream_count() const { return streams_.size(); }
 
  private:
   struct Stream {

@@ -59,7 +59,6 @@ void NvmeController::charge(bool flash_accessed) {
   ns_cost += config_.iops.service_ns(flash_accessed, ftl_.nand().latency());
   clock_.advance_ns(ns_cost);
   stats_.busy_ns += ns_cost;
-  ++commands_;
 }
 
 NvmeController::TransportFault NvmeController::tick_transport() {
@@ -86,7 +85,9 @@ double NvmeController::measured_iops() const {
   if (!any_cmd_ || clock_.now_ns() <= first_cmd_ns_) return 0.0;
   const double seconds =
       static_cast<double>(clock_.now_ns() - first_cmd_ns_) * 1e-9;
-  return static_cast<double>(commands_) / seconds;
+  const std::uint64_t commands = stats_.read_cmds + stats_.write_cmds +
+                                 stats_.trim_cmds + stats_.flush_cmds;
+  return static_cast<double>(commands) / seconds;
 }
 
 template <typename Body>
@@ -148,15 +149,8 @@ Status NvmeController::submit_pattern(std::uint32_t nsid,
 
 std::uint64_t NvmeController::transport_faults_away() const {
   if (injector_ == nullptr) return FaultInjector::kNoFault;
-  std::uint64_t d = FaultInjector::kNoFault;
-  for (const FaultClass cls :
-       {FaultClass::kNvmeTimeout, FaultClass::kNvmeDrop}) {
-    const std::uint64_t at = injector_->next_fault_at(cls);
-    if (at != FaultInjector::kNoFault) {
-      d = std::min(d, at - injector_->ops(cls));
-    }
-  }
-  return d;
+  return std::min(injector_->ops_until_fault(FaultClass::kNvmeTimeout),
+                  injector_->ops_until_fault(FaultClass::kNvmeDrop));
 }
 
 Status NvmeController::run_pattern(std::uint32_t nsid,
@@ -347,7 +341,6 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
     stats_.busy_ns += t - times[0];
     clock_.advance_ns(t - clock_.now_ns());
     if (limiter_.has_value()) *limiter_ = *lim;
-    commands_ += n;
     stats_.read_cmds += n;
     if (injector_ != nullptr) {
       injector_->skip_ops(FaultClass::kNvmeTimeout, n);
@@ -372,9 +365,7 @@ Status NvmeController::write(std::uint32_t nsid, std::uint64_t slba,
         ++stats_.errors;
         return lba.status();
       }
-      FtlIoInfo info;
-      Status s = ftl_.write(*lba,
-                            data.subspan(i * kBlockSize, kBlockSize), &info);
+      Status s = ftl_.write(*lba, data.subspan(i * kBlockSize, kBlockSize));
       ++stats_.write_cmds;
       charge(/*flash_accessed=*/true);
       if (!s.ok()) {

@@ -158,7 +158,6 @@ class NvmeController {
   SimClock& clock_;
   FaultInjector* injector_ = nullptr;
   std::optional<RateLimiter> limiter_;
-  std::uint64_t commands_ = 0;
   SimClock::Nanos first_cmd_ns_ = 0;
   bool any_cmd_ = false;
   NvmeStats stats_;

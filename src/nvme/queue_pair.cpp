@@ -66,6 +66,10 @@ Status NvmeQueuePair::submit(NvmeCommand command) {
 Status NvmeQueuePair::abort(std::uint16_t cid) {
   for (auto it = sq_.begin(); it != sq_.end(); ++it) {
     if (it->cid != cid) continue;
+    if (cq_.size() >= depth_) {
+      return ResourceExhausted("completion queue " + std::to_string(qid_) +
+                               " full: poll() before aborting");
+    }
     sq_.erase(it);
     ++stats_.aborts;
     cq_.push_back(NvmeCompletion{
@@ -126,8 +130,8 @@ Status NvmeQueuePair::execute_with_retry(const NvmeCommand& command) {
     }
     ++stats_.retries;
     const std::uint64_t backoff =
-        std::min(policy_.backoff_base_ns << (attempt - 1),
-                 policy_.backoff_cap_ns);
+        std::min(NvmeRetryPolicy::kBackoffBaseNs << (attempt - 1),
+                 NvmeRetryPolicy::kBackoffCapNs);
     controller_.clock().advance_ns(backoff);
   }
 }

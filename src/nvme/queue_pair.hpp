@@ -32,8 +32,8 @@ struct NvmeRetryPolicy {
   /// (charged on every timeout/drop).
   std::uint64_t timeout_ns = 1'000'000;  // 1 ms
   /// Backoff before attempt k+1 is min(base << (k-1), cap).
-  std::uint64_t backoff_base_ns = 100'000;
-  std::uint64_t backoff_cap_ns = 10'000'000;
+  static constexpr std::uint64_t kBackoffBaseNs = 100'000;
+  static constexpr std::uint64_t kBackoffCapNs = 10'000'000;
 };
 
 struct NvmeQueueStats {
@@ -98,7 +98,8 @@ class NvmeQueuePair {
 
   /// Remove a not-yet-processed command from the submission ring and
   /// post an Aborted completion for it (NVMe Abort).  NotFound if no
-  /// such cid is queued.
+  /// such cid is queued; ResourceExhausted, leaving the command queued,
+  /// when the completion ring is full.
   Status abort(std::uint16_t cid);
 
   /// Ring the doorbell: the controller consumes up to `max_commands`

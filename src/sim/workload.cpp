@@ -5,6 +5,18 @@
 #include "common/check.hpp"
 
 namespace rhsd {
+namespace {
+
+/// kHotCold: share of operations that go to the hot blocks.
+constexpr double kHotAccessFraction = 0.9;
+/// kBursty: a kBurstFraction share of ops continue a burst (a sequential
+/// run from a random start, its length uniform in [1, kBurstLen]); the
+/// rest scatter uniformly (the "idle" background noise a real tenant's
+/// gaps still carry).
+constexpr std::uint64_t kBurstLen = 64;
+constexpr double kBurstFraction = 0.9;
+
+}  // namespace
 
 const char* to_string(AccessPattern pattern) {
   switch (pattern) {
@@ -24,11 +36,6 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig config)
              config_.write_fraction <= 1.0);
   RHSD_CHECK(config_.zipf_skew >= 1.0);
   RHSD_CHECK(config_.hot_fraction > 0.0 && config_.hot_fraction < 1.0);
-  RHSD_CHECK(config_.hot_access_fraction >= 0.0 &&
-             config_.hot_access_fraction <= 1.0);
-  RHSD_CHECK(config_.burst_len > 0);
-  RHSD_CHECK(config_.burst_fraction >= 0.0 &&
-             config_.burst_fraction <= 1.0);
 }
 
 std::uint64_t WorkloadGenerator::next_address() {
@@ -53,18 +60,18 @@ std::uint64_t WorkloadGenerator::next_address() {
     case AccessPattern::kHotCold: {
       const auto hot_blocks = static_cast<std::uint64_t>(
           std::max(1.0, static_cast<double>(ws) * config_.hot_fraction));
-      if (rng_.next_bool(config_.hot_access_fraction)) {
+      if (rng_.next_bool(kHotAccessFraction)) {
         return rng_.next_below(hot_blocks);
       }
       if (hot_blocks >= ws) return rng_.next_below(ws);
       return hot_blocks + rng_.next_below(ws - hot_blocks);
     }
     case AccessPattern::kBursty: {
-      if (!rng_.next_bool(config_.burst_fraction)) {
+      if (!rng_.next_bool(kBurstFraction)) {
         return rng_.next_below(ws);  // off-phase background scatter
       }
       if (burst_left_ == 0) {
-        burst_left_ = rng_.next_in(1, config_.burst_len);
+        burst_left_ = rng_.next_in(1, kBurstLen);
         burst_cursor_ = rng_.next_below(ws);
       }
       const std::uint64_t address = burst_cursor_;

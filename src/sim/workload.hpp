@@ -20,7 +20,7 @@ enum class AccessPattern {
   kSequential,  // wrap-around linear sweep
   kRandom,      // uniform over the working set
   kZipfLike,    // power-law skew toward low addresses
-  kHotCold,     // hot_fraction of blocks gets hot_access_fraction of ops
+  kHotCold,     // hot_fraction of blocks gets 90% of ops
   kBursty,      // on/off phases: bursts of sequential runs, idle-ish gaps
 };
 
@@ -35,15 +35,8 @@ struct WorkloadConfig {
   /// kZipfLike: larger skew concentrates more mass on low addresses
   /// (address = floor(ws * u^skew), u uniform).
   double zipf_skew = 4.0;
-  /// kHotCold split.
+  /// kHotCold: fraction of the working set that is hot.
   double hot_fraction = 0.1;
-  double hot_access_fraction = 0.9;
-  /// kBursty: ops per burst is uniform in [1, burst_len]; each burst is
-  /// a sequential run from a random start, and between bursts a
-  /// fraction of ops scatters uniformly (the "idle" background noise a
-  /// real tenant's gaps still carry).
-  std::uint64_t burst_len = 64;
-  double burst_fraction = 0.9;
   std::uint64_t seed = 1;
 };
 

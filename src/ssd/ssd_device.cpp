@@ -59,8 +59,7 @@ SsdDevice::SsdDevice(SsdConfig config) : config_(std::move(config)) {
   nand_ = std::make_unique<NandDevice>(
       NandGeometry::ForCapacity(config_.capacity_bytes,
                                 config_.op_fraction),
-      NandLatency{}, /*max_pe_cycles=*/0, config_.nand_reliability,
-      config_.seed);
+      config_.nand_reliability, config_.seed);
 
   FtlConfig ftl_config;
   ftl_config.num_lbas = config_.num_lbas();
@@ -71,7 +70,6 @@ SsdDevice::SsdDevice(SsdConfig config) : config_(std::move(config)) {
   ftl_config.xts_encryption = config_.xts_encryption;
   ftl_config.page_ecc_correctable_bits = config_.page_ecc_correctable_bits;
   ftl_config.journal = config_.l2p_journal;
-  ftl_config.read_retry_max = config_.read_retry_max;
   ftl_config.scrub_interval_ios = config_.scrub_interval_ios;
   // Attach faults to the media models before the FTL touches them so
   // even bring-up operations count against the plan's op streams.

@@ -48,10 +48,9 @@ struct SsdConfig {
   std::optional<RateLimiterConfig> rate_limit;
 
   /// Robustness machinery (all off by default, preserving the paper's
-  /// bare testbed): flash-resident L2P journal, NAND read-retry budget,
-  /// and the periodic integrity scrub over the mapping table.
+  /// bare testbed): flash-resident L2P journal and the periodic
+  /// integrity scrub over the mapping table.
   L2pJournalConfig l2p_journal;
-  std::uint32_t read_retry_max = 2;
   std::uint32_t scrub_interval_ios = 0;
 
   /// Deterministic fault schedule.  Non-empty plans create a

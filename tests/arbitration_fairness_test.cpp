@@ -61,7 +61,8 @@ std::uint64_t FlooderStormNs() {
   for (std::uint32_t a = 1; a <= fp.max_attempts; ++a) {
     storm_ns += fp.timeout_ns;
     if (a < fp.max_attempts) {
-      storm_ns += std::min(fp.backoff_base_ns << (a - 1), fp.backoff_cap_ns);
+      storm_ns += std::min(NvmeRetryPolicy::kBackoffBaseNs << (a - 1),
+                           NvmeRetryPolicy::kBackoffCapNs);
     }
   }
   return storm_ns;
@@ -211,8 +212,8 @@ TEST(ArbitrationFairness, VictimPickLatencyIsBounded) {
   std::uint64_t victim_ride_ns = 0;
   for (std::uint32_t a = 1; a <= 4; ++a) {
     victim_ride_ns += vp.timeout_ns;
-    victim_ride_ns += std::min(vp.backoff_base_ns << (a - 1),
-                               vp.backoff_cap_ns);
+    victim_ride_ns += std::min(NvmeRetryPolicy::kBackoffBaseNs << (a - 1),
+                               NvmeRetryPolicy::kBackoffCapNs);
   }
   const std::uint64_t bound = FlooderStormNs() + victim_ride_ns;
   for (const std::uint64_t seed : {3ull, 7ull, 10ull, 36ull}) {

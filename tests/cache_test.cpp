@@ -52,17 +52,6 @@ TEST(Cache, InvalidateMissingLineIsNoop) {
   EXPECT_FALSE(cache.access(DramAddr(0)));
 }
 
-TEST(Cache, FlushAllEmptiesEverything) {
-  CacheModel cache(CacheConfig{64, 2, 4});
-  for (std::uint64_t a = 0; a < 8 * 64; a += 64) {
-    (void)cache.access(DramAddr(a));
-  }
-  cache.flush_all();
-  for (std::uint64_t a = 0; a < 8 * 64; a += 64) {
-    EXPECT_FALSE(cache.access(DramAddr(a)));
-  }
-}
-
 TEST(Cache, CapacityBytes) {
   EXPECT_EQ((CacheConfig{64, 8, 128}).capacity_bytes(), 64u * 1024);
 }

@@ -243,7 +243,7 @@ StormResult RunStorm(const FaultPlan& plan, std::uint64_t seed,
     res.injected = ssd.fault_injector()->log().size();
   }
   // Mitigation machinery state is part of the determinism contract.
-  res.trr_refreshes = ssd.dram().trr_refreshes_issued();
+  res.trr_refreshes = ssd.dram().stats().trr_refreshes;
   res.para_refreshes = ssd.dram().stats().para_refreshes;
   dig.add(res.trr_refreshes);
   dig.add(res.para_refreshes);

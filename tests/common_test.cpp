@@ -330,28 +330,6 @@ TEST(Rng, AdvancePow2EqualsRepeatedNext) {
   }
 }
 
-TEST(Rng, GaussianMoments) {
-  Rng rng(17);
-  double sum = 0, sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double g = rng.next_gaussian();
-    sum += g;
-    sq += g * g;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(sq / n, 1.0, 0.1);
-}
-
-TEST(Rng, ForkIndependence) {
-  Rng parent(21);
-  Rng child = parent.fork();
-  // The child stream differs from the parent's continued stream.
-  bool differ = false;
-  for (int i = 0; i < 50; ++i) differ |= (parent.next() != child.next());
-  EXPECT_TRUE(differ);
-}
-
 TEST(Mix64, IsDeterministicAndSpreads) {
   EXPECT_EQ(Mix64(1), Mix64(1));
   EXPECT_NE(Mix64(1), Mix64(2));

@@ -33,6 +33,11 @@ TEST(FaultPlan, CountSpansConsecutiveOperations) {
   FaultInjector injector(plan);
 
   for (std::uint64_t op = 0; op < 10; ++op) {
+    // The lookahead counts the fault-free ops left before the window.
+    const std::uint64_t away =
+        op < 5 ? 5 - op : op < 8 ? 0 : FaultInjector::kNoFault;
+    EXPECT_EQ(injector.ops_until_fault(FaultClass::kNandProgram), away)
+        << "op " << op;
     const bool faulted =
         injector.tick(FaultClass::kNandProgram).has_value();
     EXPECT_EQ(faulted, op >= 5 && op < 8) << "op " << op;

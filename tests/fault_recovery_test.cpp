@@ -78,7 +78,7 @@ TEST(FaultRecovery, ReadRetryRecoversTransientMediaError) {
 
 TEST(FaultRecovery, PersistentReadFaultSurfacesCorruption) {
   FaultPlan plan;
-  // Initial attempt + read_retry_max (2) retries, all faulted.
+  // Initial attempt + the FTL's 2 read retries, all faulted.
   plan.add(FaultClass::kNandRead, 0, /*count=*/3);
   FaultRig rig(plan);
   ASSERT_TRUE(rig.ftl->write(Lba(7), Block(0x7A)).ok());

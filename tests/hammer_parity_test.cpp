@@ -183,34 +183,6 @@ TEST(HammerParity, HalfDoubleProfile) {
   });
 }
 
-TEST(HammerParity, OpenPagePolicy) {
-  DramConfig c = BaseConfig(10);
-  c.row_buffer_policy = RowBufferPolicy::kOpenPage;
-  RunParity(c, [](DramDevice& d, SimClock&, bool batched) {
-    // Same-bank pair: conflicts on every access.
-    HammerPairEither(d, 9, 11, 5000, batched);
-    // One-location: row-buffer hits absorb everything after the first.
-    HammerRowEither(d, 20, 10000, batched);
-    // Cross-bank pair: both rows stay open after their first access.
-    HammerPairEither(d, 10, 64 + 10, 5000, batched);
-  });
-}
-
-TEST(HammerParity, OpenPageLeadingHit) {
-  DramConfig c = BaseConfig(11);
-  c.row_buffer_policy = RowBufferPolicy::kOpenPage;
-  RunParity(c, [](DramDevice& d, SimClock&, bool batched) {
-    // Open row 9 first, then hammer (9, 11): the batch's first access
-    // is a row-buffer hit and the effective sequence starts from 11.
-    std::uint8_t byte;
-    ASSERT_TRUE(d.read(DramAddr(9 * 512), {&byte, 1}).ok());
-    HammerPairEither(d, 9, 11, 5000, batched);
-    // And the swapped case where the *second* row is already open.
-    ASSERT_TRUE(d.read(DramAddr(31 * 512), {&byte, 1}).ok());
-    HammerPairEither(d, 29, 31, 5000, batched);
-  });
-}
-
 TEST(HammerParity, EccMitigations) {
   DramConfig c = BaseConfig(12);
   c.mitigations.ecc = true;
@@ -363,20 +335,7 @@ TEST(HammerParity, TrrAdjacentAndCrossBankAggressors) {
   });
 }
 
-TEST(HammerParity, TrrOpenPageAndWindowRoll) {
-  DramConfig c = BaseConfig(17);
-  c.mitigations.trr = true;
-  c.mitigations.trr_config = TestTrr(1500);
-  c.row_buffer_policy = RowBufferPolicy::kOpenPage;
-  RunParity(c, [](DramDevice& d, SimClock&, bool batched) {
-    HammerPairEither(d, 9, 11, 3000, batched);
-    // Leading row-buffer hit: row 9 already open, sequence restarts
-    // from row 11.
-    std::uint8_t byte;
-    ASSERT_TRUE(d.read(DramAddr(9 * 512), {&byte, 1}).ok());
-    HammerPairEither(d, 9, 11, 3000, batched);
-  });
-
+TEST(HammerParity, TrrWindowRoll) {
   DramConfig roll = BaseConfig(18);
   roll.mitigations.trr = true;
   roll.mitigations.trr_config = TestTrr(1500);

@@ -38,7 +38,7 @@ TEST(NandReliabilityModel, DisabledByDefault) {
 TEST(NandReliabilityModel, BaseRberProducesExpectedErrorCounts) {
   NandReliability reliability;
   reliability.base_rber = 1e-4;  // mean ~3.3 errors per 4 KiB page
-  NandDevice nand(SmallGeometry(), NandLatency{}, 0, reliability, 7);
+  NandDevice nand(SmallGeometry(), reliability, 7);
   ASSERT_TRUE(nand.program(0, 0, Page(1), {}).ok());
   std::vector<std::uint8_t> out(kBlockSize);
   std::uint64_t total = 0;
@@ -57,7 +57,7 @@ TEST(NandReliabilityModel, WearRaisesErrorRate) {
   reliability.base_rber = 1e-5;
   reliability.wear_rber_per_pe = 1e-5;
   auto mean_errors_at_pe = [&](int pe_cycles) {
-    NandDevice nand(SmallGeometry(), NandLatency{}, 0, reliability, 7);
+    NandDevice nand(SmallGeometry(), reliability, 7);
     for (int i = 0; i < pe_cycles; ++i) {
       EXPECT_TRUE(nand.erase(0).ok());
     }
@@ -77,7 +77,7 @@ TEST(NandReliabilityModel, WearRaisesErrorRate) {
 TEST(NandReliabilityModel, ReadDisturbAccumulatesAndErasesReset) {
   NandReliability reliability;
   reliability.read_disturb_rber_per_read = 1e-8;
-  NandDevice nand(SmallGeometry(), NandLatency{}, 0, reliability, 7);
+  NandDevice nand(SmallGeometry(), reliability, 7);
   ASSERT_TRUE(nand.program(0, 0, Page(1), {}).ok());
   std::vector<std::uint8_t> out(kBlockSize);
   for (int i = 0; i < 5000; ++i) {
@@ -104,7 +104,7 @@ TEST(FtlFlashEcc, BudgetSeparatesCorrectableFromFatal) {
   DramDevice dram(dc, MakeLinearMapper(dc.geometry), clock);
   NandReliability reliability;
   reliability.base_rber = 2e-4;  // mean ~6.5 raw errors per page
-  NandDevice nand(SmallGeometry(), NandLatency{}, 0, reliability, 11);
+  NandDevice nand(SmallGeometry(), reliability, 11);
   FtlConfig fc;
   fc.num_lbas = 64;
   fc.page_ecc_correctable_bits = 40;  // plenty: reads succeed
@@ -121,7 +121,7 @@ TEST(FtlFlashEcc, BudgetSeparatesCorrectableFromFatal) {
   // A tiny budget makes the same media unusable.
   SimClock clock2;
   DramDevice dram2(dc, MakeLinearMapper(dc.geometry), clock2);
-  NandDevice nand2(SmallGeometry(), NandLatency{}, 0, reliability, 11);
+  NandDevice nand2(SmallGeometry(), reliability, 11);
   fc.page_ecc_correctable_bits = 2;
   Ftl ftl2(fc, nand2, dram2);
   ASSERT_TRUE(ftl2.write(Lba(1), Page(0x5A)).ok());
@@ -137,7 +137,7 @@ TEST(FtlFlashEcc, DeterministicPerSeed) {
   NandReliability reliability;
   reliability.base_rber = 1e-4;
   auto total_for_seed = [&](std::uint64_t seed) {
-    NandDevice nand(SmallGeometry(), NandLatency{}, 0, reliability, seed);
+    NandDevice nand(SmallGeometry(), reliability, seed);
     EXPECT_TRUE(nand.program(0, 0, Page(1), {}).ok());
     std::vector<std::uint8_t> out(kBlockSize);
     std::uint64_t total = 0;
@@ -156,7 +156,7 @@ TEST(NandReliabilityModel, RejectsNegativeRates) {
   NandReliability reliability;
   reliability.base_rber = -1.0;
   EXPECT_THROW(
-      NandDevice(SmallGeometry(), NandLatency{}, 0, reliability, 1),
+      NandDevice(SmallGeometry(), reliability, 1),
       CheckFailure);
 }
 

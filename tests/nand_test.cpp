@@ -103,9 +103,9 @@ TEST(Nand, EraseCountsWear) {
   EXPECT_EQ(nand.stats().erases, 5u);
 }
 
-TEST(Nand, BlockGoesBadAtPeCycleLimit) {
-  NandDevice nand(SmallGeometry(), NandLatency{}, /*max_pe_cycles=*/3);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(nand.erase(0).ok());
+TEST(Nand, BadBlockRejectsProgramAndErase) {
+  NandDevice nand(SmallGeometry());
+  nand.mark_bad(0);
   EXPECT_TRUE(nand.is_bad(0));
   EXPECT_EQ(nand.program(0, 0, Page(1), {}).code(),
             StatusCode::kFailedPrecondition);

@@ -140,7 +140,7 @@ TEST(QueuePair, RetryExhaustionSurfacesDeadlineExceeded) {
   // The host paid both timeouts plus one backoff in simulated time.
   const NvmeRetryPolicy policy = qp.retry_policy();
   EXPECT_GE(rig.clock.now_ns() - start,
-            2 * policy.timeout_ns + policy.backoff_base_ns);
+            2 * policy.timeout_ns + NvmeRetryPolicy::kBackoffBaseNs);
 }
 
 TEST(QueuePair, DroppedCommandWithoutRetryIsUnavailable) {
@@ -179,6 +179,26 @@ TEST(QueuePair, AbortRemovesQueuedCommand) {
   // The aborted write never reached the device.
   EXPECT_EQ(rig.ftl->debug_lookup(Lba(4)), kUnmappedPba32);
   EXPECT_NE(rig.ftl->debug_lookup(Lba(3)), kUnmappedPba32);
+}
+
+TEST(QueuePair, AbortWithFullCompletionRingLeavesCommandQueued) {
+  QpRig rig;
+  NvmeQueuePair qp(*rig.controller, 1, /*depth=*/2);
+  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(1, 1)).ok());
+  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(2, 1)).ok());
+  EXPECT_EQ(qp.process(), 2u);  // the completion ring is now full
+  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(3, 1)).ok());
+
+  EXPECT_EQ(qp.abort(3).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(qp.cq_pending(), qp.depth());
+  EXPECT_EQ(qp.sq_inflight(), 1u);
+  EXPECT_EQ(qp.queue_stats().aborts, 0u);
+
+  // Once a completion is polled the abort goes through.
+  ASSERT_TRUE(qp.poll().has_value());
+  ASSERT_TRUE(qp.abort(3).ok());
+  EXPECT_EQ(qp.sq_inflight(), 0u);
+  EXPECT_EQ(qp.cq_pending(), qp.depth());
 }
 
 TEST(QueuePair, ProcessRespectsCompletionRingCapacity) {

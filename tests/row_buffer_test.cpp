@@ -1,6 +1,6 @@
-// Tests for the row-buffer policy model: open-page controllers absorb
-// same-row accesses (defeating one-location hammering) while alternating
-// patterns force a conflict — and an activation — every time.
+// Tests for the closed-page row buffer: the controller precharges after
+// every access, so every access — same-row or alternating — activates
+// its row, which is what lets one-location hammering flip bits.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,31 +11,18 @@
 namespace rhsd {
 namespace {
 
-std::unique_ptr<DramDevice> MakeDevice(SimClock& clock,
-                                       RowBufferPolicy policy) {
+std::unique_ptr<DramDevice> MakeDevice(SimClock& clock) {
   DramConfig config;
   config.geometry = DramGeometry::Tiny();
   config.profile = test::EasyFlipProfile();
   config.seed = 7;
-  config.row_buffer_policy = policy;
   return std::make_unique<DramDevice>(
       config, MakeLinearMapper(config.geometry), clock);
 }
 
-TEST(RowBuffer, OpenPageAbsorbsSameRowAccesses) {
-  SimClock clock;
-  auto dram = MakeDevice(clock, RowBufferPolicy::kOpenPage);
-  std::uint8_t byte;
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(dram->read(DramAddr(1 * 128), {&byte, 1}).ok());
-  }
-  EXPECT_EQ(dram->stats().activations, 1u);  // first access only
-  EXPECT_EQ(dram->stats().row_buffer_hits, 999u);
-}
-
 TEST(RowBuffer, ClosedPageActivatesEveryAccess) {
   SimClock clock;
-  auto dram = MakeDevice(clock, RowBufferPolicy::kClosedPage);
+  auto dram = MakeDevice(clock);
   std::uint8_t byte;
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(dram->read(DramAddr(1 * 128), {&byte, 1}).ok());
@@ -44,58 +31,25 @@ TEST(RowBuffer, ClosedPageActivatesEveryAccess) {
   EXPECT_EQ(dram->stats().row_buffer_hits, 0u);
 }
 
-TEST(RowBuffer, AlternatingPatternConflictsUnderBothPolicies) {
-  for (const RowBufferPolicy policy :
-       {RowBufferPolicy::kClosedPage, RowBufferPolicy::kOpenPage}) {
-    SimClock clock;
-    auto dram = MakeDevice(clock, policy);
-    std::uint8_t byte;
-    for (int i = 0; i < 500; ++i) {
-      ASSERT_TRUE(dram->read(DramAddr(1 * 128), {&byte, 1}).ok());
-      ASSERT_TRUE(dram->read(DramAddr(3 * 128), {&byte, 1}).ok());
-    }
-    // Same bank, different rows: every access closes the other row.
-    EXPECT_EQ(dram->stats().activations, 1000u);
-  }
-}
-
-TEST(RowBuffer, BanksHaveIndependentBuffers) {
+TEST(RowBuffer, AlternatingPatternActivatesEveryAccess) {
   SimClock clock;
-  auto dram = MakeDevice(clock, RowBufferPolicy::kOpenPage);
+  auto dram = MakeDevice(clock);
   std::uint8_t byte;
-  // Tiny geometry: rows 0..15 are bank 0, rows 16..31 bank 1.
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(dram->read(DramAddr(1 * 128), {&byte, 1}).ok());
-    ASSERT_TRUE(dram->read(DramAddr(17 * 128), {&byte, 1}).ok());
-  }
-  // Different banks: both rows stay open, 2 activations total.
-  EXPECT_EQ(dram->stats().activations, 2u);
-  EXPECT_EQ(dram->stats().row_buffer_hits, 198u);
-}
-
-TEST(RowBuffer, OneLocationHammeringDefeatedByOpenPage) {
-  // The §3.1 one-location variant relies on the controller closing the
-  // row between accesses.
-  auto flips_under = [](RowBufferPolicy policy) {
-    SimClock clock;
-    auto dram = MakeDevice(clock, policy);
-    std::uint8_t byte;
-    for (int i = 0; i < 20000; ++i) {
-      EXPECT_TRUE(dram->read(DramAddr(2 * 128), {&byte, 1}).ok());
-    }
-    return dram->stats().bitflips;
-  };
-  EXPECT_GT(flips_under(RowBufferPolicy::kClosedPage), 0u);
-  EXPECT_EQ(flips_under(RowBufferPolicy::kOpenPage), 0u);
-}
-
-TEST(RowBuffer, DoubleSidedHammeringUnaffectedByOpenPage) {
-  SimClock clock;
-  auto dram = MakeDevice(clock, RowBufferPolicy::kOpenPage);
-  std::uint8_t byte;
-  for (int i = 0; i < 4000; ++i) {
+  for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(dram->read(DramAddr(1 * 128), {&byte, 1}).ok());
     ASSERT_TRUE(dram->read(DramAddr(3 * 128), {&byte, 1}).ok());
+  }
+  EXPECT_EQ(dram->stats().activations, 1000u);
+}
+
+TEST(RowBuffer, OneLocationHammeringFlipsUnderClosedPage) {
+  // The §3.1 one-location variant relies on the controller closing the
+  // row between accesses.
+  SimClock clock;
+  auto dram = MakeDevice(clock);
+  std::uint8_t byte;
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(dram->read(DramAddr(2 * 128), {&byte, 1}).ok());
   }
   EXPECT_GT(dram->stats().bitflips, 0u);
 }

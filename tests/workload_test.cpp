@@ -73,7 +73,6 @@ TEST(Workload, ZipfLikeSkewsTowardLowAddresses) {
 TEST(Workload, HotColdSplit) {
   WorkloadConfig c = Base(AccessPattern::kHotCold);
   c.hot_fraction = 0.1;
-  c.hot_access_fraction = 0.9;
   WorkloadGenerator gen(c);
   int hot = 0;
   const int n = 20000;
