@@ -19,6 +19,7 @@
 #include "dram/dram_device.hpp"
 #include "dram/ecc.hpp"
 #include "ftl/ftl.hpp"
+#include "ftl/l2p_journal.hpp"
 #include "ssd/ssd_device.hpp"
 
 namespace rhsd {
@@ -353,6 +354,43 @@ struct ScrubRig {
   std::uint64_t next = 0;
 };
 
+/// A two-half L2P journal shaped like the §5 scrub trial's reloads: the
+/// `mitigations` table (4096 LBAs, 6 snapshot pages), an older epoch
+/// with 150 full record pages and a newer one with 2,500 records, so a
+/// load reads ~177 pages and keeps the newer half's records.
+struct JournalRig {
+  static constexpr std::uint64_t kLbas = 4096;
+
+  JournalRig()
+      : nand(NandGeometry{.channels = 1,
+                          .dies_per_channel = 1,
+                          .planes_per_die = 1,
+                          .blocks_per_plane = 16,
+                          .pages_per_block = 128,
+                          .page_bytes = kBlockSize}),
+        journal(L2pJournalConfig{.enabled = true, .blocks = 4}, nand, kLbas) {
+    std::vector<std::uint32_t> table(kLbas, kUnmappedPba32);
+    RHSD_CHECK(journal.format(table, 0).ok());
+    Rng rng(0x10AD);
+    std::uint64_t seq = 0;
+    const auto append = [&](std::uint64_t n) {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t lpn = rng.next_below(kLbas);
+        const auto pba = static_cast<std::uint32_t>(rng.next_below(1u << 20));
+        table[lpn] = pba;
+        RHSD_CHECK(journal.append(JournalRecord{lpn, pba, ++seq}, false).ok());
+      }
+      RHSD_CHECK(journal.flush().ok());
+    };
+    append(150 * 203);  // 203 records per 4 KiB page
+    RHSD_CHECK(journal.snapshot(table, seq).ok());
+    append(2500);
+  }
+
+  NandDevice nand;
+  L2pJournal journal;
+};
+
 /// A host-time quantity: the minimum of its runs, the standard stable
 /// estimator for a fixed workload.
 struct BestOf {
@@ -410,13 +448,12 @@ void ReportHammerHotPath() {
   BestOf trr_batched{
       [&] { return time_hammer(true, true, &trr_batched_stats); }};
 
-  // The call production makes most: the FTL's per-I/O repeat,
-  // hammer_row(r, 4) (hammers_per_io = 5, the first touch being the
-  // real read), against hammer_row_scalar, bare and under TRR + PARA.
-  // Rows rotate over a 128-row L2P table interleaved across both banks,
-  // the clock advancing one simulated I/O (625 ns) per call, so victims
-  // cross their thresholds and flip partway through a run.  In ns per
-  // call; both sides must leave the same stats.
+  // The 1-row replay of an L2P access's repeated touches,
+  // hammer_row(r, 4), against hammer_row_scalar, bare and under TRR +
+  // PARA.  Rows rotate over a 128-row L2P table interleaved across both
+  // banks, the clock advancing one simulated I/O (625 ns) per call, so
+  // victims cross their thresholds and flip partway through a run.  In
+  // ns per call; both sides must leave the same stats.
   const auto time_amplify = [&](bool mitigated, bool batched,
                                 DramStats* stats_out) {
     constexpr std::uint64_t kCalls = 40000;
@@ -446,6 +483,81 @@ void ReportHammerHotPath() {
       [&] { return time_amplify(true, false, &amp_stats[1][0]); }};
   BestOf amp_mit_batched{
       [&] { return time_amplify(true, true, &amp_stats[1][1]); }};
+
+  // The call production makes most: the FTL's amplified L2P access,
+  // DramDevice::read() of a 4-byte entry with hammers_per_io = 5
+  // touches (one data access plus one 1-row replay of 5 activations),
+  // against five 1-touch reads, bare and under TRR + PARA, on the same
+  // table, rows and clock as above.  In ns per access; both sides must
+  // leave the same stats.
+  const auto time_touch = [&](bool mitigated, bool batched,
+                              DramStats* stats_out) {
+    constexpr std::uint64_t kCalls = 40000;
+    constexpr std::uint64_t kTouches = 5;
+    SimClock clock;
+    auto dram = MakeCloudDram(clock, mitigated);
+    std::uint8_t entry[4];
+    const double t0 = bench::HostSeconds();
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      const std::uint64_t k = (i * 37) % 128;
+      const std::uint64_t row = (k % 2) * 256 + k / 2;
+      const DramAddr addr(row * 512 + (i % 128) * 4);
+      if (batched) {
+        RHSD_CHECK(dram->read(addr, entry, kTouches).ok());
+      } else {
+        for (std::uint64_t t = 0; t < kTouches; ++t) {
+          RHSD_CHECK(dram->read(addr, entry).ok());
+        }
+      }
+      clock.advance_ns(625);
+    }
+    const double elapsed = bench::HostSeconds() - t0;
+    *stats_out = dram->stats();
+    return elapsed / kCalls * 1e9;
+  };
+  DramStats touch_stats[2][2];  // [mitigated][batched]
+  BestOf touch_scalar{
+      [&] { return time_touch(false, false, &touch_stats[0][0]); }};
+  BestOf touch_batched{
+      [&] { return time_touch(false, true, &touch_stats[0][1]); }};
+  BestOf touch_mit_scalar{
+      [&] { return time_touch(true, false, &touch_stats[1][0]); }};
+  BestOf touch_mit_batched{
+      [&] { return time_touch(true, true, &touch_stats[1][1]); }};
+
+  // L2pJournal::load() of the two-half JournalRig, in ns per page read
+  // (CRC-32C, decode, and the winner's copy into the result), and
+  // Crc32c() alone over the 4,092 bytes a journal page's CRC covers.
+  JournalRig journal_rig;
+  const auto time_journal = [&] {
+    constexpr int kLoads = 20;
+    const std::uint64_t reads0 = journal_rig.nand.stats().reads;
+    const double t0 = bench::HostSeconds();
+    for (int i = 0; i < kLoads; ++i) {
+      StatusOr<JournalLoadResult> r = journal_rig.journal.load();
+      RHSD_CHECK(r.ok() && r->snapshot_found && r->records.size() == 2500);
+      benchmark::DoNotOptimize(r->records.data());
+    }
+    const double elapsed = bench::HostSeconds() - t0;
+    return elapsed / static_cast<double>(journal_rig.nand.stats().reads -
+                                         reads0) *
+           1e9;
+  };
+  BestOf journal_load{time_journal};
+  std::vector<std::uint8_t> crc_page(kBlockSize - 4);
+  for (std::size_t i = 0; i < crc_page.size(); ++i) {
+    crc_page[i] = static_cast<std::uint8_t>(Mix64(i));
+  }
+  const auto time_crc = [&] {
+    constexpr int kPages = 20000;
+    std::uint32_t crc = 0;
+    const double t0 = bench::HostSeconds();
+    for (int i = 0; i < kPages; ++i) crc = Crc32c(crc_page, crc);
+    const double elapsed = bench::HostSeconds() - t0;
+    benchmark::DoNotOptimize(crc);
+    return elapsed / kPages * 1e9;
+  };
+  BestOf crc_page_ns{time_crc};
 
   // hammer_pattern() costs a fixed amount per distinct row per call,
   // whatever the command count, so its unit is ns per row-call.  Each
@@ -543,6 +655,9 @@ void ReportHammerHotPath() {
                                 &trr_scalar,     &trr_batched,
                                 &amp_scalar,     &amp_batched,
                                 &amp_mit_scalar, &amp_mit_batched,
+                                &touch_scalar,   &touch_batched,
+                                &touch_mit_scalar, &touch_mit_batched,
+                                &journal_load,   &crc_page_ns,
                                 &pattern_2,      &pattern_8,
                                 &pattern_64,     &pattern_1024,
                                 &scrub_rows,     &scrub_full};
@@ -584,12 +699,25 @@ void ReportHammerHotPath() {
                        sides[0].activations == sides[1].activations &&
                        sides[0].trr_refreshes == sides[1].trr_refreshes &&
                        sides[0].para_refreshes == sides[1].para_refreshes,
-                   "batched FTL repeat diverged from scalar in the bench");
+                   "batched hammer_row diverged from scalar in the bench");
   }
   RHSD_CHECK_MSG(amp_stats[0][1].bitflips > 0,
-                 "FTL repeat bench never flipped a bit");
+                 "hammer_row bench never flipped a bit");
   RHSD_CHECK_MSG(amp_stats[1][1].para_refreshes > 0,
-                 "mitigated FTL repeat bench never refreshed");
+                 "mitigated hammer_row bench never refreshed");
+  for (const auto& sides : touch_stats) {
+    RHSD_CHECK_MSG(sides[0].reads == sides[1].reads &&
+                       sides[0].bitflips == sides[1].bitflips &&
+                       sides[0].activations == sides[1].activations &&
+                       sides[0].trr_refreshes == sides[1].trr_refreshes &&
+                       sides[0].para_refreshes == sides[1].para_refreshes,
+                   "amplified L2P read diverged from single-touch reads in "
+                   "the bench");
+  }
+  RHSD_CHECK_MSG(touch_stats[0][1].bitflips > 0,
+                 "L2P touch bench never flipped a bit");
+  RHSD_CHECK_MSG(touch_stats[1][1].para_refreshes > 0,
+                 "mitigated L2P touch bench never refreshed");
 
   const double scalar_ns = scalar_s / (kBatches * kPairs) * 1e9;
   const double batched_ns = batched_s / (kBatches * kPairs) * 1e9;
@@ -612,6 +740,15 @@ void ReportHammerHotPath() {
   report.set("hammer_amplify_mitigated_ns_per_call", amp_mit_batched.best);
   report.set("hammer_amplify_mitigated_speedup",
              amp_mit_scalar.best / amp_mit_batched.best);
+  report.set("l2p_touch_ns_per_call_scalar", touch_scalar.best);
+  report.set("l2p_touch_ns_per_call", touch_batched.best);
+  report.set("l2p_touch_speedup", touch_scalar.best / touch_batched.best);
+  report.set("l2p_touch_mitigated_ns_per_call_scalar", touch_mit_scalar.best);
+  report.set("l2p_touch_mitigated_ns_per_call", touch_mit_batched.best);
+  report.set("l2p_touch_mitigated_speedup",
+             touch_mit_scalar.best / touch_mit_batched.best);
+  report.set("journal_load_ns_per_page", journal_load.best);
+  report.set("crc32c_ns_per_page", crc_page_ns.best);
   report.set("hammer_pattern_ns_per_row_call_2rows", pattern_2_ns);
   report.set("hammer_pattern_ns_per_row_call_8rows", pattern_8_ns);
   report.set("hammer_pattern_ns_per_row_call_64rows", pattern_64_ns);
@@ -628,8 +765,10 @@ void ReportHammerHotPath() {
   std::printf(
       "\nhot path: scalar %.1f ns/pair, batched %.1f ns/pair "
       "(%.1fx), %.0f activations/s; with TRR %.1f -> %.1f ns/pair "
-      "(%.1fx); FTL repeat %.0f -> %.0f ns/call (%.2fx), with TRR + PARA "
-      "%.0f -> %.0f ns/call (%.2fx); hammer_pattern %.0f / %.0f / %.0f / "
+      "(%.1fx); hammer_row(r, 4) %.0f -> %.0f ns/call (%.2fx), with TRR + "
+      "PARA %.0f -> %.0f ns/call (%.2fx); L2P touch %.0f -> %.0f ns/call "
+      "(%.2fx), with TRR + PARA %.0f -> %.0f ns/call (%.2fx); journal load "
+      "%.0f ns/page, CRC-32C %.0f ns/page; hammer_pattern %.0f / %.0f / %.0f / "
       "%.0f ns per row-call at 2 / 8 / 64 / 1024 rows; PARA scan %.2f -> "
       "%.2f ns/draw (%.2fx); scrub %.0f -> %.0f ns (%.1fx) -> "
       "BENCH_hotpath.json\n",
@@ -638,7 +777,11 @@ void ReportHammerHotPath() {
       trr_batched_ns, trr_scalar_ns / trr_batched_ns, amp_scalar.best,
       amp_batched.best, amp_scalar.best / amp_batched.best,
       amp_mit_scalar.best, amp_mit_batched.best,
-      amp_mit_scalar.best / amp_mit_batched.best, pattern_2_ns, pattern_8_ns,
+      amp_mit_scalar.best / amp_mit_batched.best, touch_scalar.best,
+      touch_batched.best, touch_scalar.best / touch_batched.best,
+      touch_mit_scalar.best, touch_mit_batched.best,
+      touch_mit_scalar.best / touch_mit_batched.best, journal_load.best,
+      crc_page_ns.best, pattern_2_ns, pattern_8_ns,
       pattern_64_ns, pattern_1024_ns, scan_member_ns, scan_batched_ns,
       scan_member_ns / scan_batched_ns, scrub_full.best, scrub_rows.best,
       scrub_full.best / scrub_rows.best);

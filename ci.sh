@@ -252,5 +252,11 @@ gate_floor para_scan_speedup 2.0
 # flipped rows' entries against the full 4096-entry walk that one extra
 # unrelated poke forces (30-41x on 4 vCPUs).
 gate_floor scrub_walk_speedup 10
+# The FTL's amplified L2P access: DramDevice::read() of a 4-byte entry
+# with 5 touches (one data access, then one 1-row replay of the 5
+# activations) over five 1-touch reads, bare and under TRR + PARA
+# (2.7-3.7x and 1.9-2.4x on 4 vCPUs).
+gate_floor l2p_touch_speedup 2.0
+gate_floor l2p_touch_mitigated_speedup 1.3
 
 echo "== ci.sh: all green =="

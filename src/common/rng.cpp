@@ -12,12 +12,6 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return Mix64(state);
 }
 
-std::uint64_t Mix64(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(sm);

@@ -102,7 +102,13 @@ class Rng {
 /// SplitMix64 step — also useful as a cheap 64-bit mixer/hash.
 [[nodiscard]] std::uint64_t SplitMix64(std::uint64_t& state);
 
-/// Stateless mix of a 64-bit value (SplitMix64 finalizer).
-[[nodiscard]] std::uint64_t Mix64(std::uint64_t x);
+/// Stateless mix of a 64-bit value (SplitMix64 finalizer).  Inline:
+/// XTS whitening runs it once per 8-byte word and the XOR address
+/// mapper once per decode.
+[[nodiscard]] inline std::uint64_t Mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
 
 }  // namespace rhsd

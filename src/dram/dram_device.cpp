@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <unordered_map>
 
 #include "dram/ecc.hpp"
 
@@ -121,7 +122,6 @@ struct DramDevice::PatternScratch {
   };
   struct BasesUndo {
     std::uint64_t row = 0;
-    bool had = false;  // false: the row had no entry
     RefreshBases bases;
   };
 
@@ -199,8 +199,11 @@ DramDevice::DramDevice(DramConfig config,
   row_window_.assign(total_rows, ~0ull);
   row_acts_.assign(total_rows, 0);
   row_data_.resize(total_rows);
+  RHSD_CHECK(total_rows < kNoRow);
+  row_table_.assign(total_rows, kNoRow);
   neighbor_refresh_active_ = config_.mitigations.trr ||
                              config_.mitigations.para_probability > 0.0;
+  if (neighbor_refresh_active_) refresh_bases_.resize(total_rows);
 }
 
 DramDevice::~DramDevice() = default;
@@ -232,11 +235,9 @@ DramDevice::RefreshBases DramDevice::bases_of(
   // TRR and PARA issue; with neither enabled every row's baselines are
   // identically zero and the lookup is skipped.
   if (!neighbor_refresh_active_) return RefreshBases{};
-  const auto it = refresh_bases_.find(global_row);
-  if (it == refresh_bases_.end() || it->second.window != current_window()) {
-    return RefreshBases{};  // stale entries read as zeros (window rolled)
-  }
-  return it->second;
+  const RefreshBases& b = refresh_bases_[global_row];
+  // Stale baselines (window rolled, or never refreshed) read as zeros.
+  return b.window != current_window() ? RefreshBases{} : b;
 }
 
 bool DramDevice::para_decide() {
@@ -507,11 +508,7 @@ bool DramDevice::replay_pattern(std::span<const std::uint64_t> rows,
         }
         for (auto it = s.bases_undo.rbegin(); it != s.bases_undo.rend();
              ++it) {
-          if (it->had) {
-            refresh_bases_[it->row] = it->bases;
-          } else {
-            refresh_bases_.erase(it->row);
-          }
+          refresh_bases_[it->row] = it->bases;
         }
         for (auto it = s.row_undo.rbegin(); it != s.row_undo.rend(); ++it) {
           row_window_[it->row] = it->window;
@@ -578,10 +575,8 @@ void DramDevice::replay_window_run(std::span<const std::uint64_t> rows,
   // the run's window in hand).
   const auto bases_before = [&](std::uint64_t row) {
     if (fresh || !neighbor_refresh_active_) return RefreshBases{};
-    const auto it = refresh_bases_.find(row);
-    return it == refresh_bases_.end() || it->second.window != w
-               ? RefreshBases{}
-               : it->second;
+    const RefreshBases& b = refresh_bases_[row];
+    return b.window != w ? RefreshBases{} : b;
   };
   // Distinct pattern rows in first-seen order, with their counts before
   // and after the run; row_of maps each position to its distinct row.
@@ -1005,20 +1000,16 @@ void DramDevice::replay_window_run(std::span<const std::uint64_t> rows,
   }
   for (std::size_t i = 0; i < s.refreshed.size(); ++i) {
     const std::uint64_t v = s.refreshed.keys()[i];
-    if (s.undo) {
-      const auto it = refresh_bases_.find(v);
-      s.bases_undo.push_back({v, it != refresh_bases_.end(),
-                              it != refresh_bases_.end() ? it->second
-                                                         : RefreshBases{}});
-    }
+    if (s.undo) s.bases_undo.push_back({v, refresh_bases_[v]});
     refresh_bases_[v] = s.refresh_lists[i].back().bases;
   }
 }
 
-std::uint64_t DramDevice::row_of(DramAddr addr) const {
+std::uint32_t DramDevice::decode_row(DramAddr addr) const {
   const std::uint64_t a = addr.value();
-  return mapper_->decode(DramAddr(a - a % config_.geometry.row_bytes))
-      .global_row(config_.geometry);
+  return static_cast<std::uint32_t>(
+      mapper_->decode(DramAddr(a - a % config_.geometry.row_bytes))
+          .global_row(config_.geometry));
 }
 
 bool DramDevice::reads_replayable(std::span<const DramAddr> entries,
@@ -1163,49 +1154,85 @@ void DramDevice::update_ecc(RowData& rd, std::uint32_t first_byte,
 Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out,
                         std::uint64_t touches) {
   RHSD_CHECK(touches > 0);
-  RHSD_RETURN_IF_ERROR(read_once(addr, out));
-  if (repeat_in_row(addr, out.size(), touches - 1)) {
-    stats_.reads += touches - 1;
+  if (!amplified(addr, out.size(), touches)) {
+    for (std::uint64_t i = 0; i < touches; ++i) {
+      RHSD_RETURN_IF_ERROR(read_once(addr, out));
+    }
     return Status::Ok();
   }
-  for (std::uint64_t i = 1; i < touches; ++i) {
-    RHSD_RETURN_IF_ERROR(read_once(addr, out));
+  // The data access once; the touches' activations cannot change what
+  // it reads (they disturb only the row's neighbors), so they replay
+  // afterwards as one 1-row pattern.
+  const std::uint64_t a = addr.value();
+  const std::uint64_t row = row_of(addr);
+  const auto off = static_cast<std::uint32_t>(a % config_.geometry.row_bytes);
+  tick_read_fault(addr, out);
+  RowData* rd = row_data_[row].get();
+  if (const Status s = verify_and_correct_ecc(
+          rd, off, static_cast<std::uint32_t>(out.size()), row);
+      !s.ok()) {
+    ++stats_.reads;  // the first touch fails: its activation only
+    activate(row);
+    return s;
   }
+  if (rd == nullptr || rd->data.empty()) {
+    std::memset(out.data(), 0, out.size());
+  } else {
+    std::memcpy(out.data(), rd->data.data() + off, out.size());
+  }
+  stats_.reads += touches;
+  hammer_events(row, row, touches);
   return Status::Ok();
 }
 
 Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data,
                          std::uint64_t touches) {
   RHSD_CHECK(touches > 0);
-  RHSD_RETURN_IF_ERROR(write_once(addr, data));
-  if (repeat_in_row(addr, data.size(), touches - 1)) {
-    stats_.writes += touches - 1;
+  if (!amplified(addr, data.size(), touches)) {
+    for (std::uint64_t i = 0; i < touches; ++i) {
+      RHSD_RETURN_IF_ERROR(write_once(addr, data));
+    }
     return Status::Ok();
   }
-  for (std::uint64_t i = 1; i < touches; ++i) {
-    RHSD_RETURN_IF_ERROR(write_once(addr, data));
-  }
+  const std::uint64_t a = addr.value();
+  const std::uint64_t row = row_of(addr);
+  const auto off = static_cast<std::uint32_t>(a % config_.geometry.row_bytes);
+  RowData& rd = materialize(row);
+  std::memcpy(rd.data.data() + off, data.data(), data.size());
+  update_ecc(rd, off, static_cast<std::uint32_t>(data.size()));
+  stats_.writes += touches;
+  hammer_events(row, row, touches);
   return Status::Ok();
 }
 
-bool DramDevice::repeat_in_row(DramAddr addr, std::size_t bytes,
-                               std::uint64_t extra) {
-  if (extra == 0 || bytes == 0) return true;
+bool DramDevice::amplified(DramAddr addr, std::size_t bytes,
+                           std::uint64_t touches) const {
   // Cache state evolves per access, and a span touching two adjacent
-  // rows lets each repeat disturb data it then reads: those repeats
-  // stay scalar.  Otherwise a repeat of the access just completed
-  // cannot change the bytes (the row's own activations disturb only its
-  // neighbors), the ECC state (scrubbed or rewritten by the first
-  // touch) or the outcome; only the activations and their neighbor
-  // disturbance remain.
+  // rows lets each touch disturb data it then reads: those touches stay
+  // scalar, as do single touches (the parity oracle) and empty spans.
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
   const std::uint64_t a = addr.value();
-  if (cache_.has_value() || a / row_bytes != (a + bytes - 1) / row_bytes) {
-    return false;
+  return touches > 1 && bytes > 0 && !cache_.has_value() &&
+         a + bytes <= config_.geometry.total_bytes() &&
+         a / row_bytes == (a + bytes - 1) / row_bytes;
+}
+
+void DramDevice::tick_read_fault(DramAddr addr,
+                                 std::span<const std::uint8_t> out) {
+  if (injector_ == nullptr) return;
+  if (const auto fault = injector_->tick(FaultClass::kDramBitError);
+      fault.has_value() && !out.empty()) {
+    // Transient (soft) bit error: flip one stored bit, leaving the
+    // check bytes untouched so SECDED sees a genuine mismatch — the
+    // same corruption shape as a disturbance flip.  param selects the
+    // bit (low 3 bits) and the byte within the accessed span.
+    const std::uint64_t target =
+        addr.value() + (fault->param >> 3) % out.size();
+    RowData& rd = materialize(row_of(DramAddr(target)));
+    rd.data[target % config_.geometry.row_bytes] ^=
+        static_cast<std::uint8_t>(1u << (fault->param & 7));
+    ++stats_.injected_bit_errors;
   }
-  const std::uint64_t row = row_of(addr);
-  hammer_events(row, row, extra);
-  return true;
 }
 
 Status DramDevice::read_once(DramAddr addr, std::span<std::uint8_t> out) {
@@ -1213,31 +1240,15 @@ Status DramDevice::read_once(DramAddr addr, std::span<std::uint8_t> out) {
     return OutOfRange("DRAM read past end of device");
   }
   ++stats_.reads;
-  if (injector_ != nullptr) {
-    if (const auto fault = injector_->tick(FaultClass::kDramBitError);
-        fault.has_value() && !out.empty()) {
-      // Transient (soft) bit error: flip one stored bit, leaving the
-      // check bytes untouched so SECDED sees a genuine mismatch — the
-      // same corruption shape as a disturbance flip.  param selects the
-      // bit (low 3 bits) and the byte within the accessed span.
-      const std::uint64_t target =
-          addr.value() + (fault->param >> 3) % out.size();
-      RowData& rd = materialize(row_of(DramAddr(target)));
-      rd.data[target % config_.geometry.row_bytes] ^=
-          static_cast<std::uint8_t>(1u << (fault->param & 7));
-      ++stats_.injected_bit_errors;
-    }
-  }
+  tick_read_fault(addr, out);
   const std::uint32_t row_bytes = config_.geometry.row_bytes;
   std::uint64_t a = addr.value();
   std::size_t done = 0;
   while (done < out.size()) {
-    const std::uint64_t row_base = a - (a % row_bytes);
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, out.size() - done));
-    const DramCoord coord = mapper_->decode(DramAddr(row_base));
-    const std::uint64_t grow = coord.global_row(config_.geometry);
+    const std::uint64_t grow = row_of(DramAddr(a));
 
     bool need_activate = true;
     if (cache_.has_value()) {
@@ -1277,9 +1288,7 @@ Status DramDevice::write_once(DramAddr addr,
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, data.size() - done));
-    const std::uint64_t row_base = a - off;
-    const DramCoord coord = mapper_->decode(DramAddr(row_base));
-    const std::uint64_t grow = coord.global_row(config_.geometry);
+    const std::uint64_t grow = row_of(DramAddr(a));
 
     if (cache_.has_value()) {
       // Write-invalidate, mirroring the paper's modified SPDK which
@@ -1309,8 +1318,7 @@ void DramDevice::peek(DramAddr addr, std::span<std::uint8_t> out) const {
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, out.size() - done));
-    const DramCoord coord = mapper_->decode(DramAddr(a - off));
-    const RowData* rd = row_data_[coord.global_row(config_.geometry)].get();
+    const RowData* rd = row_data_[row_of(DramAddr(a))].get();
     if (rd == nullptr || rd->data.empty()) {
       std::memset(out.data() + done, 0, chunk);
     } else {
@@ -1343,8 +1351,7 @@ void DramDevice::poke(DramAddr addr, std::span<const std::uint8_t> data) {
     const auto off = static_cast<std::uint32_t>(a % row_bytes);
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(row_bytes - off, data.size() - done));
-    const DramCoord coord = mapper_->decode(DramAddr(a - off));
-    RowData& rd = materialize(coord.global_row(config_.geometry));
+    RowData& rd = materialize(row_of(DramAddr(a)));
     std::memcpy(rd.data.data() + off, data.data() + done, chunk);
     update_ecc(rd, off, chunk);
     a += chunk;

@@ -30,7 +30,15 @@
 // firmware's touch count) and one per replayed chunk of a read pattern
 // (replay_reads(), after reads_replayable() and read_fault_horizon()):
 // how a stream of touches is accounted — reads, fault-injector ticks,
-// cache LRU stamps, ECC state — is decided here only.
+// cache LRU stamps, ECC state — is decided here only.  An amplified
+// access to an uncached span inside one row costs one data access (the
+// bytes, one fault tick, the ECC check) plus one 1-row replay of all
+// its activations.
+//
+// Addresses reach rows through a per-device table (address row → global
+// row) that each row's first access fills from the mapper, so the
+// access paths make no virtual decode call.  Even const accessors fill
+// it: a device is never shared between threads.
 //
 // Optional mitigations (all off by default, matching the paper's
 // testbed): SECDED ECC, TRR, PARA, a CPU cache in front of the arrays,
@@ -49,7 +57,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -175,18 +182,22 @@ class DramDevice {
   /// Read bytes `touches` times back to back (firmware touching one L2P
   /// entry several times per command).  A touch activates each row it
   /// touches (unless the cache absorbs it), ticks the fault injector
-  /// and verifies ECC.  The touches after the first replay as the 1-row
-  /// pattern when the span lies in one row and no cache is configured:
-  /// they then cannot change the buffer, the ECC state or the outcome,
-  /// so only their activations remain.  Otherwise each is a further
-  /// scalar touch.  Returns Corruption, after the failing touch, if ECC
-  /// detects an uncorrectable error.  DramStats::reads counts every
-  /// touch issued, a failing one included.
+  /// and verifies ECC.  With more than one touch of a non-empty span
+  /// that lies in one row and no cache configured, the data access
+  /// runs once (bounds, one fault tick, ECC verify and correct, the
+  /// copy) and all `touches` activations replay as one 1-row pattern:
+  /// a row's own activations disturb only its neighbors, so the later
+  /// touches could not change the buffer, the ECC state or the outcome.
+  /// Otherwise every touch is a scalar one.  Returns Corruption, after
+  /// the failing touch, if ECC detects an uncorrectable error: one
+  /// activation and one DramStats::reads count in the single-row case.
+  /// DramStats::reads counts every touch issued, a failing one included.
   Status read(DramAddr addr, std::span<std::uint8_t> out,
               std::uint64_t touches = 1);
 
   /// Write bytes `touches` times.  Always activates the touched rows;
-  /// the touches after the first follow read()'s rule (rewriting
+  /// the touches follow read()'s rule (the bytes and check bits are
+  /// written once, then one 1-row replay of every activation; rewriting
   /// identical bytes is idempotent).  DramStats::writes counts touches.
   Status write(DramAddr addr, std::span<const std::uint8_t> data,
                std::uint64_t touches = 1);
@@ -356,21 +367,29 @@ class DramDevice {
   /// One touch of read()/write().
   Status read_once(DramAddr addr, std::span<std::uint8_t> out);
   Status write_once(DramAddr addr, std::span<const std::uint8_t> data);
-  /// The touches after the first of a read()/write() of `bytes` at
-  /// `addr`: replays `extra` of them as the 1-row pattern and returns
-  /// true when the span lies in one row and no cache is configured (an
-  /// empty span touches no row); otherwise returns false and leaves them
-  /// to the caller as scalar touches.
-  bool repeat_in_row(DramAddr addr, std::size_t bytes, std::uint64_t extra);
+  /// True when `touches` touches of `bytes` at `addr` take read()'s and
+  /// write()'s amplified path: more than one touch of a non-empty,
+  /// in-range span inside one row, no cache.
+  [[nodiscard]] bool amplified(DramAddr addr, std::size_t bytes,
+                               std::uint64_t touches) const;
+  /// Ticks FaultClass::kDramBitError once for a read of `out` at `addr`
+  /// and applies an injected soft error inside the span.
+  void tick_read_fault(DramAddr addr, std::span<const std::uint8_t> out);
   /// Fault-injector ticks per command of `touches` touches replayed by
-  /// replay_reads(): read_once() ticks FaultClass::kDramBitError once
-  /// per call, which is every touch with a cache and only the first one
-  /// without (repeat_in_row() ticks nothing).
+  /// replay_reads(): a read() ticks FaultClass::kDramBitError once per
+  /// scalar touch, which is every touch with a cache and one per call
+  /// without (the amplified path).
   [[nodiscard]] std::uint64_t read_ticks_per_cmd(std::uint64_t touches) const {
     return cache_.has_value() ? touches : 1;
   }
-  /// Global row holding `addr`.
-  [[nodiscard]] std::uint64_t row_of(DramAddr addr) const;
+  /// Global row holding `addr` (inside the device), from the row table;
+  /// the row's first lookup fills its entry from the mapper.
+  [[nodiscard]] std::uint64_t row_of(DramAddr addr) const {
+    std::uint32_t& g = row_table_[addr.value() / config_.geometry.row_bytes];
+    if (g == kNoRow) [[unlikely]] g = decode_row(addr);
+    return g;
+  }
+  [[nodiscard]] std::uint32_t decode_row(DramAddr addr) const;
 
   void roll_window(std::uint64_t global_row);
   RowData& materialize(std::uint64_t global_row);
@@ -451,16 +470,21 @@ class DramDevice {
   std::uint64_t pokes_ = 0;  // content mutations via poke()
 
   // Flat per-row hot state (indexed by global row id).  The activation
-  // path touches only these three arrays plus the disturbance model's
-  // flat caches — no hashing.
+  // path touches only these arrays plus the disturbance model's flat
+  // caches — no hashing.
   std::vector<std::uint64_t> row_window_;  // ~0 = never touched
   std::vector<std::uint64_t> row_acts_;
   std::vector<std::unique_ptr<RowData>> row_data_;
-  /// Sparse: only rows that received a targeted refresh (TRR/PARA).
-  std::unordered_map<std::uint64_t, RefreshBases> refresh_bases_;
+  /// Baselines per global row; allocated only when TRR or PARA is on
+  /// (rows never refreshed keep window ~0, which reads as zeros).
+  std::vector<RefreshBases> refresh_bases_;
   /// True iff TRR or PARA can write refresh_bases_; when false the
   /// activation path skips the baseline lookup entirely.
   bool neighbor_refresh_active_ = false;
+  /// Address row index (byte address / row_bytes) → global row, kNoRow
+  /// until that row's first lookup (row_of()).
+  static constexpr std::uint32_t kNoRow = ~0u;
+  mutable std::vector<std::uint32_t> row_table_;
   std::unique_ptr<PatternScratch> scratch_;  // replay storage
 };
 

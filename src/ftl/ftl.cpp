@@ -534,11 +534,11 @@ void Ftl::xts_whiten(Lba lba, std::span<std::uint8_t> data) const {
   // Toy tweakable stream standing in for AES-XTS [32]: keystream depends
   // on (device key, LBA, offset), so data only decrypts under the LBA it
   // was written for.
+  const std::uint64_t tweak =
+      config_.device_key ^ (lba.value() * 0x9E3779B97F4A7C15ull);
   std::uint64_t word_idx = 0;
   for (std::size_t off = 0; off + 8 <= data.size(); off += 8) {
-    const std::uint64_t ks =
-        Mix64(config_.device_key ^ (lba.value() * 0x9E3779B97F4A7C15ull) ^
-              word_idx++);
+    const std::uint64_t ks = Mix64(tweak ^ word_idx++);
     std::uint64_t w;
     std::memcpy(&w, data.data() + off, 8);
     w ^= ks;

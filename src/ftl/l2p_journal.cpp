@@ -37,10 +37,15 @@ JournalLoadResult::Replay JournalLoadResult::replay(std::uint64_t num_lbas) {
                   : std::vector<std::uint32_t>(num_lbas, kUnmappedPba32);
   out.last_seq.assign(num_lbas, snapshot_write_seq);
   out.max_seq = snapshot_write_seq;
-  std::stable_sort(records.begin(), records.end(),
-                   [](const JournalRecord& a, const JournalRecord& b) {
-                     return a.seq < b.seq;
-                   });
+  // Records come in append order, and the FTL draws each sequence just
+  // before it appends, so one O(n) pass usually proves them sorted; the
+  // stable sort stays as the fallback.
+  const auto by_seq = [](const JournalRecord& a, const JournalRecord& b) {
+    return a.seq < b.seq;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_seq)) {
+    std::stable_sort(records.begin(), records.end(), by_seq);
+  }
   for (const JournalRecord& rec : records) {
     if (rec.lpn >= num_lbas) {
       ++out.invalid;
@@ -263,8 +268,11 @@ Status L2pJournal::snapshot(std::span<const std::uint32_t> table,
 StatusOr<JournalLoadResult> L2pJournal::load() {
   ++stats_.loads;
   const std::uint32_t page_bytes = nand_.geometry().page_bytes;
-  std::vector<std::uint8_t> buf(page_bytes);
+  page_buf_.resize(page_bytes);
+  const std::span<std::uint8_t> buf(page_buf_);
 
+  // Each half decodes into its scratch; `best` carries the winner's
+  // scalar fields, and its table and records are copied out at the end.
   JournalLoadResult best;
   std::uint32_t best_half = 0;
   std::uint32_t best_next_page = 0;
@@ -289,7 +297,9 @@ StatusOr<JournalLoadResult> L2pJournal::load() {
     JournalLoadResult r;
     r.epoch = epoch;
     r.snapshot_write_seq = snap_seq;
-    r.table.assign(num_lbas_, kUnmappedPba32);
+    HalfScratch& h = half_scratch_[half];
+    h.table.assign(num_lbas_, kUnmappedPba32);
+    h.records.clear();
     bool complete = true;
     const std::uint32_t per_page = snap_entries_per_page();
     for (std::uint32_t i = 0; i < data_pages; ++i) {
@@ -302,7 +312,7 @@ StatusOr<JournalLoadResult> L2pJournal::load() {
       }
       const std::uint64_t first = static_cast<std::uint64_t>(i) * per_page;
       for (std::uint32_t j = 0; j < pv.count && first + j < num_lbas_; ++j) {
-        r.table[first + j] =
+        h.table[first + j] =
             Load32(&buf[kHeaderBytes + static_cast<std::size_t>(j) * 4]);
       }
     }
@@ -325,20 +335,25 @@ StatusOr<JournalLoadResult> L2pJournal::load() {
       for (std::uint32_t j = 0; j < pv.count; ++j) {
         const std::uint8_t* p =
             &buf[kHeaderBytes + static_cast<std::size_t>(j) * kRecordBytes];
-        r.records.push_back(
+        h.records.push_back(
             JournalRecord{Load64(p), Load32(p + 8), Load64(p + 12)});
       }
       ++rec_pages;
     }
 
     if (!best.snapshot_found || r.epoch > best.epoch) {
-      best = std::move(r);
+      best = r;
       best_half = half;
       best_next_page = page;
       best_record_pages = rec_pages;
     }
   }
 
+  if (best.snapshot_found) {
+    const HalfScratch& h = half_scratch_[best_half];
+    best.table = h.table;
+    best.records = h.records;
+  }
   best.corrupt_pages += total_corrupt;
   stats_.corrupt_pages += best.corrupt_pages;
   if (best.snapshot_found) {

@@ -85,7 +85,8 @@ struct JournalLoadResult {
   };
   /// The snapshot (all unmapped when none was found) plus every record
   /// newer than its LPN's last sequence, applied in sequence order.
-  /// Moves the snapshot table out and sorts `records`.
+  /// Moves the snapshot table out and sorts `records` by sequence
+  /// (stably, and only when an O(n) check finds them out of order).
   [[nodiscard]] Replay replay(std::uint64_t num_lbas);
 };
 
@@ -137,7 +138,11 @@ class L2pJournal {
   /// Scan both halves and reconstruct the newest complete epoch.  Also
   /// positions the writer on that epoch so a subsequent snapshot() rolls
   /// away from it.  snapshot_found == false means the region is blank or
-  /// unreadable (fresh device, or both halves torn).
+  /// unreadable (fresh device, or both halves torn).  Every call reads
+  /// both halves' pages in the same order (the NAND reads are part of
+  /// the simulated firmware); each half decodes into storage the journal
+  /// keeps across loads, and only the winner's table and records are
+  /// copied into the result.
   StatusOr<JournalLoadResult> load();
 
   /// Pages one half can hold, and how many a snapshot consumes — for
@@ -209,6 +214,17 @@ class L2pJournal {
   std::uint64_t records_since_snapshot_ = 0;
   std::vector<JournalRecord> pending_;
   JournalStats stats_;
+
+  /// load()'s working storage, kept across loads: one page buffer, and
+  /// per half the decoded snapshot table and records.  Only the winning
+  /// half's are copied into the result, so a reload neither reallocates
+  /// nor faults in fresh pages for the half that loses.
+  struct HalfScratch {
+    std::vector<std::uint32_t> table;
+    std::vector<JournalRecord> records;
+  };
+  std::vector<std::uint8_t> page_buf_;
+  HalfScratch half_scratch_[2];
 };
 
 }  // namespace rhsd

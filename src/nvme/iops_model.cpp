@@ -35,22 +35,22 @@ double MaxIops(HostInterface iface) {
   return 0.0;
 }
 
-std::uint64_t IopsModel::service_ns(bool flash_accessed,
-                                    const NandLatency& nand) const {
-  const double interface_ns = 1e9 / max_iops_;
-  double total = interface_ns;
-  if (flash_accessed) {
-    // NAND latency amortized across the device's parallel units; the
-    // interface gap and flash time overlap under queue depth, so charge
-    // the max rather than the sum.
-    const double flash_ns =
-        static_cast<double>(nand.read_ns) / flash_parallelism_;
-    total = std::max(interface_ns, flash_ns);
-  }
+IopsModel::IopsModel(double max_iops, double flash_parallelism)
+    : max_iops_(max_iops) {
+  RHSD_CHECK(max_iops_ > 0.0);
+  RHSD_CHECK(flash_parallelism >= 1.0);
   // Round to nearest: truncation under-charged every command (e.g.
   // 476.19 ns -> 476 ns at PCIe 5 rates), quietly inflating modeled
   // IOPS by the accumulated fraction.
-  return static_cast<std::uint64_t>(std::llround(total));
+  const double interface_ns = 1e9 / max_iops_;
+  interface_ns_ = static_cast<std::uint64_t>(std::llround(interface_ns));
+  // NAND latency amortized across the device's parallel units; the
+  // interface gap and flash time overlap under queue depth, so charge
+  // the max rather than the sum.
+  const double flash_ns =
+      static_cast<double>(NandDevice::latency().read_ns) / flash_parallelism;
+  flash_ns_ = static_cast<std::uint64_t>(
+      std::llround(std::max(interface_ns, flash_ns)));
 }
 
 }  // namespace rhsd

@@ -36,11 +36,9 @@ enum class HostInterface {
 
 class IopsModel {
  public:
-  explicit IopsModel(double max_iops, double flash_parallelism = 64.0)
-      : max_iops_(max_iops), flash_parallelism_(flash_parallelism) {
-    RHSD_CHECK(max_iops_ > 0.0);
-    RHSD_CHECK(flash_parallelism_ >= 1.0);
-  }
+  /// Both service times are computed here, against the NAND timings
+  /// every device has (NandDevice::latency()).
+  explicit IopsModel(double max_iops, double flash_parallelism = 64.0);
 
   [[nodiscard]] static IopsModel ForInterface(HostInterface iface) {
     return IopsModel(MaxIops(iface));
@@ -49,12 +47,14 @@ class IopsModel {
   [[nodiscard]] double max_iops() const { return max_iops_; }
 
   /// Simulated nanoseconds one 4 KiB command occupies the device.
-  [[nodiscard]] std::uint64_t service_ns(bool flash_accessed,
-                                         const NandLatency& nand) const;
+  [[nodiscard]] std::uint64_t service_ns(bool flash_accessed) const {
+    return flash_accessed ? flash_ns_ : interface_ns_;
+  }
 
  private:
   double max_iops_;
-  double flash_parallelism_;
+  std::uint64_t interface_ns_ = 0;  // unmapped/trimmed reads: no flash
+  std::uint64_t flash_ns_ = 0;
 };
 
 }  // namespace rhsd

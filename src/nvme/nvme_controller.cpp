@@ -56,7 +56,7 @@ void NvmeController::charge(bool flash_accessed) {
   if (limiter_.has_value()) {
     ns_cost += limiter_->acquire(clock_.now_ns());
   }
-  ns_cost += config_.iops.service_ns(flash_accessed, ftl_.nand().latency());
+  ns_cost += config_.iops.service_ns(flash_accessed);
   clock_.advance_ns(ns_cost);
   stats_.busy_ns += ns_cost;
 }
@@ -198,7 +198,7 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
   }
 
   const std::uint64_t service_ns =
-      config_.iops.service_ns(/*flash_accessed=*/false, ftl_.nand().latency());
+      config_.iops.service_ns(/*flash_accessed=*/false);
   const auto allow_round = [&](std::uint64_t now_ns, std::uint64_t r) {
     return (!until || now_ns < deadline_ns) &&
            (!bounded || r < max_rounds);

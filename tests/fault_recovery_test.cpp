@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "fault/fault_injector.hpp"
 #include "ftl/ftl.hpp"
+#include "ftl/l2p_journal.hpp"
 #include "test_util.hpp"
 
 namespace rhsd {
@@ -425,6 +428,158 @@ TEST(FaultRecovery, ScrubFlipDrivenWalkMatchesJournalUnderEcc) {
   EXPECT_GT(t.flips_only_scrubs, 0u);
   EXPECT_GT(t.flips_only_repairs, 0u);
   EXPECT_GT(t.ecc_corrected, 0u);
+}
+
+// ---------------------------------------------------------------------
+// L2pJournal::load() decodes both halves into storage the journal keeps
+// across loads.  A long-lived journal that loads after every step —
+// appends, flushes, epoch rolls, a roll torn by an injected NAND
+// program fault, injected NAND read faults — must load exactly what a
+// fresh journal over the same NAND loads, and sit at the same writer
+// position afterwards.
+// ---------------------------------------------------------------------
+
+void ExpectSameLoad(const JournalLoadResult& reused,
+                    const JournalLoadResult& fresh) {
+  EXPECT_EQ(reused.snapshot_found, fresh.snapshot_found);
+  EXPECT_EQ(reused.epoch, fresh.epoch);
+  EXPECT_EQ(reused.snapshot_write_seq, fresh.snapshot_write_seq);
+  EXPECT_EQ(reused.table, fresh.table);
+  ASSERT_EQ(reused.records.size(), fresh.records.size());
+  for (std::size_t i = 0; i < reused.records.size(); ++i) {
+    EXPECT_EQ(reused.records[i].lpn, fresh.records[i].lpn) << "record " << i;
+    EXPECT_EQ(reused.records[i].pba32, fresh.records[i].pba32)
+        << "record " << i;
+    EXPECT_EQ(reused.records[i].seq, fresh.records[i].seq) << "record " << i;
+  }
+  EXPECT_EQ(reused.corrupt_pages, fresh.corrupt_pages);
+}
+
+TEST(L2pJournal, ReplayAppliesRecordsInSequenceOrder) {
+  // Records out of sequence order: replay() sorts them before applying.
+  // Unsorted, the table would come out the same (only records newer
+  // than their LPN's last apply), but the older records of LPNs 1 and 2
+  // would be skipped as stale instead of applied.
+  JournalLoadResult r;
+  r.snapshot_found = true;
+  r.snapshot_write_seq = 2;
+  r.table = {7, 7, 7, 7};
+  r.records = {{1, 10, 5}, {2, 20, 9}, {1, 11, 3}, {2, 21, 4}, {9, 90, 6}};
+  const JournalLoadResult::Replay out = r.replay(4);
+  EXPECT_EQ(out.table, (std::vector<std::uint32_t>{7, 10, 20, 7}));
+  EXPECT_EQ(out.last_seq, (std::vector<std::uint64_t>{2, 5, 9, 2}));
+  EXPECT_EQ(out.applied, 4u);  // 3, 4, 5 and 9; the LPN-9 record is invalid
+  EXPECT_EQ(out.invalid, 1u);
+  EXPECT_EQ(out.max_seq, 9u);
+}
+
+TEST(L2pJournal, ReusedScratchLoadsMatchFreshJournal) {
+  constexpr std::uint64_t kLbas = 2048;  // 3 snapshot data pages
+  NandDevice nand(NandGeometry{.channels = 1,
+                               .dies_per_channel = 1,
+                               .planes_per_die = 1,
+                               .blocks_per_plane = 8,
+                               .pages_per_block = 16,
+                               .page_bytes = kBlockSize});
+  L2pJournalConfig config;
+  config.enabled = true;
+  config.blocks = 4;  // two 32-page halves
+  L2pJournal journal(config, nand, kLbas);
+
+  Rng rng(0x10AD);
+  std::uint64_t seq = 0;
+  std::vector<std::uint32_t> table(kLbas, kUnmappedPba32);
+  const auto append = [&](int n, int sync_every) {
+    for (int i = 1; i <= n; ++i) {
+      const std::uint64_t lpn = rng.next_below(kLbas);
+      const auto pba = static_cast<std::uint32_t>(rng.next_below(1u << 20));
+      table[lpn] = pba;
+      ASSERT_TRUE(journal
+                      .append(JournalRecord{lpn, pba, ++seq},
+                              sync_every > 0 && i % sync_every == 0)
+                      .ok());
+    }
+    ASSERT_TRUE(journal.flush().ok());
+  };
+  // The long-lived journal loads, then a fresh one, each behind its own
+  // copy of `reads` (so a read fault lands on the same page of both).
+  std::vector<JournalLoadResult> seen;
+  const auto check = [&](const std::string& step, const FaultPlan& reads) {
+    SCOPED_TRACE(step);
+    FaultInjector reused_faults(reads);
+    nand.set_fault_injector(&reused_faults);
+    StatusOr<JournalLoadResult> reused = journal.load();
+    FaultInjector fresh_faults(reads);
+    nand.set_fault_injector(&fresh_faults);
+    L2pJournal fresh(config, nand, kLbas);
+    StatusOr<JournalLoadResult> loaded = fresh.load();
+    nand.set_fault_injector(nullptr);
+    ASSERT_TRUE(reused.ok());
+    ASSERT_TRUE(loaded.ok());
+    ExpectSameLoad(*reused, *loaded);
+    if (loaded->snapshot_found) {  // else load() leaves the writer alone
+      EXPECT_EQ(journal.epoch(), fresh.epoch());
+      EXPECT_EQ(journal.next_page(), fresh.next_page());
+    }
+    seen.push_back(std::move(reused).value());
+  };
+  // Read faults at a spread of page-read indices (headers, snapshot data
+  // and record pages of either half), then a clean load that puts the
+  // writer back on the newest epoch.
+  const auto check_read_faults = [&](const std::string& step) {
+    for (const std::uint64_t at :
+         {0ull, 2ull, 4ull, 9ull, 26ull, 28ull, 30ull}) {
+      check(step + ", read fault at page read " + std::to_string(at),
+            FaultPlan{}.add(FaultClass::kNandRead, at));
+    }
+    check(step + ", clean", FaultPlan{});
+  };
+
+  ASSERT_TRUE(journal.format(table, 0).ok());
+  check("format", FaultPlan{});
+  append(150, 0);
+  check("one record page", FaultPlan{});
+  append(700, 37);
+  check("sync flushes", FaultPlan{});
+  ASSERT_TRUE(journal.snapshot(table, seq).ok());
+  check("roll to epoch 1", FaultPlan{});
+  append(500, 0);
+  check("records in both halves", FaultPlan{});
+  check_read_faults("records in both halves");
+
+  // A roll whose third program (the second snapshot data page) fails:
+  // epoch 2's half is torn, and loads fall back to epoch 1.
+  {
+    FaultInjector program_fault(FaultPlan{}.add(FaultClass::kNandProgram, 2));
+    nand.set_fault_injector(&program_fault);
+    EXPECT_FALSE(journal.snapshot(table, seq).ok());
+    nand.set_fault_injector(nullptr);
+  }
+  check("torn roll", FaultPlan{});
+  EXPECT_EQ(seen.back().epoch, 1u);
+  EXPECT_EQ(seen.back().records.size(), 500u);
+  append(300, 0);
+  check("appends after the torn roll", FaultPlan{});
+  check_read_faults("appends after the torn roll");
+  ASSERT_TRUE(journal.snapshot(table, seq).ok());
+  append(90, 0);
+  check("roll to epoch 2", FaultPlan{});
+  EXPECT_EQ(seen.back().epoch, 2u);
+
+  // Non-vacuity: read faults cost some load a record page, another its
+  // only complete snapshot, and made one fall back to epoch 0 while
+  // epoch 1 was newest.
+  bool corrupt = false;
+  bool none = false;
+  bool older = false;
+  for (const JournalLoadResult& r : seen) {
+    corrupt |= r.corrupt_pages > 0;
+    none |= !r.snapshot_found;
+    older |= r.snapshot_found && r.epoch == 0 && r.records.size() == 850;
+  }
+  EXPECT_TRUE(corrupt);
+  EXPECT_TRUE(none);
+  EXPECT_TRUE(older);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -483,32 +484,169 @@ TEST(HammerParity, RefreshWindowRoll) {
   });
 }
 
-TEST(HammerParity, RepeatReadMatchesScalarReads) {
-  RunParity(BaseConfig(16), [](DramDevice& d, SimClock&, bool batched) {
-    const DramAddr addr(10 * 512 + 64);
-    std::uint8_t buf[4] = {0, 0, 0, 0};
-    // Aggressor row 10 hammers rows 9 and 11 via plain repeated reads.
-    for (int round = 0; round < 1500; ++round) {
-      if (batched) {
-        ASSERT_TRUE(d.read(addr, buf, 10).ok());
-      } else {
-        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.read(addr, buf).ok());
+/// The config axis of the amplified read()/write() parity tests: the
+/// closed-form replay of a call's touches must match per-touch scalar
+/// calls under every mitigation that has per-activation state (TRR,
+/// PARA, both), under Half-Double coupling, and under ECC.
+std::vector<std::pair<const char*, DramConfig>> AmplifiedConfigs(
+    std::uint64_t seed) {
+  std::vector<std::pair<const char*, DramConfig>> out;
+  out.emplace_back("bare", BaseConfig(seed));
+  DramConfig trr = BaseConfig(seed);
+  trr.mitigations.trr = true;
+  trr.mitigations.trr_config = TestTrr(1500);
+  out.emplace_back("TRR", trr);
+  DramConfig para = BaseConfig(seed);
+  para.mitigations.para_probability = 0.002;
+  out.emplace_back("PARA", para);
+  DramConfig both = trr;
+  both.mitigations.para_probability = 0.002;
+  out.emplace_back("TRR+PARA", both);
+  DramConfig hd = BaseConfig(seed);
+  hd.profile.half_double_weight = 0.1;
+  out.emplace_back("Half-Double", hd);
+  DramConfig ecc = BaseConfig(seed);
+  ecc.mitigations.ecc = true;
+  out.emplace_back("ECC", ecc);
+  return out;
+}
+
+/// Read `row` one 8-byte word at a time with `touches` touches per word
+/// (batched) or `touches` single-touch reads that stop at the first
+/// error (scalar): a victim row's words, whose flips ECC corrects (or,
+/// for a double flip, reports) on the first touch.
+void ReadRowWords(DramDevice& d, std::uint64_t row, std::uint64_t touches,
+                  bool batched) {
+  const std::uint32_t row_bytes = d.config().geometry.row_bytes;
+  std::uint8_t word[8];
+  for (std::uint32_t off = 0; off < row_bytes; off += 8) {
+    const DramAddr at(row * row_bytes + off);
+    if (batched) {
+      (void)d.read(at, word, touches);
+    } else {
+      for (std::uint64_t i = 0; i < touches && d.read(at, word).ok(); ++i) {
       }
     }
-  });
+  }
+}
+
+/// Non-vacuity of an amplified-parity workload under `config`: it flips
+/// bits where no neighbor refresh stops them, each configured
+/// mitigation fires, and with ECC its read-back corrects a flip.
+template <typename Fn>
+void ExpectAmplifiedWorkloadBites(const DramConfig& config, Fn&& workload) {
+  SimClock clock;
+  auto probe = MakeDevice(config, clock);
+  workload(*probe, clock, /*batched=*/true);
+  const DramStats& st = probe->stats();
+  const DramMitigations& m = config.mitigations;
+  if (!m.trr && m.para_probability == 0.0) {
+    EXPECT_GT(st.bitflips, 0u);
+  }
+  if (m.trr) {
+    EXPECT_GT(st.trr_refreshes, 0u);
+  }
+  if (m.para_probability > 0.0) {
+    EXPECT_GT(st.para_refreshes, 0u);
+  }
+  if (m.ecc) {
+    EXPECT_GT(st.ecc_corrected, 0u);
+  }
+}
+
+TEST(HammerParity, RepeatReadMatchesScalarReads) {
+  // Aggressor rows 10 and 12 hammer victim row 11 (and 9, 13) through
+  // 10-touch reads, one I/O (625 ns) apart; then every word of the
+  // victims is read back with 10 touches.
+  const auto workload = [](DramDevice& d, SimClock& clock, bool batched) {
+    d.poke(DramAddr(11 * 512), std::vector<std::uint8_t>(512, 0xA5));
+    std::uint8_t buf[4] = {0, 0, 0, 0};
+    for (int round = 0; round < 1500; ++round) {
+      const DramAddr at(round % 3 == 2 ? 12 * 512 + 8 : 10 * 512 + 64);
+      if (batched) {
+        ASSERT_TRUE(d.read(at, buf, 10).ok());
+      } else {
+        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.read(at, buf).ok());
+      }
+      clock.advance_ns(625);
+    }
+    for (const std::uint64_t victim : {9, 11, 13}) {
+      ReadRowWords(d, victim, 10, batched);
+    }
+  };
+  for (const auto& [name, config] : AmplifiedConfigs(16)) {
+    SCOPED_TRACE(name);
+    RunParity(config, workload);
+    ExpectAmplifiedWorkloadBites(config, workload);
+  }
 }
 
 TEST(HammerParity, RepeatWriteMatchesScalarWrites) {
-  RunParity(BaseConfig(17), [](DramDevice& d, SimClock&, bool batched) {
-    const DramAddr addr(20 * 512 + 8);
-    const std::uint8_t data[4] = {0xDE, 0xAD, 0xBE, 0xEF};
+  // The same shape through 10-touch writes of rows 20 and 22 (each
+  // round new bytes), then the aggressors' and victims' words read back
+  // (with ECC, against the check bits the writes left).
+  const auto workload = [](DramDevice& d, SimClock& clock, bool batched) {
+    d.poke(DramAddr(21 * 512), std::vector<std::uint8_t>(512, 0x5A));
     for (int round = 0; round < 1500; ++round) {
+      const DramAddr at(round % 3 == 2 ? 22 * 512 + 16 : 20 * 512 + 8);
+      const std::uint8_t data[4] = {0xDE, 0xAD, 0xBE,
+                                    static_cast<std::uint8_t>(round)};
       if (batched) {
-        ASSERT_TRUE(d.write(addr, data, 10).ok());
+        ASSERT_TRUE(d.write(at, data, 10).ok());
       } else {
-        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.write(addr, data).ok());
+        for (int i = 0; i < 10; ++i) ASSERT_TRUE(d.write(at, data).ok());
       }
+      clock.advance_ns(625);
     }
+    for (const std::uint64_t row : {19, 20, 21, 22, 23}) {
+      ReadRowWords(d, row, 10, batched);
+    }
+  };
+  for (const auto& [name, config] : AmplifiedConfigs(17)) {
+    SCOPED_TRACE(name);
+    RunParity(config, workload);
+    ExpectAmplifiedWorkloadBites(config, workload);
+  }
+}
+
+TEST(HammerParity, RepeatReadOfUncorrectableWordStopsAfterOneActivation) {
+  // ECC on, and a word of victim row 10 with two disturbance flips (the
+  // double error SECDED detects but cannot correct).  A 5-touch read of
+  // it fails on its first touch on both sides: one activation, one read.
+  DramConfig c = BaseConfig(12);
+  c.mitigations.ecc = true;
+  c.profile.max_cells_per_row = 64;
+  const auto hammer = [](DramDevice& d, bool batched) {
+    d.poke(DramAddr(10 * 512), std::vector<std::uint8_t>(512, 0xA5));
+    HammerPairEither(d, 9, 11, 20000, batched);
+  };
+  SimClock probe_clock;
+  auto probe = MakeDevice(c, probe_clock);
+  hammer(*probe, true);
+  std::uint64_t word = 512;
+  for (std::uint64_t w = 0; w < 512 / 8 && word == 512; ++w) {
+    std::uint8_t bytes[8];
+    probe->peek(DramAddr(10 * 512 + w * 8), bytes);
+    int flipped = 0;
+    for (const std::uint8_t b : bytes) flipped += std::popcount(b ^ 0xA5u);
+    if (flipped == 2) word = w;
+  }
+  ASSERT_LT(word, 512u) << "no double-flip word; hammer longer";
+  const DramAddr addr(10 * 512 + word * 8 + 2);
+  RunParity(c, [&](DramDevice& d, SimClock&, bool batched) {
+    hammer(d, batched);
+    const DramStats before = d.stats();
+    std::uint8_t buf[4];
+    Status s;
+    if (batched) {
+      s = d.read(addr, buf, 5);
+    } else {
+      for (int i = 0; i < 5 && s.ok(); ++i) s = d.read(addr, buf);
+    }
+    EXPECT_EQ(s.code(), StatusCode::kCorruption);
+    EXPECT_EQ(d.stats().activations, before.activations + 1);
+    EXPECT_EQ(d.stats().reads, before.reads + 1);
+    EXPECT_EQ(d.stats().ecc_uncorrectable, before.ecc_uncorrectable + 1);
   });
 }
 
@@ -548,6 +686,43 @@ TEST(HammerParity, CacheConfiguredDevice) {
   workload(*probe, /*batched=*/true);
   EXPECT_GT(probe->stats().bitflips, 0u);
   EXPECT_GT(probe->stats().cache_hits, 0u);
+}
+
+TEST(HammerParity, HazardAbortRestoresRefreshBaselines) {
+  // A replay whose flip lands in a hazard range aborts and must leave
+  // the device as if never called: row counts, the PARA stream and the
+  // refresh baselines its PARA refreshes wrote.  The twin never makes
+  // the call; both then hammer on in the same window and must agree.
+  const std::uint64_t rows[2] = {9, 11};
+  constexpr std::uint64_t kCmds = 12000;
+  const PatternHazard hazard{.global_row = 10, .byte_lo = 0, .byte_hi = 512};
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 60 && !found; ++seed) {
+    DramConfig c = BaseConfig(seed);
+    c.mitigations.para_probability = 0.0004;
+    SimClock probe_clock;
+    auto probe = MakeDevice(c, probe_clock);
+    ASSERT_TRUE(probe->hammer_pattern(rows, kCmds, 1, {{}, 0, 0, kCmds}, {}));
+    const auto& flips = probe->flip_events();
+    if (probe->stats().para_refreshes == 0 ||
+        std::none_of(flips.begin(), flips.end(), [](const FlipEvent& f) {
+          return f.global_row == 10;
+        })) {
+      continue;
+    }
+    found = true;
+    SimClock clock_a;
+    SimClock clock_b;
+    auto aborted = MakeDevice(c, clock_a);
+    auto twin = MakeDevice(c, clock_b);
+    EXPECT_FALSE(aborted->hammer_pattern(rows, kCmds, 1, {{}, 0, 0, kCmds},
+                                         {&hazard, 1}));
+    for (DramDevice* d : {aborted.get(), twin.get()}) {
+      d->hammer_pair(9, 11, kCmds / 2);
+    }
+    ExpectSameOutcome(*aborted, *twin);
+  }
+  ASSERT_TRUE(found) << "no seed with both PARA refreshes and a row-10 flip";
 }
 
 TEST(HammerParity, AliasedOppositeCellsFallBackExactly) {

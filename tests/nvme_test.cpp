@@ -194,19 +194,22 @@ TEST(IopsModel, InterfaceCalibrations) {
 TEST(IopsModel, ServiceTimeRoundsToNearest) {
   // 1.5e6 IOPS is 666.67 ns per command; truncation charged 666 ns and
   // quietly inflated modeled IOPS by the accumulated fraction.
-  const NandLatency nand;
   const IopsModel pcie4(MaxIops(HostInterface::kPcie4), 4.0);
-  EXPECT_EQ(pcie4.service_ns(false, nand), 667u);
+  EXPECT_EQ(pcie4.service_ns(false), 667u);
   // 2.1e6 IOPS is 476.19 ns: the fraction below one half still truncates.
   const IopsModel pcie5(MaxIops(HostInterface::kPcie5), 4.0);
-  EXPECT_EQ(pcie5.service_ns(false, nand), 476u);
+  EXPECT_EQ(pcie5.service_ns(false), 476u);
+  // 64 parallel units amortize 50 us tR to 781.25 ns, which rounds down
+  // and outlasts PCIe 4's interface gap.
+  const IopsModel parallel(MaxIops(HostInterface::kPcie4));
+  EXPECT_EQ(parallel.service_ns(true), 781u);
 }
 
 TEST(IopsModel, UnmappedReadsAreFasterThanFlashReads) {
   const IopsModel model(1e6, /*flash_parallelism=*/4.0);
-  const NandLatency nand;  // 50 us tR
-  const auto no_flash = model.service_ns(false, nand);
-  const auto with_flash = model.service_ns(true, nand);
+  ASSERT_EQ(NandDevice::latency().read_ns, 50'000u);  // 50 us tR
+  const auto no_flash = model.service_ns(false);
+  const auto with_flash = model.service_ns(true);
   EXPECT_LT(no_flash, with_flash);  // §3: trimmed blocks hammer faster
   EXPECT_EQ(with_flash, 50'000u / 4);
 }
