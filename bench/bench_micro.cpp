@@ -20,6 +20,7 @@
 #include "dram/ecc.hpp"
 #include "ftl/ftl.hpp"
 #include "ftl/l2p_journal.hpp"
+#include "nvme/queue_pair.hpp"
 #include "ssd/ssd_device.hpp"
 
 namespace rhsd {
@@ -525,6 +526,53 @@ void ReportHammerHotPath() {
   BestOf touch_mit_batched{
       [&] { return time_touch(true, true, &touch_stats[1][1]); }};
 
+  // The queue pair's own cost per command: the same 4 KiB unmapped reads
+  // (5 L2P touches each, on invulnerable DRAM) as NvmeController::read()
+  // calls and through one depth-16 queue pair, submitted 16 at a time,
+  // processed and polled.  Each run builds a fresh 16 MiB SSD (untimed);
+  // in ns per command, and both sides must leave the same device stats
+  // and clock.
+  struct QpStats {
+    NvmeStats nvme;
+    std::uint64_t unmapped_reads = 0;
+    std::uint64_t activations = 0;
+    std::uint64_t now_ns = 0;
+  };
+  const auto time_qp = [&](bool through_qp, QpStats* stats_out) {
+    constexpr std::uint64_t kCmds = 20000;
+    constexpr std::uint32_t kDepth = 16;
+    SsdConfig config = SsdConfig::DemoSetup(16 * kMiB);
+    config.dram_profile = DramProfile::Invulnerable();
+    SsdDevice ssd(config);
+    NvmeController& ctrl = ssd.controller();
+    NvmeQueuePair qp(ctrl, 1, kDepth);
+    std::vector<std::uint8_t> out(kBlockSize);
+    const auto slba = [](std::uint64_t i) { return (i * 37) % 2048; };
+    const double t0 = bench::HostSeconds();
+    if (through_qp) {
+      for (std::uint64_t i = 0; i < kCmds;) {
+        for (std::uint32_t k = 0; k < kDepth && i < kCmds; ++k, ++i) {
+          RHSD_CHECK(qp.submit(NvmeCommand::Read(static_cast<std::uint16_t>(i),
+                                                 1, slba(i), out))
+                         .ok());
+        }
+        (void)qp.process();
+        while (auto cqe = qp.poll()) RHSD_CHECK(cqe->status.ok());
+      }
+    } else {
+      for (std::uint64_t i = 0; i < kCmds; ++i) {
+        RHSD_CHECK(ctrl.read(1, slba(i), out).ok());
+      }
+    }
+    const double elapsed = bench::HostSeconds() - t0;
+    *stats_out = {ctrl.stats(), ssd.ftl().stats().unmapped_reads,
+                  ssd.dram().stats().activations, ssd.clock().now_ns()};
+    return elapsed / kCmds * 1e9;
+  };
+  QpStats qp_stats[2];  // [through_qp]
+  BestOf controller_read{[&] { return time_qp(false, &qp_stats[0]); }};
+  BestOf qp_read{[&] { return time_qp(true, &qp_stats[1]); }};
+
   // L2pJournal::load() of the two-half JournalRig, in ns per page read
   // (CRC-32C, decode, and the winner's copy into the result), and
   // Crc32c() alone over the 4,092 bytes a journal page's CRC covers.
@@ -657,6 +705,7 @@ void ReportHammerHotPath() {
                                 &amp_mit_scalar, &amp_mit_batched,
                                 &touch_scalar,   &touch_batched,
                                 &touch_mit_scalar, &touch_mit_batched,
+                                &controller_read, &qp_read,
                                 &journal_load,   &crc_page_ns,
                                 &pattern_2,      &pattern_8,
                                 &pattern_64,     &pattern_1024,
@@ -718,6 +767,16 @@ void ReportHammerHotPath() {
                  "L2P touch bench never flipped a bit");
   RHSD_CHECK_MSG(touch_stats[1][1].para_refreshes > 0,
                  "mitigated L2P touch bench never refreshed");
+  RHSD_CHECK_MSG(
+      qp_stats[0].nvme.read_cmds == qp_stats[1].nvme.read_cmds &&
+          qp_stats[0].nvme.errors == qp_stats[1].nvme.errors &&
+          qp_stats[0].nvme.busy_ns == qp_stats[1].nvme.busy_ns &&
+          qp_stats[0].unmapped_reads == qp_stats[1].unmapped_reads &&
+          qp_stats[0].activations == qp_stats[1].activations &&
+          qp_stats[0].now_ns == qp_stats[1].now_ns,
+      "queue-pair reads diverged from controller reads in the bench");
+  RHSD_CHECK_MSG(qp_stats[1].unmapped_reads == qp_stats[1].nvme.read_cmds,
+                 "queue-pair bench read a mapped LBA");
 
   const double scalar_ns = scalar_s / (kBatches * kPairs) * 1e9;
   const double batched_ns = batched_s / (kBatches * kPairs) * 1e9;
@@ -747,6 +806,9 @@ void ReportHammerHotPath() {
   report.set("l2p_touch_mitigated_ns_per_call", touch_mit_batched.best);
   report.set("l2p_touch_mitigated_speedup",
              touch_mit_scalar.best / touch_mit_batched.best);
+  report.set("controller_read_ns_per_cmd", controller_read.best);
+  report.set("qp_ns_per_cmd", qp_read.best);
+  report.set("qp_overhead_ratio", qp_read.best / controller_read.best);
   report.set("journal_load_ns_per_page", journal_load.best);
   report.set("crc32c_ns_per_page", crc_page_ns.best);
   report.set("hammer_pattern_ns_per_row_call_2rows", pattern_2_ns);
@@ -767,7 +829,8 @@ void ReportHammerHotPath() {
       "(%.1fx), %.0f activations/s; with TRR %.1f -> %.1f ns/pair "
       "(%.1fx); hammer_row(r, 4) %.0f -> %.0f ns/call (%.2fx), with TRR + "
       "PARA %.0f -> %.0f ns/call (%.2fx); L2P touch %.0f -> %.0f ns/call "
-      "(%.2fx), with TRR + PARA %.0f -> %.0f ns/call (%.2fx); journal load "
+      "(%.2fx), with TRR + PARA %.0f -> %.0f ns/call (%.2fx); unmapped read "
+      "%.0f ns/cmd, through a queue pair %.0f ns/cmd (%.2fx); journal load "
       "%.0f ns/page, CRC-32C %.0f ns/page; hammer_pattern %.0f / %.0f / %.0f / "
       "%.0f ns per row-call at 2 / 8 / 64 / 1024 rows; PARA scan %.2f -> "
       "%.2f ns/draw (%.2fx); scrub %.0f -> %.0f ns (%.1fx) -> "
@@ -780,7 +843,8 @@ void ReportHammerHotPath() {
       amp_mit_scalar.best / amp_mit_batched.best, touch_scalar.best,
       touch_batched.best, touch_scalar.best / touch_batched.best,
       touch_mit_scalar.best, touch_mit_batched.best,
-      touch_mit_scalar.best / touch_mit_batched.best, journal_load.best,
+      touch_mit_scalar.best / touch_mit_batched.best, controller_read.best,
+      qp_read.best, qp_read.best / controller_read.best, journal_load.best,
       crc_page_ns.best, pattern_2_ns, pattern_8_ns,
       pattern_64_ns, pattern_1024_ns, scan_member_ns, scan_batched_ns,
       scan_member_ns / scan_batched_ns, scrub_full.best, scrub_rows.best,

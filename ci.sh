@@ -239,6 +239,12 @@ gate_floor cloud_mitigated_iops 50000
 # attached, over the same 2-tenant script without them (~1.3-1.7x with
 # the work bitmap; a per-pick scan of every stream lands at 10-17x).
 gate_ceiling loop_idle_stream_overhead 2.0
+# bench_micro's 4 KiB unmapped reads through one depth-16 queue pair over
+# the same reads as NvmeController::read() calls, host time per command
+# (1.27-1.43 with fixed-ring queue pairs and a one-pointer Status;
+# 1.41-1.71 with the std::deque rings and string-holding Status they
+# replaced; 8 reports each on 4 vCPUs).
+gate_ceiling qp_overhead_ratio 1.5
 # hammer_pattern() host time per row-call at 1024 rows over 64 rows
 # (~1.7x with the indexed per-row side tables; linear ones, O(P^2) per
 # call, land near 11x).

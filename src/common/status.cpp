@@ -21,12 +21,23 @@ const char* to_string(StatusCode code) {
   return "UNKNOWN";
 }
 
+Status::Status(StatusCode code, std::string message) {
+  if (code != StatusCode::kOk) {
+    rep_ = std::make_unique<Rep>(Rep{code, std::move(message)});
+  }
+}
+
+const std::string& Status::message() const {
+  static const std::string kNone;
+  return rep_ ? rep_->message : kNone;
+}
+
 std::string Status::to_string() const {
   if (ok()) return "OK";
-  std::string out = rhsd::to_string(code_);
-  if (!message_.empty()) {
+  std::string out = rhsd::to_string(rep_->code);
+  if (!rep_->message.empty()) {
     out += ": ";
-    out += message_;
+    out += rep_->message;
   }
   return out;
 }

@@ -4,8 +4,15 @@
 // protocol failures (bad LBA from a tenant, permission denied, corrupt
 // filesystem metadata — which this library *deliberately produces*) are
 // values of type Status so that callers can observe and react to them.
+//
+// A Status is one owning pointer: null means OK, and the code and
+// message live in a heap block made only for errors.  Every layer of a
+// command returns one (DRAM, FTL, controller, queue pair), so the OK
+// path costs a null pointer, not a string, per return.  Copies are
+// deep: an error copy keeps its code and message after the source dies.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -36,14 +43,28 @@ enum class StatusCode {
 class [[nodiscard]] Status {
  public:
   Status() = default;  // OK
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  /// An error; StatusCode::kOk yields OK and drops the message.
+  Status(StatusCode code, std::string message);
+  Status(const Status& other)
+      : rep_(other.rep_ ? std::make_unique<Rep>(*other.rep_) : nullptr) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      rep_ = other.rep_ ? std::make_unique<Rep>(*other.rep_) : nullptr;
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
+  ~Status() = default;
 
   [[nodiscard]] static Status Ok() { return Status(); }
 
-  [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }
-  [[nodiscard]] StatusCode code() const { return code_; }
-  [[nodiscard]] const std::string& message() const { return message_; }
+  [[nodiscard]] bool ok() const { return rep_ == nullptr; }
+  [[nodiscard]] StatusCode code() const {
+    return rep_ ? rep_->code : StatusCode::kOk;
+  }
+  /// Empty for OK.
+  [[nodiscard]] const std::string& message() const;
 
   [[nodiscard]] std::string to_string() const;
 
@@ -52,8 +73,11 @@ class [[nodiscard]] Status {
   }
 
  private:
-  StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  struct Rep {
+    StatusCode code;
+    std::string message;
+  };
+  std::unique_ptr<Rep> rep_;  // null = OK
 };
 
 [[nodiscard]] Status InvalidArgument(std::string msg);

@@ -204,6 +204,8 @@ DramDevice::DramDevice(DramConfig config,
   neighbor_refresh_active_ = config_.mitigations.trr ||
                              config_.mitigations.para_probability > 0.0;
   if (neighbor_refresh_active_) refresh_bases_.resize(total_rows);
+  quiet_row_exact_ = !neighbor_refresh_active_ &&
+                     config_.profile.half_double_weight == 0.0;
 }
 
 DramDevice::~DramDevice() = default;
@@ -414,6 +416,7 @@ void DramDevice::hammer_events(std::uint64_t a, std::uint64_t b,
   RHSD_CHECK(a < config_.geometry.total_rows());
   RHSD_CHECK(b < config_.geometry.total_rows());
   if (events == 0) return;
+  if (a == b && quiet_row_exact_ && quiet_row(a, events)) return;
   // The 1- or 2-row pattern, one command per activation, all at the
   // current time.
   const std::uint64_t pair[2] = {a, b};
@@ -421,6 +424,57 @@ void DramDevice::hammer_events(std::uint64_t a, std::uint64_t b,
   const CmdTimes times{{}, clock_.now_ns(), 0, events};
   const bool ok = replay_pattern(rows, events, 1, times, {});
   RHSD_CHECK(ok);  // no hazards, nothing to abort
+}
+
+bool DramDevice::victim_settled(std::uint64_t victim, double bound) {
+  if (bound < disturbance_.min_threshold(victim)) return true;
+  // Nothing left to flip: every cell the bound reaches already holds
+  // its failure value (a pair of aliased cells with opposite failure
+  // values never does).
+  const RowData* stored = row_data_[victim].get();
+  for (const VulnCell& cell : disturbance_.cells(victim)) {
+    if (cell.threshold > bound) break;  // sorted ascending
+    const std::uint8_t byte = stored != nullptr && !stored->data.empty()
+                                  ? stored->data[cell.byte_offset]
+                                  : 0;
+    if (((byte >> cell.bit) & 1u) != cell.failure_value) return false;
+  }
+  return true;
+}
+
+bool DramDevice::quiet_row(std::uint64_t row, std::uint64_t events) {
+  // The replay's own early-outs on the 1-row pattern: without targeted
+  // refreshes every baseline is zero, the row's two neighbors are the
+  // only victims, and each victim's exposure peaks at the end of the
+  // call, from the row's final count and the frozen count of the row
+  // beyond it.
+  const std::uint64_t w = current_window();
+  const auto count = [&](std::uint64_t r) {
+    return row_window_[r] == w ? row_acts_[r] : 0;  // stale reads zero
+  };
+  const std::uint64_t rows_per_bank = config_.geometry.rows_per_bank;
+  const std::uint64_t in_bank = row % rows_per_bank;
+  const std::uint64_t acts_end = count(row) + events;
+  if (in_bank >= 1 && disturbance_.row_is_vulnerable(row - 1)) {
+    const std::uint64_t far = in_bank >= 2 ? count(row - 2) : 0;
+    if (!victim_settled(row - 1,
+                        disturbance_.effective_hammer(far, acts_end))) {
+      return false;
+    }
+  }
+  if (in_bank + 1 < rows_per_bank && disturbance_.row_is_vulnerable(row + 1)) {
+    const std::uint64_t far = in_bank + 2 < rows_per_bank ? count(row + 2) : 0;
+    if (!victim_settled(row + 1,
+                        disturbance_.effective_hammer(acts_end, far))) {
+      return false;
+    }
+  }
+  // Both victims settled: the replay would only write the row's count.
+  row_window_[row] = w;
+  row_acts_[row] = acts_end;
+  stats_.activations += events;
+  ++quiet_row_early_outs_;
+  return true;
 }
 
 bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
@@ -801,26 +855,10 @@ void DramDevice::replay_window_run(std::span<const std::uint64_t> rows,
           nc[k].idx >= 0 ? s.prow[static_cast<std::size_t>(nc[k].idx)].acts_end
                          : nc[k].base;
     }
-    const double bound = exposure_of(end_counts, pre_bases);
-    if (bound < disturbance_.min_threshold(victim)) return;
-    // Nothing left to flip: every cell the bound reaches already holds
-    // its failure value (a pair of aliased cells with opposite failure
-    // values never does), and only this victim's own flips write its
-    // row.
+    // Only this victim's own flips write its row, so a victim settled
+    // under the bound stays settled for the whole run.
+    if (victim_settled(victim, exposure_of(end_counts, pre_bases))) return;
     const auto& cells = disturbance_.cells(victim);
-    const RowData* stored = row_data_[victim].get();
-    bool flippable = false;
-    for (const VulnCell& cell : cells) {
-      if (cell.threshold > bound) break;  // sorted ascending
-      const std::uint8_t byte = stored != nullptr && !stored->data.empty()
-                                    ? stored->data[cell.byte_offset]
-                                    : 0;
-      if (((byte >> cell.bit) & 1u) != cell.failure_value) {
-        flippable = true;
-        break;
-      }
-    }
-    if (!flippable) return;
 
     // Pattern positions whose command checks this victim: those of the
     // pattern rows among its neighbors, merged in ascending order.

@@ -33,7 +33,12 @@
 // cache LRU stamps, ECC state — is decided here only.  An amplified
 // access to an uncached span inside one row costs one data access (the
 // bytes, one fault tick, the ECC check) plus one 1-row replay of all
-// its activations.
+// its activations.  With no TRR, no PARA and no Half-Double coupling,
+// that replay is settled first by the quiet-row early-out: the replay's
+// own two victim early-outs, run on the row's two neighbors at the
+// call's end-of-call counts before any per-run set-up.  When both
+// neighbors pass (neither can flip), the call only advances the row's
+// per-window count and DramStats::activations; otherwise it replays.
 //
 // Addresses reach rows through a per-device table (address row → global
 // row) that each row's first access fills from the mapper, so the
@@ -318,6 +323,14 @@ class DramDevice {
            stats_.injected_bit_errors + pokes_;
   }
 
+  /// 1-row replays (the repeated touches of one read()/write() call,
+  /// hammer_row()) that the quiet-row early-out settled without the
+  /// replay's set-up: neither neighbor could flip.  A diagnostic: it
+  /// changes no simulated output.
+  [[nodiscard]] std::uint64_t quiet_row_early_outs() const {
+    return quiet_row_early_outs_;
+  }
+
   /// Activations of `global_row` in the current refresh window.
   [[nodiscard]] std::uint64_t row_activations(std::uint64_t global_row);
 
@@ -423,7 +436,19 @@ class DramDevice {
 
   /// The activation sequence a, b, a, b, ... of `events` activations
   /// (a == b means one-location), replayed as the 1- or 2-row pattern.
+  /// A 1-row call tries quiet_row() first.
   void hammer_events(std::uint64_t a, std::uint64_t b, std::uint64_t events);
+  /// The quiet-row early-out, exact in front of the 1-row replay when no
+  /// targeted refresh or Half-Double coupling can act (quiet_row_exact_):
+  /// when both neighbor victims pass the replay's two early-outs at the
+  /// call's end-of-call counts, it advances the row's per-window count
+  /// and DramStats::activations by `events` and returns true; otherwise
+  /// it changes nothing and returns false.
+  [[nodiscard]] bool quiet_row(std::uint64_t row, std::uint64_t events);
+  /// The replay's victim early-outs: true when exposure `bound` stays
+  /// under every cell threshold of `victim`, or every cell it reaches
+  /// already holds its failure value.
+  [[nodiscard]] bool victim_settled(std::uint64_t victim, double bound);
   /// The replay core behind hammer_pattern() and hammer_events(), with
   /// hammer_pattern()'s contract minus its cache precondition: every
   /// command is an activation.
@@ -481,6 +506,9 @@ class DramDevice {
   /// True iff TRR or PARA can write refresh_bases_; when false the
   /// activation path skips the baseline lookup entirely.
   bool neighbor_refresh_active_ = false;
+  /// No TRR, no PARA and no Half-Double weight: quiet_row() is exact.
+  bool quiet_row_exact_ = false;
+  std::uint64_t quiet_row_early_outs_ = 0;
   /// Address row index (byte address / row_bytes) → global row, kNoRow
   /// until that row's first lookup (row_of()).
   static constexpr std::uint32_t kNoRow = ~0u;

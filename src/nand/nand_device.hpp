@@ -49,11 +49,10 @@ struct NandGeometry {
                                                 double op_fraction = 0.125);
 };
 
-/// Array timings the NVMe IOPS model charges (NandDevice::latency()).
+/// Array timing the NVMe IOPS model charges (NandDevice::latency()).
+/// Programs and erases charge no array time of their own.
 struct NandLatency {
-  std::uint64_t read_ns = 50'000;       // tR
-  std::uint64_t program_ns = 600'000;   // tPROG
-  std::uint64_t erase_ns = 3'000'000;   // tBERS
+  std::uint64_t read_ns = 50'000;  // tR
 };
 
 /// Raw bit-error model for the flash media itself.  The paper contrasts
@@ -100,7 +99,7 @@ class NandDevice {
   NandDevice& operator=(const NandDevice&) = delete;
 
   [[nodiscard]] const NandGeometry& geometry() const { return geometry_; }
-  /// Array timings, the same for every device (the defaults above).
+  /// Array timing, the same for every device (the default above).
   [[nodiscard]] static constexpr NandLatency latency() { return {}; }
   [[nodiscard]] const NandStats& stats() const { return stats_; }
 

@@ -51,30 +51,39 @@ NvmeQueuePair::NvmeQueuePair(NvmeController& controller, std::uint16_t qid,
                              std::uint32_t depth)
     : controller_(controller), qid_(qid), depth_(depth) {
   RHSD_CHECK_MSG(depth_ >= 2, "NVMe queues need a depth of at least 2");
+  sq_.resize(depth_);
+  cq_.resize(depth_);
 }
 
 Status NvmeQueuePair::submit(NvmeCommand command) {
-  if (sq_.size() >= depth_) {
+  if (sq_count_ >= depth_) {
     return ResourceExhausted("submission queue " + std::to_string(qid_) +
                              " full (depth " + std::to_string(depth_) +
                              ")");
   }
-  sq_.push_back(std::move(command));
+  sq_[slot(sq_head_, sq_count_)] = std::move(command);
+  ++sq_count_;
   return Status::Ok();
 }
 
 Status NvmeQueuePair::abort(std::uint16_t cid) {
-  for (auto it = sq_.begin(); it != sq_.end(); ++it) {
-    if (it->cid != cid) continue;
-    if (cq_.size() >= depth_) {
+  for (std::uint32_t k = 0; k < sq_count_; ++k) {
+    if (sq_[slot(sq_head_, k)].cid != cid) continue;
+    if (cq_count_ >= depth_) {
       return ResourceExhausted("completion queue " + std::to_string(qid_) +
                                " full: poll() before aborting");
     }
-    sq_.erase(it);
+    // Close the gap: the commands behind it move up one slot, in order,
+    // and the vacated last slot is reset.
+    for (; k + 1 < sq_count_; ++k) {
+      sq_[slot(sq_head_, k)] = std::move(sq_[slot(sq_head_, k + 1)]);
+    }
+    sq_[slot(sq_head_, k)] = NvmeCommand{};
+    --sq_count_;
     ++stats_.aborts;
-    cq_.push_back(NvmeCompletion{
+    cq_[slot(cq_head_, cq_count_++)] = NvmeCompletion{
         cid, Aborted("command " + std::to_string(cid) + " aborted by host"),
-        controller_.clock().now_ns()});
+        controller_.clock().now_ns()};
     return Status::Ok();
   }
   return NotFound("no queued command with cid " + std::to_string(cid));
@@ -138,27 +147,32 @@ Status NvmeQueuePair::execute_with_retry(const NvmeCommand& command) {
 
 std::uint32_t NvmeQueuePair::process(std::uint32_t max_commands) {
   std::uint32_t processed = 0;
-  while (!sq_.empty() && processed < max_commands &&
-         cq_.size() < depth_) {
-    NvmeCommand command = std::move(sq_.front());
-    sq_.pop_front();
-    cq_.push_back(NvmeCompletion{command.cid, execute_with_retry(command),
-                                 controller_.clock().now_ns()});
+  while (sq_count_ > 0 && processed < max_commands && cq_count_ < depth_) {
+    NvmeCommand& command = sq_[sq_head_];
+    Status status = execute_with_retry(command);
+    NvmeCompletion& completion = cq_[slot(cq_head_, cq_count_++)];
+    completion.cid = command.cid;
+    completion.status = std::move(status);
+    completion.completed_ns = controller_.clock().now_ns();
+    command = NvmeCommand{};  // releases the write payload
+    sq_head_ = slot(sq_head_, 1);
+    --sq_count_;
     ++processed;
   }
   return processed;
 }
 
 std::optional<NvmeCompletion> NvmeQueuePair::poll() {
-  if (cq_.empty()) return std::nullopt;
-  NvmeCompletion completion = std::move(cq_.front());
-  cq_.pop_front();
-  return completion;
+  if (cq_count_ == 0) return std::nullopt;
+  NvmeCompletion& completion = cq_[cq_head_];
+  cq_head_ = slot(cq_head_, 1);
+  --cq_count_;
+  return std::move(completion);
 }
 
 std::vector<NvmeCompletion> NvmeQueuePair::drain() {
   std::vector<NvmeCompletion> completions;
-  while (!sq_.empty() || !cq_.empty()) {
+  while (sq_count_ > 0 || cq_count_ > 0) {
     (void)process();
     while (auto completion = poll()) {
       completions.push_back(std::move(*completion));

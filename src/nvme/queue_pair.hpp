@@ -8,10 +8,15 @@
 // rings, command identifiers, and a doorbell-style process() step where
 // the controller consumes submissions in order and posts completions.
 // Timing still flows through the controller's IOPS model.
+//
+// Both rings are fixed arrays of `depth` slots, allocated once at
+// construction, so a command costs no allocation of the queue pair's
+// own (a cloud host keeps one pair per tenant and cycles every slot many
+// times).  A slot is reset when its command is processed or aborted,
+// which releases the write payload it held.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -114,7 +119,7 @@ class NvmeQueuePair {
   /// The next submission to run, or nullptr.  The event loop peeks it
   /// to count writes rejected by a read-only device.
   [[nodiscard]] const NvmeCommand* peek_submission() const {
-    return sq_.empty() ? nullptr : &sq_.front();
+    return sq_count_ == 0 ? nullptr : &sq_[sq_head_];
   }
 
   /// Convenience: process everything submitted and drain completions.
@@ -122,12 +127,8 @@ class NvmeQueuePair {
 
   [[nodiscard]] std::uint16_t qid() const { return qid_; }
   [[nodiscard]] std::uint32_t depth() const { return depth_; }
-  [[nodiscard]] std::uint32_t sq_inflight() const {
-    return static_cast<std::uint32_t>(sq_.size());
-  }
-  [[nodiscard]] std::uint32_t cq_pending() const {
-    return static_cast<std::uint32_t>(cq_.size());
-  }
+  [[nodiscard]] std::uint32_t sq_inflight() const { return sq_count_; }
+  [[nodiscard]] std::uint32_t cq_pending() const { return cq_count_; }
 
   void set_retry_policy(NvmeRetryPolicy policy) { policy_ = policy; }
   [[nodiscard]] const NvmeRetryPolicy& retry_policy() const {
@@ -150,13 +151,25 @@ class NvmeQueuePair {
   /// One command through the attempt/timeout/backoff loop.
   Status execute_with_retry(const NvmeCommand& command);
   Status execute_once(const NvmeCommand& command);
+  /// Ring slot `k` places after `head` (k < depth_).
+  [[nodiscard]] std::uint32_t slot(std::uint32_t head,
+                                   std::uint32_t k) const {
+    const std::uint32_t i = head + k;
+    return i >= depth_ ? i - depth_ : i;
+  }
 
   NvmeController& controller_;
   std::uint16_t qid_;
   std::uint32_t depth_;
   NvmeRetryPolicy policy_;
-  std::deque<NvmeCommand> sq_;
-  std::deque<NvmeCompletion> cq_;
+  /// Submission ring: sq_count_ commands from slot sq_head_ on.
+  std::vector<NvmeCommand> sq_;
+  std::uint32_t sq_head_ = 0;
+  std::uint32_t sq_count_ = 0;
+  /// Completion ring, the same way.
+  std::vector<NvmeCompletion> cq_;
+  std::uint32_t cq_head_ = 0;
+  std::uint32_t cq_count_ = 0;
   NvmeQueueStats stats_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -61,6 +62,44 @@ TEST(Status, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
   EXPECT_EQ(s.message(), "no such thing");
   EXPECT_EQ(s.to_string(), "NOT_FOUND: no such thing");
+}
+
+// One owning pointer: null is OK, an error's code and message live in a
+// heap block of its own.
+static_assert(sizeof(Status) == sizeof(void*));
+
+TEST(Status, ErrorCopyOutlivesItsSource) {
+  std::optional<Status> source = Corruption("bad page");
+  const Status copy = *source;
+  source.reset();
+  EXPECT_EQ(copy.code(), StatusCode::kCorruption);
+  EXPECT_EQ(copy.message(), "bad page");
+}
+
+TEST(Status, CopyAssignOntoErrorAndOntoOk) {
+  const Status error = NotFound("gone");
+  Status onto_error = Aborted("old");
+  onto_error = error;
+  EXPECT_EQ(onto_error.code(), StatusCode::kNotFound);
+  EXPECT_EQ(onto_error.message(), "gone");
+  Status onto_ok;
+  onto_ok = error;
+  EXPECT_EQ(onto_ok.code(), StatusCode::kNotFound);
+  EXPECT_EQ(onto_ok.message(), "gone");
+  // And OK onto an error, and an error onto itself.
+  onto_error = Status::Ok();
+  EXPECT_TRUE(onto_error.ok());
+  EXPECT_EQ(onto_error.message(), "");
+  const Status& alias = onto_ok;
+  onto_ok = alias;
+  EXPECT_EQ(onto_ok.message(), "gone");
+}
+
+TEST(Status, OkCodeIsOkWithoutMessage) {
+  const Status s(StatusCode::kOk, "ignored");
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(s.message(), "");
+  EXPECT_EQ(s.to_string(), "OK");
 }
 
 TEST(Status, AllConstructorsProduceTheirCode) {

@@ -530,11 +530,15 @@ void ReadRowWords(DramDevice& d, std::uint64_t row, std::uint64_t touches,
   }
 }
 
-/// Non-vacuity of an amplified-parity workload under `config`: it flips
-/// bits where no neighbor refresh stops them, each configured
-/// mitigation fires, and with ECC its read-back corrects a flip.
+/// Non-vacuity of an amplified-parity workload under `config`, whose
+/// calls all have `touches` touches: it flips bits where no neighbor
+/// refresh stops them, each configured mitigation fires, and with ECC
+/// its read-back corrects a flip.  Where the quiet-row early-out is
+/// exact (no TRR, PARA or Half-Double) both of its branches ran: some
+/// calls took it, and the replay ran the rest; elsewhere none took it.
 template <typename Fn>
-void ExpectAmplifiedWorkloadBites(const DramConfig& config, Fn&& workload) {
+void ExpectAmplifiedWorkloadBites(const DramConfig& config,
+                                  std::uint64_t touches, Fn&& workload) {
   SimClock clock;
   auto probe = MakeDevice(config, clock);
   workload(*probe, clock, /*batched=*/true);
@@ -542,6 +546,14 @@ void ExpectAmplifiedWorkloadBites(const DramConfig& config, Fn&& workload) {
   const DramMitigations& m = config.mitigations;
   if (!m.trr && m.para_probability == 0.0) {
     EXPECT_GT(st.bitflips, 0u);
+  }
+  const std::uint64_t early_outs = probe->quiet_row_early_outs();
+  if (!m.trr && m.para_probability == 0.0 &&
+      config.profile.half_double_weight == 0.0) {
+    EXPECT_GT(early_outs, 0u);
+    EXPECT_LT(early_outs * touches, st.activations);
+  } else {
+    EXPECT_EQ(early_outs, 0u);
   }
   if (m.trr) {
     EXPECT_GT(st.trr_refreshes, 0u);
@@ -577,7 +589,7 @@ TEST(HammerParity, RepeatReadMatchesScalarReads) {
   for (const auto& [name, config] : AmplifiedConfigs(16)) {
     SCOPED_TRACE(name);
     RunParity(config, workload);
-    ExpectAmplifiedWorkloadBites(config, workload);
+    ExpectAmplifiedWorkloadBites(config, 10, workload);
   }
 }
 
@@ -605,8 +617,89 @@ TEST(HammerParity, RepeatWriteMatchesScalarWrites) {
   for (const auto& [name, config] : AmplifiedConfigs(17)) {
     SCOPED_TRACE(name);
     RunParity(config, workload);
-    ExpectAmplifiedWorkloadBites(config, workload);
+    ExpectAmplifiedWorkloadBites(config, 10, workload);
   }
+}
+
+/// Read `row` at byte 8 with `touches` touches: one call (batched) or
+/// single-touch reads (scalar).
+void ReadRowEither(DramDevice& d, std::uint64_t row, std::uint64_t touches,
+                   bool batched) {
+  const DramAddr at(row * d.config().geometry.row_bytes + 8);
+  std::uint8_t buf[4];
+  if (batched) {
+    ASSERT_TRUE(d.read(at, buf, touches).ok());
+  } else {
+    for (std::uint64_t i = 0; i < touches; ++i) {
+      ASSERT_TRUE(d.read(at, buf).ok());
+    }
+  }
+}
+
+/// Row 11 filled so its weakest cell has not yet decayed.
+void PokeUndecayed(DramDevice& d, const VulnCell& cell) {
+  d.poke(DramAddr(11 * 512),
+         std::vector<std::uint8_t>(512, cell.failure_value ? 0x00 : 0xFF));
+}
+
+TEST(HammerParity, QuietRowDeclinesWhenTheCallCrossesACell) {
+  // Row 10 is hammered to just under the threshold of victim row 11's
+  // weakest cell; a 5-touch read of row 10 then carries the exposure
+  // past it, and past no other cell of either victim.  Judged at the
+  // call's end-of-call counts, the early-out must decline (exposure
+  // before the call would pass it), and the replay must flip that one
+  // cell exactly as the scalar touches do.
+  constexpr std::uint64_t kTouches = 5;
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 200 && !found; ++seed) {
+    const DramConfig c = BaseConfig(seed);
+    SimClock probe_clock;
+    auto probe = MakeDevice(c, probe_clock);
+    const std::vector<VulnCell> cells = probe->disturbance().cells(11);
+    const auto before = static_cast<std::uint64_t>(cells[0].threshold) - 2;
+    const auto end = static_cast<double>(before + kTouches);
+    if ((cells.size() > 1 && cells[1].threshold <= end) ||
+        probe->disturbance().min_threshold(9) <= end) {
+      continue;
+    }
+    found = true;
+    RunParity(c, [&](DramDevice& d, SimClock&, bool batched) {
+      PokeUndecayed(d, cells[0]);
+      HammerRowEither(d, 10, before, batched);
+      EXPECT_EQ(d.stats().bitflips, 0u);
+      EXPECT_EQ(d.quiet_row_early_outs(), batched ? 1u : 0u);
+      ReadRowEither(d, 10, kTouches, batched);
+      EXPECT_EQ(d.quiet_row_early_outs(), batched ? 1u : 0u);  // declined
+      ASSERT_EQ(d.flip_events().size(), 1u);
+      EXPECT_EQ(d.flip_events()[0].global_row, 11u);
+      EXPECT_EQ(d.flip_events()[0].byte_offset, cells[0].byte_offset);
+      EXPECT_EQ(d.flip_events()[0].bit, cells[0].bit);
+    });
+  }
+  ASSERT_TRUE(found) << "no seed with one cell in range; widen the search";
+}
+
+TEST(HammerParity, QuietRowReadsAStaleFarNeighborAsZero) {
+  // Row 12 brings victim row 11 one activation short of its weakest
+  // cell in one refresh window.  In the next window row 12's count is
+  // stale: a 5-touch read of row 10 must see it as zero and take the
+  // early-out (with the stale count, 5 touches would reach the cell and
+  // the early-out would decline), with the scalar reads' outcome.
+  const DramConfig c = BaseConfig(21);
+  SimClock probe_clock;
+  auto probe = MakeDevice(c, probe_clock);
+  const std::vector<VulnCell> cells = probe->disturbance().cells(11);
+  const auto far = static_cast<std::uint64_t>(cells[0].threshold) - 1;
+  RunParity(c, [&](DramDevice& d, SimClock& clock, bool batched) {
+    PokeUndecayed(d, cells[0]);
+    HammerRowEither(d, 12, far, batched);
+    clock.advance_ns(d.refresh_window_ns());
+    const std::uint64_t early_outs = d.quiet_row_early_outs();
+    const std::uint64_t flips = d.stats().bitflips;
+    ReadRowEither(d, 10, 5, batched);
+    EXPECT_EQ(d.quiet_row_early_outs(), early_outs + (batched ? 1 : 0));
+    EXPECT_EQ(d.stats().bitflips, flips);
+  });
 }
 
 TEST(HammerParity, RepeatReadOfUncorrectableWordStopsAfterOneActivation) {

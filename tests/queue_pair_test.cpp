@@ -1,8 +1,12 @@
 // Tests for the NVMe submission/completion queue pair.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <deque>
 #include <memory>
+#include <string>
 
+#include "common/rng.hpp"
 #include "nvme/queue_pair.hpp"
 #include "test_util.hpp"
 
@@ -248,6 +252,196 @@ TEST(QueuePair, ProcessMaxCommandsBound) {
   EXPECT_EQ(qp.process(3), 3u);
   EXPECT_EQ(qp.sq_inflight(), 7u);
   EXPECT_EQ(qp.cq_pending(), 3u);
+}
+
+/// Reference model of the queue pair's contract on two std::deques:
+/// bounded submission and completion queues, in-order processing on its
+/// own device, and an abort that erases from the middle.
+class DequeQueuePair {
+ public:
+  DequeQueuePair(NvmeController& controller, std::uint32_t depth)
+      : controller_(controller), depth_(depth) {}
+
+  StatusCode submit(NvmeCommand command) {
+    if (sq_.size() >= depth_) return StatusCode::kResourceExhausted;
+    sq_.push_back(std::move(command));
+    return StatusCode::kOk;
+  }
+  StatusCode abort(std::uint16_t cid) {
+    for (auto it = sq_.begin(); it != sq_.end(); ++it) {
+      if (it->cid != cid) continue;
+      if (cq_.size() >= depth_) return StatusCode::kResourceExhausted;
+      sq_.erase(it);
+      cq_.push_back({cid, Aborted("aborted"), controller_.clock().now_ns()});
+      return StatusCode::kOk;
+    }
+    return StatusCode::kNotFound;
+  }
+  std::uint32_t process(std::uint32_t max_commands) {
+    std::uint32_t n = 0;
+    while (!sq_.empty() && n < max_commands && cq_.size() < depth_) {
+      const NvmeCommand c = std::move(sq_.front());
+      sq_.pop_front();
+      ++popped_;
+      Status status;
+      switch (c.op) {
+        case NvmeCommand::Op::kRead:
+          status = controller_.read(c.nsid, c.slba, c.read_buf);
+          break;
+        case NvmeCommand::Op::kWrite:
+          status = controller_.write(c.nsid, c.slba, c.write_data);
+          break;
+        case NvmeCommand::Op::kTrim:
+          status = controller_.trim(c.nsid, c.slba, c.nblocks);
+          break;
+        case NvmeCommand::Op::kFlush:
+          status = controller_.flush(c.nsid);
+          break;
+      }
+      cq_.push_back({c.cid, std::move(status), controller_.clock().now_ns()});
+      ++n;
+    }
+    return n;
+  }
+  std::optional<NvmeCompletion> poll() {
+    if (cq_.empty()) return std::nullopt;
+    NvmeCompletion c = std::move(cq_.front());
+    cq_.pop_front();
+    return c;
+  }
+
+  const std::deque<NvmeCommand>& sq() const { return sq_; }
+  std::size_t cq_size() const { return cq_.size(); }
+  /// True when the ring's live slots run past its last slot: processing
+  /// advances the head one slot per command, an abort moves only the
+  /// slots behind the removed one.
+  bool sq_wrapped() const { return popped_ % depth_ + sq_.size() > depth_; }
+
+ private:
+  NvmeController& controller_;
+  std::uint32_t depth_;
+  std::deque<NvmeCommand> sq_;
+  std::deque<NvmeCompletion> cq_;
+  std::uint64_t popped_ = 0;
+};
+
+// Random submit / process(k) / poll / abort sequences at depths 2-32,
+// each case until its submission ring has wrapped 3 x depth times, the
+// rings on one device and the deque model on an identical second one.
+// Every completion (cid, code, time, and a read's bytes), sq_inflight,
+// cq_pending and the head submission must agree after every step.  A
+// mismatch prints RHSD_DIFF_SEED=<n>; with that variable set, only that
+// case runs.
+TEST(QueuePair, RingMatchesDequeReference) {
+  std::uint64_t wrapped_aborts[3] = {0, 0, 0};  // head, middle, tail
+  std::uint64_t cq_full_steps = 0;
+  const auto run_case = [&](std::uint64_t seed) {
+    const std::string what = "RHSD_DIFF_SEED=" + std::to_string(seed);
+    Rng draw(0x5EED0 + seed);
+    const auto depth = static_cast<std::uint32_t>(2 + seed % 31);
+    QpRig ring_rig;
+    QpRig ref_rig;
+    NvmeQueuePair qp(*ring_rig.controller, 1, depth);
+    DequeQueuePair ref(*ref_rig.controller, depth);
+    // Read buffers per cid and side; a deque keeps the spans valid.
+    std::deque<std::vector<std::uint8_t>> ring_bufs;
+    std::deque<std::vector<std::uint8_t>> ref_bufs;
+    std::uint16_t next_cid = 0;
+    std::uint64_t submitted = 0;
+    const std::uint64_t target = (3 * depth + 1) * depth;
+    const auto expect_same = [&](const std::optional<NvmeCompletion>& got,
+                                 const std::optional<NvmeCompletion>& want) {
+      ASSERT_EQ(got.has_value(), want.has_value()) << what;
+      if (!got) return;
+      EXPECT_EQ(got->cid, want->cid) << what;
+      EXPECT_EQ(got->status.code(), want->status.code()) << what;
+      EXPECT_EQ(got->completed_ns, want->completed_ns) << what;
+      EXPECT_EQ(ring_bufs[got->cid], ref_bufs[want->cid])
+          << what << ": cid " << got->cid;
+    };
+    while (submitted < target && !::testing::Test::HasFailure()) {
+      if (ref.cq_size() == depth) ++cq_full_steps;
+      const std::uint64_t op = draw.next_below(10);
+      if (op < 4) {
+        // Submit: 60 % reads, 20 % writes, 10 % trims, 10 % flushes; an
+        // slba past the 64-block namespace fails with OutOfRange.
+        const std::uint16_t cid = next_cid++;
+        const std::uint64_t slba = draw.next_below(70);
+        const std::uint64_t kind = draw.next_below(10);
+        ring_bufs.emplace_back(kBlockSize, 0);
+        ref_bufs.emplace_back(kBlockSize, 0);
+        const auto make = [&](std::vector<std::uint8_t>& buf) {
+          if (kind < 6) return NvmeCommand::Read(cid, 1, slba, buf);
+          if (kind < 8) {
+            return NvmeCommand::Write(cid, 1, slba,
+                                      Block(static_cast<std::uint8_t>(cid)));
+          }
+          if (kind < 9) return NvmeCommand::Trim(cid, 1, slba, 1);
+          return NvmeCommand::Flush(cid, 1);
+        };
+        const Status got = qp.submit(make(ring_bufs.back()));
+        const StatusCode want = ref.submit(make(ref_bufs.back()));
+        EXPECT_EQ(got.code(), want) << what;
+        submitted += want == StatusCode::kOk;
+      } else if (op < 6) {
+        const std::uint32_t k = draw.next_below(4) == 0
+                                    ? ~0u
+                                    : static_cast<std::uint32_t>(
+                                          draw.next_below(depth + 2));
+        EXPECT_EQ(qp.process(k), ref.process(k)) << what;
+      } else if (op < 9) {
+        const std::uint64_t polls = draw.next_below(depth + 1);
+        for (std::uint64_t i = 0; i < polls; ++i) {
+          expect_same(qp.poll(), ref.poll());
+        }
+      } else {
+        // Abort the head, a middle command, the tail, or an absent cid.
+        const std::deque<NvmeCommand>& sq = ref.sq();
+        const std::uint64_t where = draw.next_below(4);
+        std::uint16_t cid = next_cid;  // never submitted
+        if (!sq.empty() && where < 3) {
+          const std::size_t k =
+              where == 0 ? 0 : where == 1 ? sq.size() / 2 : sq.size() - 1;
+          cid = sq[k].cid;
+          if (ref.sq_wrapped() && ref.cq_size() < depth) {
+            ++wrapped_aborts[where];
+          }
+        }
+        EXPECT_EQ(qp.abort(cid).code(), ref.abort(cid)) << what;
+      }
+      const NvmeCommand* head = qp.peek_submission();
+      EXPECT_EQ(qp.sq_inflight(), ref.sq().size()) << what;
+      EXPECT_EQ(qp.cq_pending(), ref.cq_size()) << what;
+      ASSERT_EQ(head == nullptr, ref.sq().empty()) << what;
+      if (head != nullptr) {
+        EXPECT_EQ(head->cid, ref.sq().front().cid) << what;
+        EXPECT_EQ(head->op, ref.sq().front().op) << what;
+        EXPECT_EQ(head->slba, ref.sq().front().slba) << what;
+        EXPECT_EQ(head->write_data, ref.sq().front().write_data) << what;
+      }
+    }
+    // Drain both and compare the tails.
+    while (qp.sq_inflight() + qp.cq_pending() > 0 &&
+           !::testing::Test::HasFailure()) {
+      EXPECT_EQ(qp.process(~0u), ref.process(~0u)) << what;
+      while (qp.cq_pending() + ref.cq_size() > 0 &&
+             !::testing::Test::HasFailure()) {
+        expect_same(qp.poll(), ref.poll());
+      }
+    }
+  };
+  if (const char* env = std::getenv("RHSD_DIFF_SEED")) {
+    run_case(std::strtoull(env, nullptr, 10));
+    return;
+  }
+  for (std::uint64_t seed = 0; seed < 62; ++seed) {  // each depth twice
+    run_case(seed);
+    if (HasFailure()) return;  // the failure names the seed to re-run
+  }
+  EXPECT_GT(wrapped_aborts[0], 0u);
+  EXPECT_GT(wrapped_aborts[1], 0u);
+  EXPECT_GT(wrapped_aborts[2], 0u);
+  EXPECT_GT(cq_full_steps, 0u);
 }
 
 TEST(QueuePair, DepthTooSmallRejected) {
