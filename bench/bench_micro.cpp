@@ -148,11 +148,26 @@ std::unique_ptr<DramDevice> MakeCloudDram(SimClock& clock, bool mitigated) {
                                       clock);
 }
 
+/// Double-sided hammering: `n_cmds` alternating activations of rows a
+/// and b at the current time, through hammer_pattern() or its scalar
+/// oracle.
+void HammerPair(DramDevice& dram, std::uint64_t a, std::uint64_t b,
+                std::uint64_t n_cmds, bool batched) {
+  const std::uint64_t rows[2] = {a, b};
+  if (batched) {
+    const bool ok = dram.hammer_pattern(
+        rows, n_cmds, 1, {dram.clock().now_ns(), 0, n_cmds}, {});
+    RHSD_CHECK_MSG(ok, "hazard-free pattern aborted");
+  } else {
+    dram.hammer_pattern_scalar(rows, n_cmds, 1);
+  }
+}
+
 void BM_HammerPairScalar(benchmark::State& state) {
   SimClock clock;
   auto dram = MakeHammerDevice(clock);
   for (auto _ : state) {
-    dram->hammer_pair_scalar(9, 11, 64);
+    HammerPair(*dram, 9, 11, 128, /*batched=*/false);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 128);
 }
@@ -162,7 +177,7 @@ void BM_HammerPairBatched(benchmark::State& state) {
   SimClock clock;
   auto dram = MakeHammerDevice(clock);
   for (auto _ : state) {
-    dram->hammer_pair(9, 11, 64);
+    HammerPair(*dram, 9, 11, 128, /*batched=*/true);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 128);
 }
@@ -342,7 +357,7 @@ struct ScrubRig {
   void hammer() {
     clock.advance_ns(dram->refresh_window_ns());
     const std::uint64_t v = victims[next++ % victims.size()];
-    dram->hammer_pair(v - 1, v + 1, 630);
+    HammerPair(*dram, v - 1, v + 1, 1260, /*batched=*/true);
     if (poke) ftl->debug_store(Lba(1), ftl->debug_lookup(Lba(1)));
   }
 
@@ -418,21 +433,18 @@ void ReportHammerHotPath() {
     sched_setaffinity(0, sizeof set, &set);
   }
 
-  // hammer_pair (the 2-row pattern replay) against hammer_pair_scalar,
-  // with and without TRR: the replay advances the tracker analytically
-  // instead of falling back to scalar, and must stay comfortably faster
-  // than per-event simulation.  One run on a fresh device, in seconds.
+  // The 2-row pattern replay, hammer_pattern({9, 11}, ...), against
+  // hammer_pattern_scalar, with and without TRR: the replay advances
+  // the tracker analytically instead of falling back to scalar, and
+  // must stay comfortably faster than per-event simulation.  One run on
+  // a fresh device, in seconds.
   const auto time_hammer = [&](bool trr, bool batched,
                                DramStats* stats_out) {
     SimClock clock;
     auto dram = MakeHammerDevice(clock, trr);
     const double t0 = bench::HostSeconds();
     for (std::uint64_t i = 0; i < kBatches; ++i) {
-      if (batched) {
-        dram->hammer_pair(9, 11, kPairs);
-      } else {
-        dram->hammer_pair_scalar(9, 11, kPairs);
-      }
+      HammerPair(*dram, 9, 11, 2 * kPairs, batched);
     }
     const double elapsed = bench::HostSeconds() - t0;
     if (stats_out != nullptr) *stats_out = dram->stats();
@@ -449,48 +461,14 @@ void ReportHammerHotPath() {
   BestOf trr_batched{
       [&] { return time_hammer(true, true, &trr_batched_stats); }};
 
-  // The 1-row replay of an L2P access's repeated touches,
-  // hammer_row(r, 4), against hammer_row_scalar, bare and under TRR +
-  // PARA.  Rows rotate over a 128-row L2P table interleaved across both
-  // banks, the clock advancing one simulated I/O (625 ns) per call, so
-  // victims cross their thresholds and flip partway through a run.  In
-  // ns per call; both sides must leave the same stats.
-  const auto time_amplify = [&](bool mitigated, bool batched,
-                                DramStats* stats_out) {
-    constexpr std::uint64_t kCalls = 40000;
-    SimClock clock;
-    auto dram = MakeCloudDram(clock, mitigated);
-    const double t0 = bench::HostSeconds();
-    for (std::uint64_t i = 0; i < kCalls; ++i) {
-      const std::uint64_t k = (i * 37) % 128;
-      const std::uint64_t row = (k % 2) * 256 + k / 2;
-      if (batched) {
-        dram->hammer_row(row, 4);
-      } else {
-        dram->hammer_row_scalar(row, 4);
-      }
-      clock.advance_ns(625);
-    }
-    const double elapsed = bench::HostSeconds() - t0;
-    *stats_out = dram->stats();
-    return elapsed / kCalls * 1e9;
-  };
-  DramStats amp_stats[2][2];  // [mitigated][batched]
-  BestOf amp_scalar{
-      [&] { return time_amplify(false, false, &amp_stats[0][0]); }};
-  BestOf amp_batched{
-      [&] { return time_amplify(false, true, &amp_stats[0][1]); }};
-  BestOf amp_mit_scalar{
-      [&] { return time_amplify(true, false, &amp_stats[1][0]); }};
-  BestOf amp_mit_batched{
-      [&] { return time_amplify(true, true, &amp_stats[1][1]); }};
-
   // The call production makes most: the FTL's amplified L2P access,
   // DramDevice::read() of a 4-byte entry with hammers_per_io = 5
   // touches (one data access plus one 1-row replay of 5 activations),
-  // against five 1-touch reads, bare and under TRR + PARA, on the same
-  // table, rows and clock as above.  In ns per access; both sides must
-  // leave the same stats.
+  // against five 1-touch reads, bare and under TRR + PARA (cloud_read's
+  // DRAM).  Rows rotate over a 128-row L2P table interleaved across both
+  // banks, the clock advancing one simulated I/O (625 ns) per call, so
+  // victims cross their thresholds and flip partway through a run.  In
+  // ns per access; both sides must leave the same stats.
   const auto time_touch = [&](bool mitigated, bool batched,
                               DramStats* stats_out) {
     constexpr std::uint64_t kCalls = 40000;
@@ -627,7 +605,7 @@ void ReportHammerHotPath() {
     auto dram = MakeHammerDevice(clock, false, 4096);
     const double t0 = bench::HostSeconds();
     for (std::uint64_t i = 0; i < calls; ++i) {
-      const CmdTimes times{{}, clock.now_ns(), kServiceNs, n_cmds};
+      const CmdTimes times{clock.now_ns(), kServiceNs, n_cmds};
       const bool ok = dram->hammer_pattern(rows, n_cmds, kRepeat, times, {});
       RHSD_CHECK_MSG(ok, "hazard-free pattern aborted");
       clock.advance_ns(n_cmds * kServiceNs);
@@ -701,8 +679,6 @@ void ReportHammerHotPath() {
   constexpr int kRounds = 25;
   std::vector<BestOf*> round = {&hammer_scalar,  &hammer_batched,
                                 &trr_scalar,     &trr_batched,
-                                &amp_scalar,     &amp_batched,
-                                &amp_mit_scalar, &amp_mit_batched,
                                 &touch_scalar,   &touch_batched,
                                 &touch_mit_scalar, &touch_mit_batched,
                                 &controller_read, &qp_read,
@@ -743,17 +719,6 @@ void ReportHammerHotPath() {
                  "walk in the bench");
   RHSD_CHECK_MSG(scrub_flipped.ftl->stats().scrub_repairs > 0,
                  "scrub bench never repaired an entry");
-  for (const auto& sides : amp_stats) {
-    RHSD_CHECK_MSG(sides[0].bitflips == sides[1].bitflips &&
-                       sides[0].activations == sides[1].activations &&
-                       sides[0].trr_refreshes == sides[1].trr_refreshes &&
-                       sides[0].para_refreshes == sides[1].para_refreshes,
-                   "batched hammer_row diverged from scalar in the bench");
-  }
-  RHSD_CHECK_MSG(amp_stats[0][1].bitflips > 0,
-                 "hammer_row bench never flipped a bit");
-  RHSD_CHECK_MSG(amp_stats[1][1].para_refreshes > 0,
-                 "mitigated hammer_row bench never refreshed");
   for (const auto& sides : touch_stats) {
     RHSD_CHECK_MSG(sides[0].reads == sides[1].reads &&
                        sides[0].bitflips == sides[1].bitflips &&
@@ -791,14 +756,6 @@ void ReportHammerHotPath() {
   report.set("hammer_trr_scalar_ns_per_pair", trr_scalar_ns);
   report.set("hammer_trr_batched_ns_per_pair", trr_batched_ns);
   report.set("hammer_batched_trr_speedup", trr_scalar_ns / trr_batched_ns);
-  report.set("hammer_amplify_ns_per_call_scalar", amp_scalar.best);
-  report.set("hammer_amplify_ns_per_call", amp_batched.best);
-  report.set("hammer_amplify_speedup", amp_scalar.best / amp_batched.best);
-  report.set("hammer_amplify_mitigated_ns_per_call_scalar",
-             amp_mit_scalar.best);
-  report.set("hammer_amplify_mitigated_ns_per_call", amp_mit_batched.best);
-  report.set("hammer_amplify_mitigated_speedup",
-             amp_mit_scalar.best / amp_mit_batched.best);
   report.set("l2p_touch_ns_per_call_scalar", touch_scalar.best);
   report.set("l2p_touch_ns_per_call", touch_batched.best);
   report.set("l2p_touch_speedup", touch_scalar.best / touch_batched.best);
@@ -827,8 +784,7 @@ void ReportHammerHotPath() {
   std::printf(
       "\nhot path: scalar %.1f ns/pair, batched %.1f ns/pair "
       "(%.1fx), %.0f activations/s; with TRR %.1f -> %.1f ns/pair "
-      "(%.1fx); hammer_row(r, 4) %.0f -> %.0f ns/call (%.2fx), with TRR + "
-      "PARA %.0f -> %.0f ns/call (%.2fx); L2P touch %.0f -> %.0f ns/call "
+      "(%.1fx); L2P touch %.0f -> %.0f ns/call "
       "(%.2fx), with TRR + PARA %.0f -> %.0f ns/call (%.2fx); unmapped read "
       "%.0f ns/cmd, through a queue pair %.0f ns/cmd (%.2fx); journal load "
       "%.0f ns/page, CRC-32C %.0f ns/page; hammer_pattern %.0f / %.0f / %.0f / "
@@ -837,10 +793,7 @@ void ReportHammerHotPath() {
       "BENCH_hotpath.json\n",
       scalar_ns, batched_ns, scalar_ns / batched_ns,
       static_cast<double>(activations) / batched_s, trr_scalar_ns,
-      trr_batched_ns, trr_scalar_ns / trr_batched_ns, amp_scalar.best,
-      amp_batched.best, amp_scalar.best / amp_batched.best,
-      amp_mit_scalar.best, amp_mit_batched.best,
-      amp_mit_scalar.best / amp_mit_batched.best, touch_scalar.best,
+      trr_batched_ns, trr_scalar_ns / trr_batched_ns, touch_scalar.best,
       touch_batched.best, touch_scalar.best / touch_batched.best,
       touch_mit_scalar.best, touch_mit_batched.best,
       touch_mit_scalar.best / touch_mit_batched.best, controller_read.best,

@@ -47,8 +47,8 @@ class Tenant {
   /// Raw block I/O within this tenant's partition.
   Status read_blocks(std::uint64_t slba, std::span<std::uint8_t> out);
   /// The batched pattern entry point (the hammer loop): one
-  /// single-block read per LBA in `req.slbas` per round, until the
-  /// round and/or deadline bound is hit.  Bit-exact with the
+  /// single-block read per LBA in `req.slbas` per round, rounds starting
+  /// while the clock is before `req.deadline_ns`.  Bit-exact with the
   /// equivalent scalar read_blocks() loop but replayed in closed form.
   Status submit(const PatternRequest& req);
   Status write_blocks(std::uint64_t slba,

@@ -102,7 +102,7 @@ class Divisor {
 
 }  // namespace
 
-/// Working storage of one replay_reads()/replay_pattern() call, kept
+/// Working storage of one replay_reads()/hammer_pattern() call, kept
 /// across calls so a small call allocates nothing.  Every field is
 /// rebuilt per call (the cross-run accumulators) or per window run (the
 /// rest).
@@ -389,41 +389,18 @@ void DramDevice::check_victim(std::uint64_t victim) {
   }
 }
 
-void DramDevice::hammer_pair(std::uint64_t row_a, std::uint64_t row_b,
-                             std::uint64_t pairs) {
-  hammer_events(row_a, row_b, pairs * 2);
-}
-
-void DramDevice::hammer_row(std::uint64_t global_row, std::uint64_t count) {
-  hammer_events(global_row, global_row, count);
-}
-
-void DramDevice::hammer_pair_scalar(std::uint64_t row_a, std::uint64_t row_b,
-                                    std::uint64_t pairs) {
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    activate(row_a);
-    activate(row_b);
+void DramDevice::hammer_pattern_scalar(std::span<const std::uint64_t> rows,
+                                       std::uint64_t n_cmds,
+                                       std::uint64_t repeat) {
+  RHSD_CHECK(!rows.empty());
+  for (const std::uint64_t r : rows) {
+    RHSD_CHECK(r < config_.geometry.total_rows());
   }
-}
-
-void DramDevice::hammer_row_scalar(std::uint64_t global_row,
-                                   std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) activate(global_row);
-}
-
-void DramDevice::hammer_events(std::uint64_t a, std::uint64_t b,
-                               std::uint64_t events) {
-  RHSD_CHECK(a < config_.geometry.total_rows());
-  RHSD_CHECK(b < config_.geometry.total_rows());
-  if (events == 0) return;
-  if (a == b && quiet_row_exact_ && quiet_row(a, events)) return;
-  // The 1- or 2-row pattern, one command per activation, all at the
-  // current time.
-  const std::uint64_t pair[2] = {a, b};
-  const std::span<const std::uint64_t> rows(pair, a == b ? 1 : 2);
-  const CmdTimes times{{}, clock_.now_ns(), 0, events};
-  const bool ok = replay_pattern(rows, events, 1, times, {});
-  RHSD_CHECK(ok);  // no hazards, nothing to abort
+  std::size_t p = 0;  // command c hammers rows[c % P]
+  for (std::uint64_t c = 0; c < n_cmds; ++c) {
+    for (std::uint64_t k = 0; k < repeat; ++k) activate(rows[p]);
+    if (++p == rows.size()) p = 0;
+  }
 }
 
 bool DramDevice::victim_settled(std::uint64_t victim, double bound) {
@@ -442,13 +419,15 @@ bool DramDevice::victim_settled(std::uint64_t victim, double bound) {
   return true;
 }
 
-bool DramDevice::quiet_row(std::uint64_t row, std::uint64_t events) {
+bool DramDevice::quiet_row(std::uint64_t row, std::uint64_t events,
+                           std::uint64_t last_ns) {
   // The replay's own early-outs on the 1-row pattern: without targeted
   // refreshes every baseline is zero, the row's two neighbors are the
   // only victims, and each victim's exposure peaks at the end of the
   // call, from the row's final count and the frozen count of the row
   // beyond it.
   const std::uint64_t w = current_window();
+  if (last_ns >= (w + 1) * window_ns_) return false;  // crosses a window
   const auto count = [&](std::uint64_t r) {
     return row_window_[r] == w ? row_acts_[r] : 0;  // stale reads zero
   };
@@ -479,23 +458,19 @@ bool DramDevice::quiet_row(std::uint64_t row, std::uint64_t events) {
 
 bool DramDevice::hammer_pattern(std::span<const std::uint64_t> rows,
                                 std::uint64_t n_cmds, std::uint64_t repeat,
-                                CmdTimes cmd_times,
-                                std::span<const PatternHazard> hazards) {
-  RHSD_CHECK(!cache_.has_value());
-  for (const std::uint64_t r : rows) {
-    RHSD_CHECK(r < config_.geometry.total_rows());
-  }
-  return replay_pattern(rows, n_cmds, repeat, cmd_times, hazards);
-}
-
-bool DramDevice::replay_pattern(std::span<const std::uint64_t> rows,
-                                std::uint64_t n_cmds, std::uint64_t repeat,
                                 const CmdTimes& cmd_times,
                                 std::span<const PatternHazard> hazards) {
   RHSD_CHECK(!rows.empty());
   RHSD_CHECK(repeat > 0);
-  RHSD_CHECK(cmd_times.size() == n_cmds);
+  RHSD_CHECK(cmd_times.count == n_cmds);
+  for (const std::uint64_t r : rows) {
+    RHSD_CHECK(r < config_.geometry.total_rows());
+  }
   if (n_cmds == 0) return true;
+  if (rows.size() == 1 && quiet_row_exact_ &&
+      quiet_row(rows[0], n_cmds * repeat, cmd_times[n_cmds - 1])) {
+    return true;
+  }
   PatternScratch& s = *scratch_;
   const std::uint64_t P = rows.size();
 
@@ -526,9 +501,9 @@ bool DramDevice::replay_pattern(std::span<const std::uint64_t> rows,
   while (c_lo < n_cmds) {
     const std::uint64_t w =
         c_lo == 0 ? w_now : cmd_times[c_lo] / window_ns_;
-    // Command times are nondecreasing, so the window edge is a lookup
-    // in closed form, not a per-command walk (chunks span many windows
-    // and can run to hundreds of thousands of commands).
+    // Command times are an arithmetic progression, so the window edge
+    // is a ceiling division, not a per-command walk (chunks span many
+    // windows and can run to hundreds of thousands of commands).
     const std::uint64_t c_hi =
         cmd_times.first_at_or_after((w + 1) * window_ns_);
     std::span<const std::uint64_t> run_rows = rows;
@@ -1219,7 +1194,10 @@ Status DramDevice::read(DramAddr addr, std::span<std::uint8_t> out,
     std::memcpy(out.data(), rd->data.data() + off, out.size());
   }
   stats_.reads += touches;
-  hammer_events(row, row, touches);
+  // Without hazards the replay cannot abort.
+  const bool ok = hammer_pattern({&row, 1}, touches, 1,
+                                 CmdTimes{clock_.now_ns(), 0, touches}, {});
+  RHSD_CHECK(ok);
   return Status::Ok();
 }
 
@@ -1239,7 +1217,9 @@ Status DramDevice::write(DramAddr addr, std::span<const std::uint8_t> data,
   std::memcpy(rd.data.data() + off, data.data(), data.size());
   update_ecc(rd, off, static_cast<std::uint32_t>(data.size()));
   stats_.writes += touches;
-  hammer_events(row, row, touches);
+  const bool ok = hammer_pattern({&row, 1}, touches, 1,
+                                 CmdTimes{clock_.now_ns(), 0, touches}, {});
+  RHSD_CHECK(ok);
   return Status::Ok();
 }
 

@@ -15,15 +15,15 @@
 //
 // One closed-form hammer engine, bit-exact with the scalar path:
 //  * the scalar path — one access activates rows one at a time and runs
-//    a victim check per activation (hammer_pair_scalar() and
-//    hammer_row_scalar() drive it as the test oracle);
-//  * the pattern replay — a periodic activation stream (command c
-//    hammers rows[c % P] `repeat` times) applied as one row-state update
-//    plus a closed-form victim check per refresh-window run.  One-,
-//    double- and many-sided hammering are its 1-, 2- and N-row cases:
-//    the repeated touches of one read()/write() call and hammer_row()
-//    replay one row, hammer_pair() the pair {a, b}, and replay_reads()
-//    the FTL's whole read patterns.  Same seed, same FlipEvent
+//    a victim check per activation (hammer_pattern_scalar() drives it as
+//    the test oracle);
+//  * the pattern replay, hammer_pattern() — a periodic activation stream
+//    (command c hammers rows[c % P] `repeat` times) applied as one
+//    row-state update plus a closed-form victim check per refresh-window
+//    run.  One-, double- and many-sided hammering are its 1-, 2- and
+//    N-row cases: the repeated touches of one read()/write() call replay
+//    their row as the 1-row pattern, and replay_reads() the FTL's read
+//    patterns as their entries' row pattern.  Same seed, same FlipEvent
 //    sequence, same DramStats as the scalar path.
 //
 // The FTL makes one call per L2P access (read()/write() with the
@@ -34,11 +34,12 @@
 // access to an uncached span inside one row costs one data access (the
 // bytes, one fault tick, the ECC check) plus one 1-row replay of all
 // its activations.  With no TRR, no PARA and no Half-Double coupling,
-// that replay is settled first by the quiet-row early-out: the replay's
-// own two victim early-outs, run on the row's two neighbors at the
-// call's end-of-call counts before any per-run set-up.  When both
-// neighbors pass (neither can flip), the call only advances the row's
-// per-window count and DramStats::activations; otherwise it replays.
+// a 1-row replay inside one refresh window is settled first by the
+// quiet-row early-out: the replay's own two victim early-outs, run on
+// the row's two neighbors at the call's end-of-call counts before any
+// per-call set-up.  When both neighbors pass (neither can flip), the
+// call only advances the row's per-window count and
+// DramStats::activations; otherwise it replays.
 //
 // Addresses reach rows through a per-device table (address row → global
 // row) that each row's first access fills from the mapper, so the
@@ -126,41 +127,27 @@ struct PatternHazard {
   std::uint32_t byte_hi = 0;  // exclusive
 };
 
-/// Simulated times of a replayed chunk's commands, nondecreasing: an
-/// explicit `head` followed by the arithmetic tail t0, t0 + stride, ...
-/// of `count` terms.  Without a rate limiter the head is empty; with
-/// one it holds the commands before the token bucket's stall settles
-/// (the burst), and the tail's stride is service time plus that stall.
-/// A view: the head's storage must outlive it.
+/// Simulated times of a replayed chunk's commands: the arithmetic
+/// progression t0, t0 + stride, ... of `count` terms.  The stride is one
+/// command's service time plus the rate limiter's steady stall (0
+/// without a limiter); stride 0 puts every command at t0.
 struct CmdTimes {
-  std::span<const std::uint64_t> head;
   std::uint64_t t0 = 0;
   std::uint64_t stride = 0;
   std::uint64_t count = 0;
 
-  [[nodiscard]] std::uint64_t size() const { return head.size() + count; }
   [[nodiscard]] std::uint64_t operator[](std::uint64_t i) const {
-    return i < head.size() ? head[i] : t0 + (i - head.size()) * stride;
+    return t0 + i * stride;
   }
-  /// Commands [lo, lo + n).  Requires lo + n <= size().
+  /// Commands [lo, lo + n).  Requires lo + n <= count.
   [[nodiscard]] CmdTimes sub(std::uint64_t lo, std::uint64_t n) const {
-    if (lo >= head.size()) {
-      return {{}, t0 + (lo - head.size()) * stride, stride, n};
-    }
-    const std::uint64_t in_head =
-        std::min<std::uint64_t>(n, head.size() - lo);
-    return {head.subspan(lo, in_head), t0, stride, n - in_head};
+    return {t0 + lo * stride, stride, n};
   }
-  /// Index of the first command at or after time t (size() if none): a
-  /// binary search in the head, a ceiling division in the tail.
+  /// Index of the first command at or after time t (count if none).
   [[nodiscard]] std::uint64_t first_at_or_after(std::uint64_t t) const {
-    const auto it = std::lower_bound(head.begin(), head.end(), t);
-    if (it != head.end()) {
-      return static_cast<std::uint64_t>(it - head.begin());
-    }
-    if (count == 0 || t <= t0) return head.size();
-    if (stride == 0) return size();
-    return head.size() + std::min(count, (t - t0 + stride - 1) / stride);
+    if (t <= t0) return 0;
+    if (stride == 0) return count;
+    return std::min(count, (t - t0 + stride - 1) / stride);
   }
 };
 
@@ -207,45 +194,26 @@ class DramDevice {
   Status write(DramAddr addr, std::span<const std::uint8_t> data,
                std::uint64_t touches = 1);
 
-  /// `pairs` alternating activations of the two aggressors (a, b, a, b,
-  /// ... — 2*pairs accesses): the 2-row pattern {a, b}, replayed in
-  /// closed form.
-  void hammer_pair(std::uint64_t row_a, std::uint64_t row_b,
-                   std::uint64_t pairs);
-  /// `count` back-to-back activations of one row (one-location
-  /// hammering): the 1-row pattern.
-  void hammer_row(std::uint64_t global_row, std::uint64_t count);
-
-  /// Scalar reference implementations of hammer_pair()/hammer_row():
-  /// one activation at a time, one victim check per activation.  Used
-  /// by the parity tests and the microbenchmarks; always produce the
-  /// same FlipEvents and DramStats as the replayed versions.
-  void hammer_pair_scalar(std::uint64_t row_a, std::uint64_t row_b,
-                          std::uint64_t pairs);
-  void hammer_row_scalar(std::uint64_t global_row, std::uint64_t count);
-
-  /// Batched replay of an activation pattern (replay_reads() feeds it
-  /// uncached FTL read-pattern chunks): command c (0-based,
-  /// c < n_cmds) activates rows[c % rows.size()] `repeat` times, i.e.
-  /// the activation stream is rows[0]*repeat, rows[1]*repeat, ...,
-  /// wrapping around the pattern — exactly what `n_cmds` scalar
-  /// unmapped-L2P reads with per-I/O hammer amplification produce.
-  /// `cmd_times[c]` is the simulated time of command c's DRAM work
-  /// (used to stamp FlipEvents and to place each command in its refresh
-  /// window); cmd_times.size() == n_cmds.  Apart from the PARA draws
-  /// (one Rng::bernoulli_hits scan per window, ~0.45 ns per activation
-  /// with AVX-512 in a window of 4,096 or more), host work scales with
-  /// the pattern's rows, the windows crossed, the refreshes and the
-  /// flips, not with n_cmds.  Commands may span
-  /// refresh-window boundaries: the replay splits the stream into
-  /// maximal same-window runs internally, and a run in a window beyond
-  /// the clock's current one starts from zeroed per-window counters,
-  /// baselines, and a freshly reset TRR tracker — exactly what the
-  /// scalar walk's roll_window() would produce.  The first command must
-  /// fall in the clock's current refresh window.
-  /// Precondition: no cache (the entry points that resolve cache
-  /// fallbacks first — hammer_pair(), hammer_row(), read()/write() with
-  /// touches — reach the same replay core without it).
+  /// The row-pattern replay: command c (0-based, c < n_cmds) activates
+  /// rows[c % rows.size()] `repeat` times, i.e. the activation stream
+  /// is rows[0]*repeat, rows[1]*repeat, ..., wrapping around the
+  /// pattern — exactly what `n_cmds` scalar unmapped-L2P reads with
+  /// per-I/O hammer amplification produce.  Raw activations: a
+  /// configured cache does not absorb them.  `cmd_times[c]` is the
+  /// simulated time of command c's DRAM work (used to stamp FlipEvents
+  /// and to place each command in its refresh window);
+  /// cmd_times.count == n_cmds.  Apart from the PARA draws (one
+  /// Rng::bernoulli_hits scan per window, ~0.45 ns per activation with
+  /// AVX-512 in a window of 4,096 or more), host work scales with the
+  /// pattern's rows, the windows crossed, the refreshes and the flips,
+  /// not with n_cmds.  Commands may span refresh-window boundaries: the
+  /// replay splits the stream into maximal same-window runs internally,
+  /// and a run in a window beyond the clock's current one starts from
+  /// zeroed per-window counters, baselines, and a freshly reset TRR
+  /// tracker — exactly what the scalar walk's roll_window() would
+  /// produce.  The first command must fall in the clock's current
+  /// refresh window.  A 1-row pattern whose commands all fall in that
+  /// window first tries the quiet-row early-out (see the file comment).
   /// Bit-exact with the scalar loop: same flips in the same order, same
   /// DramStats, same TRR/PARA state.
   ///
@@ -255,8 +223,16 @@ class DramDevice {
   /// the pattern reads, which only the scalar path models).
   [[nodiscard]] bool hammer_pattern(std::span<const std::uint64_t> rows,
                                     std::uint64_t n_cmds,
-                                    std::uint64_t repeat, CmdTimes cmd_times,
+                                    std::uint64_t repeat,
+                                    const CmdTimes& cmd_times,
                                     std::span<const PatternHazard> hazards);
+  /// The scalar oracle of hammer_pattern(): the same activation stream,
+  /// one activate() (and one victim check) per activation, all at the
+  /// current clock.  Used by the parity tests and the microbenchmarks;
+  /// hammer_pattern() with every command at the current time produces
+  /// the same FlipEvents and DramStats.
+  void hammer_pattern_scalar(std::span<const std::uint64_t> rows,
+                             std::uint64_t n_cmds, std::uint64_t repeat);
 
   /// The FTL's read patterns, one call each.  Such a stream is a run of
   /// commands where command g reads `bytes` at entries[g % P], P =
@@ -279,8 +255,8 @@ class DramDevice {
   /// form, bit-exact with n_cmds read() calls of `touches` touches: same
   /// DramStats, flips, cache LRU state and fault-op alignment.  Without
   /// a cache the stream is the entries' row pattern, rotated to start,
-  /// through the hammer_pattern() engine (`cmd_times`, `hazards` and the
-  /// abort as there: false leaves the device untouched); with one, it
+  /// through hammer_pattern() (`cmd_times`, `hazards` and the abort as
+  /// there: false leaves the device untouched); with one, it
   /// is pure hit accounting plus the LRU stamp each line's last touch
   /// leaves.  Preconditions: reads_replayable(), n_cmds at most
   /// read_fault_horizon().  No allocation once the scratch has grown.
@@ -323,9 +299,9 @@ class DramDevice {
            stats_.injected_bit_errors + pokes_;
   }
 
-  /// 1-row replays (the repeated touches of one read()/write() call,
-  /// hammer_row()) that the quiet-row early-out settled without the
-  /// replay's set-up: neither neighbor could flip.  A diagnostic: it
+  /// 1-row replays (the repeated touches of one read()/write() call, a
+  /// 1-entry read pattern) that the quiet-row early-out settled without
+  /// the replay's set-up: neither neighbor could flip.  A diagnostic: it
   /// changes no simulated output.
   [[nodiscard]] std::uint64_t quiet_row_early_outs() const {
     return quiet_row_early_outs_;
@@ -434,28 +410,19 @@ class DramDevice {
     RefreshBases bases;
   };
 
-  /// The activation sequence a, b, a, b, ... of `events` activations
-  /// (a == b means one-location), replayed as the 1- or 2-row pattern.
-  /// A 1-row call tries quiet_row() first.
-  void hammer_events(std::uint64_t a, std::uint64_t b, std::uint64_t events);
   /// The quiet-row early-out, exact in front of the 1-row replay when no
-  /// targeted refresh or Half-Double coupling can act (quiet_row_exact_):
-  /// when both neighbor victims pass the replay's two early-outs at the
-  /// call's end-of-call counts, it advances the row's per-window count
-  /// and DramStats::activations by `events` and returns true; otherwise
-  /// it changes nothing and returns false.
-  [[nodiscard]] bool quiet_row(std::uint64_t row, std::uint64_t events);
+  /// targeted refresh or Half-Double coupling can act (quiet_row_exact_)
+  /// and the call's last command, at `last_ns`, is still in the current
+  /// refresh window: when both neighbor victims pass the replay's two
+  /// early-outs at the call's end-of-call counts, it advances the row's
+  /// per-window count and DramStats::activations by `events` and returns
+  /// true; otherwise it changes nothing and returns false.
+  [[nodiscard]] bool quiet_row(std::uint64_t row, std::uint64_t events,
+                               std::uint64_t last_ns);
   /// The replay's victim early-outs: true when exposure `bound` stays
   /// under every cell threshold of `victim`, or every cell it reaches
   /// already holds its failure value.
   [[nodiscard]] bool victim_settled(std::uint64_t victim, double bound);
-  /// The replay core behind hammer_pattern() and hammer_events(), with
-  /// hammer_pattern()'s contract minus its cache precondition: every
-  /// command is an activation.
-  [[nodiscard]] bool replay_pattern(std::span<const std::uint64_t> rows,
-                                    std::uint64_t n_cmds, std::uint64_t repeat,
-                                    const CmdTimes& cmd_times,
-                                    std::span<const PatternHazard> hazards);
   /// One maximal same-window run of a replay: advances the mitigation
   /// state, applies flips to row bytes (queuing their events), and
   /// writes back its rows' counts and baselines, logging what they

@@ -132,51 +132,41 @@ Status NvmeController::read(std::uint32_t nsid, std::uint64_t slba,
   });
 }
 
-Status NvmeController::submit_pattern(std::uint32_t nsid,
-                                      const PatternRequest& req) {
-  std::uint64_t local = 0;
-  std::uint64_t* done =
-      req.rounds_done != nullptr ? req.rounds_done : &local;
-  *done = 0;
-  if (req.rounds == kNoRounds && req.deadline_ns == kNoDeadline) {
-    ++stats_.errors;
-    return InvalidArgument(
-        "pattern request needs a rounds or deadline bound");
-  }
-  return run_pattern(nsid, req.slbas, req.out, req.rounds,
-                     req.deadline_ns, done);
-}
-
 std::uint64_t NvmeController::transport_faults_away() const {
   if (injector_ == nullptr) return FaultInjector::kNoFault;
   return std::min(injector_->ops_until_fault(FaultClass::kNvmeTimeout),
                   injector_->ops_until_fault(FaultClass::kNvmeDrop));
 }
 
-Status NvmeController::run_pattern(std::uint32_t nsid,
-                                   std::span<const std::uint64_t> slbas,
-                                   std::span<std::uint8_t> out,
-                                   std::uint64_t max_rounds,
-                                   std::uint64_t deadline_ns,
-                                   std::uint64_t* rounds_done) {
+Status NvmeController::submit_pattern(std::uint32_t nsid,
+                                      const PatternRequest& req) {
+  std::uint64_t local = 0;
+  std::uint64_t* rounds_done =
+      req.rounds_done != nullptr ? req.rounds_done : &local;
   *rounds_done = 0;
-  const bool until = deadline_ns != kNoDeadline;
-  const bool bounded = max_rounds != kNoRounds;
-  if (out.size() != kBlockSize) {
+  if (req.out.size() != kBlockSize) {
     ++stats_.errors;
     return InvalidArgument("pattern reads are one 4 KiB block each");
   }
-  if (slbas.empty()) {
-    if (!bounded) {
-      ++stats_.errors;
-      return InvalidArgument(
-          "deadline-bound pattern must not be empty (it would never "
-          "advance the clock)");
-    }
-    *rounds_done = max_rounds;  // empty rounds are no-ops
-    return Status::Ok();
+  if (req.slbas.empty()) {
+    ++stats_.errors;
+    return InvalidArgument(
+        "pattern must not be empty (it would never advance the clock)");
   }
-  const std::uint64_t P = slbas.size();
+  const std::uint64_t P = req.slbas.size();
+  std::uint64_t g = 0;  // commands completed; command g reads slbas[g % P]
+  const auto read_next = [&] {
+    const Status s = read(nsid, req.slbas[g % P], req.out);
+    if (s.ok()) ++g;
+    return s;
+  };
+  // Scalar commands up to the next round edge: a whole round from one.
+  const auto finish_round = [&] {
+    do {
+      RHSD_RETURN_IF_ERROR(read_next());
+    } while (g % P != 0);
+    return Status::Ok();
+  };
 
   // Set up the closed-form replay; an obstacle (bad LBA, device down)
   // leaves can_batch false and every round below runs scalar —
@@ -186,7 +176,7 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
   {
     std::vector<Lba> lbas;
     lbas.reserve(P);
-    for (const std::uint64_t slba : slbas) {
+    for (const std::uint64_t slba : req.slbas) {
       const auto lba = translate(nsid, slba);
       if (!lba.ok()) {
         can_batch = false;
@@ -199,51 +189,16 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
 
   const std::uint64_t service_ns =
       config_.iops.service_ns(/*flash_accessed=*/false);
-  const auto allow_round = [&](std::uint64_t now_ns, std::uint64_t r) {
-    return (!until || now_ns < deadline_ns) &&
-           (!bounded || r < max_rounds);
-  };
-
-  // How many of the next `m` commands a constant-stride run may cover
-  // when it starts at command index gg at time t.  It stops at the
-  // round gate (checked only where a round would start, gg % P == 0)
-  // and at the round bound; each break condition of the scalar walk
-  // has a closed form, so take the smallest.  Command gg itself has
-  // passed the gates, so the result is >= 1.
-  const auto stride_cmds = [&](std::uint64_t gg, std::uint64_t t,
-                               std::uint64_t step, std::uint64_t m) {
-    if (until) {
-      const std::uint64_t base = gg % P;
-      const std::uint64_t nb0 = base == 0 ? P : P - base;
-      std::uint64_t nb = nb0;
-      if (t < deadline_ns) {
-        // Smallest command index at or past the deadline, rounded up to
-        // the boundary grid.
-        const std::uint64_t nd = (deadline_ns - t + step - 1) / step;
-        if (nd > nb0) nb = nb0 + ((nd - nb0 + P - 1) / P) * P;
-      }
-      m = std::min(m, nb);
-    }
-    if (bounded) m = std::min(m, max_rounds * P - gg);
-    return m;
-  };
-
-  std::uint64_t g = 0;   // commands completed so far
-  bool warmed = false;   // the mandatory first scalar round ran
-  std::vector<std::uint64_t> head;  // limiter burst times, see below
+  bool warmed = false;  // the mandatory first scalar round ran
   for (;;) {
     if (g % P == 0) {
       *rounds_done = g / P;
-      if (!allow_round(clock_.now_ns(), g / P)) return Status::Ok();
+      if (clock_.now_ns() >= req.deadline_ns) return Status::Ok();
       if (!can_batch || !warmed) {
         // The first round always runs scalar: it settles the state the
         // replay then proves invariant (cache residency, latent ECC
         // corrections, the zeroed output buffer).
-        for (std::uint64_t p = 0; p < P; ++p) {
-          RHSD_RETURN_IF_ERROR(read(nsid, slbas[p], out));
-          ++g;
-        }
-        *rounds_done = g / P;
+        RHSD_RETURN_IF_ERROR(finish_round());
         warmed = true;
         continue;
       }
@@ -252,95 +207,51 @@ Status NvmeController::run_pattern(std::uint32_t nsid,
       // The replay invariants drifted (a flip hit an entry, a scrub
       // repaired one, a line got evicted): finish this round scalar and
       // re-check at the next boundary.
-      do {
-        RHSD_RETURN_IF_ERROR(read(nsid, slbas[g % P], out));
-        ++g;
-      } while (g % P != 0);
-      *rounds_done = g / P;
+      RHSD_RETURN_IF_ERROR(finish_round());
       continue;
     }
-    std::uint64_t safe = ftl_.replay_safe_cmds(plan);
-    safe = std::min(safe, transport_faults_away());
-    if (safe == 0) {
-      // This command carries an injected fault or the scrub trigger —
-      // run it for real so the event lands exactly where the scalar
-      // loop would put it.
-      RHSD_RETURN_IF_ERROR(read(nsid, slbas[g % P], out));
-      ++g;
-      *rounds_done = g / P;
+    const std::uint64_t safe =
+        std::min(ftl_.replay_safe_cmds(plan), transport_faults_away());
+    // A chunk starts only at the limiter's fixed point, where every
+    // command stalls the same (nothing, without a limiter): its command
+    // bodies then run at t, t + step, ... for step = service + stall.
+    std::optional<std::uint64_t> stall = 0;
+    if (limiter_.has_value()) {
+      stall = limiter_->steady_stall(clock_.now_ns(), service_ns);
+    }
+    if (safe == 0 || !stall.has_value()) {
+      // This command carries an injected fault or the scrub trigger, or
+      // the limiter has not settled — run it for real so the event
+      // lands exactly where the scalar loop would put it.
+      RHSD_RETURN_IF_ERROR(read_next());
       continue;
     }
-    // Size the chunk by the exact per-command cost model (limiter stall
-    // + constant non-flash service time) up to the next disallowed
-    // round or fault horizon.  Refresh-window edges do not cut the
-    // chunk: hammer_pattern splits the command stream into per-window
-    // segments internally.  Command bodies run at the pre-charge clock,
-    // so command i's DRAM work happens at times[i] — an arithmetic
-    // progression, after an explicit head while a limiter settles.
-    CmdTimes times;
-    std::optional<RateLimiter> lim = limiter_;
-    std::uint64_t t = clock_.now_ns();
-    std::uint64_t n = 0;
-    if (!lim.has_value()) {
-      n = stride_cmds(g, t, service_ns, safe);
-      times = CmdTimes{{}, t, service_ns, n};
-      t += n * service_ns;
-    } else {
-      // The token bucket reaches a fixed point once it drains: a
-      // stalling acquire() sets tokens to zero and bumps last_ns_ to
-      // the command time plus the stall, so the *next* acquire's
-      // refill elapsed time is exactly service_ns.  From the second
-      // consecutive stall on, every (refill, stall) pair is therefore
-      // bit-identical, and the rest of the chunk is an arithmetic
-      // progression with stride service_ns + stall.  The commands
-      // before that point (the burst) are the explicit head.
-      head.clear();
-      std::uint64_t last_stall = 0;
-      bool have_last = false;
-      bool steady = false;
-      while (n < safe) {
-        const std::uint64_t gg = g + n;
-        if (n > 0) {
-          if (gg % P == 0 && !allow_round(t, gg / P)) break;
-        }
-        if (steady) {
-          const std::uint64_t step = service_ns + last_stall;
-          const std::uint64_t m = stride_cmds(gg, t, step, safe - n);
-          times = CmdTimes{{}, t, step, m};
-          lim->skip_steady(m, last_stall, t + (m - 1) * step);
-          t += m * step;
-          n += m;
-          break;
-        }
-        head.push_back(t);
-        const std::uint64_t stall = lim->acquire(t);
-        steady = have_last && stall > 0 && stall == last_stall;
-        last_stall = stall;
-        have_last = true;
-        t += service_ns + stall;
-        ++n;
-      }
-      times.head = head;
+    // Size the chunk up to the fault horizon and the first round that
+    // would start at or past the deadline.  Refresh-window edges do not
+    // cut it: hammer_pattern splits the command stream into per-window
+    // segments internally.
+    const std::uint64_t t = clock_.now_ns();
+    const std::uint64_t step = service_ns + *stall;
+    std::uint64_t n = P - g % P;  // to the next round start
+    if (t < req.deadline_ns) {
+      // First command at or past the deadline, rounded up to the round
+      // grid.
+      const std::uint64_t nd = (req.deadline_ns - t + step - 1) / step;
+      if (nd > n) n += (nd - n + P - 1) / P * P;
     }
+    n = std::min(n, safe);
+    const CmdTimes times{t, step, n};
     if (!ftl_.replay_pattern_reads(plan, g, n, times)) {
       // A disturbance flip would land inside the pattern's own entries;
       // only the scalar path models that feedback.  Scalar to the round
       // edge, then re-plan from the new state.
-      do {
-        RHSD_RETURN_IF_ERROR(read(nsid, slbas[g % P], out));
-        ++g;
-      } while (g % P != 0);
-      *rounds_done = g / P;
+      RHSD_RETURN_IF_ERROR(finish_round());
       continue;
     }
     // Commit the closed-form queue/clock charges for the n commands.
-    if (!any_cmd_) {
-      any_cmd_ = true;
-      first_cmd_ns_ = times[0];
-    }
-    stats_.busy_ns += t - times[0];
-    clock_.advance_ns(t - clock_.now_ns());
-    if (limiter_.has_value()) *limiter_ = *lim;
+    stats_.busy_ns += n * step;
+    clock_.advance_ns(n * step);
+    if (limiter_.has_value()) limiter_->skip_steady(times[n - 1], *stall);
     stats_.read_cmds += n;
     if (injector_ != nullptr) {
       injector_->skip_ops(FaultClass::kNvmeTimeout, n);

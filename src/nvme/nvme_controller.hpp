@@ -53,20 +53,15 @@ struct NvmeStats {
   std::uint64_t transport_drops = 0;
 };
 
-/// One batched pattern submission: one single-block command per element
-/// of `slbas` per round, repeated until a bound is hit.  At least one
-/// of `rounds` / `deadline_ns` must be set; when both are, whichever
-/// trips first ends the run — bit-exact with the scalar shape
-/// `while (now < deadline && r < rounds)` issuing one single-round
-/// submit_pattern() per iteration.  Every command is a read into `out`.
+/// One batched pattern submission, the hammer loop of §3.1: rounds of
+/// one single-block read per element of `slbas`, a round starting only
+/// while the clock is before `deadline_ns` — bit-exact with the scalar
+/// loop `while (now < deadline) for each LBA: read()`.  Every command
+/// reads into `out`.
 struct PatternRequest {
-  static constexpr std::uint64_t kNoRounds = ~0ull;
-  static constexpr std::uint64_t kNoDeadline = ~0ull;
-
   std::span<const std::uint64_t> slbas;
   std::span<std::uint8_t> out = {};  // exactly one 4 KiB block, shared
-  std::uint64_t rounds = kNoRounds;
-  std::uint64_t deadline_ns = kNoDeadline;
+  std::uint64_t deadline_ns = 0;
   /// Completed rounds, reported also on error.  Optional.
   std::uint64_t* rounds_done = nullptr;
 };
@@ -83,16 +78,20 @@ class NvmeController {
   /// Read `out.size()/4096` blocks starting at namespace-relative slba.
   Status read(std::uint32_t nsid, std::uint64_t slba,
               std::span<std::uint8_t> out);
-  /// The batched pattern entry point: equivalent to issuing one read()
-  /// per element per round (same commands, same clock charges, same
-  /// stats, same fault-op alignment), but entire fault-free stretches
-  /// are replayed in closed form per layer instead of per command.
-  /// The first round always runs scalar (it settles cache/ECC state
-  /// the replay then proves invariant); commands carrying injected
-  /// faults or scrub triggers drop back to scalar automatically, and
-  /// chunks spanning refresh-window edges are split per window inside
-  /// the DRAM replay.  Aborts on the first command error, exactly like
-  /// the scalar loop.
+  /// The batched pattern entry point: equivalent to the scalar loop of
+  /// one read() per element per round (same commands, same clock
+  /// charges, same stats, same fault-op alignment), but entire
+  /// fault-free stretches are replayed in closed form per layer instead
+  /// of per command.  The first round always runs scalar (it settles
+  /// cache/ECC state the replay then proves invariant), and so does
+  /// every command before the rate limiter reaches its fixed point
+  /// (RateLimiter::steady_stall), which makes a chunk's command times
+  /// an arithmetic progression; commands carrying injected faults or
+  /// scrub triggers drop back to scalar automatically, and chunks
+  /// spanning refresh-window edges are split per window inside the DRAM
+  /// replay.  An empty pattern is InvalidArgument (it would never
+  /// advance the clock).  Aborts on the first command error, exactly
+  /// like the scalar loop.
   Status submit_pattern(std::uint32_t nsid, const PatternRequest& req);
   Status write(std::uint32_t nsid, std::uint64_t slba,
                std::span<const std::uint8_t> data);
@@ -139,16 +138,6 @@ class NvmeController {
 
   StatusOr<Lba> translate(std::uint32_t nsid, std::uint64_t slba) const;
   void charge(bool flash_accessed);
-  /// Engine behind submit_pattern().  Runs rounds while *both* active
-  /// bounds allow (`max_rounds == kNoRounds` / `deadline_ns ==
-  /// kNoDeadline` disable the respective bound; at least one must be
-  /// active).
-  static constexpr std::uint64_t kNoDeadline = PatternRequest::kNoDeadline;
-  static constexpr std::uint64_t kNoRounds = PatternRequest::kNoRounds;
-  Status run_pattern(std::uint32_t nsid,
-                     std::span<const std::uint64_t> slbas,
-                     std::span<std::uint8_t> out, std::uint64_t max_rounds,
-                     std::uint64_t deadline_ns, std::uint64_t* rounds_done);
   /// Commands until the next injected transport fault (timeout or
   /// drop), or FaultInjector::kNoFault.
   [[nodiscard]] std::uint64_t transport_faults_away() const;

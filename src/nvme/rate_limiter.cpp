@@ -20,15 +20,22 @@ std::uint64_t RateLimiter::acquire(SimClock::Nanos now_ns) {
   // Stall until one token accumulates.  Ceil: truncating toward zero
   // while also zeroing tokens_ discarded the fractional token already
   // accumulated during the (short) stall, so a sustained stall train
-  // admitted slightly more than max_iops.  tokens_ stays exactly 0.0 so
-  // skip_steady()'s drained fixed point remains a true fixed point of
-  // this function.
+  // admitted slightly more than max_iops.  tokens_ stays exactly 0.0, so
+  // a drained bucket is a fixed point (see steady_stall()).
   const double deficit = 1.0 - tokens_;
   const auto stall_ns = static_cast<std::uint64_t>(
       std::ceil(deficit / config_.max_iops * 1e9));
   tokens_ = 0.0;
   last_ns_ = now_ns + stall_ns;
-  total_stall_ns_ += stall_ns;
+  return stall_ns;
+}
+
+std::optional<std::uint64_t> RateLimiter::steady_stall(
+    SimClock::Nanos now_ns, std::uint64_t service_ns) const {
+  if (now_ns - last_ns_ != service_ns) return std::nullopt;
+  RateLimiter next = *this;
+  const std::uint64_t stall_ns = next.acquire(now_ns);
+  if (next.tokens_ != tokens_) return std::nullopt;
   return stall_ns;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/check.hpp"
 #include "common/sim_clock.hpp"
@@ -31,30 +32,28 @@ class RateLimiter {
   /// stall in nanoseconds the caller must apply before servicing it.
   [[nodiscard]] std::uint64_t acquire(SimClock::Nanos now_ns);
 
-  /// Fast-forward `k` steady-state acquires that each stall exactly
-  /// `stall_ns`, the last one at `last_cmd_ns`.  Callers may use this
-  /// only in the drained fixed point (two consecutive stalling
-  /// acquires with a constant inter-command gap), where every acquire
-  /// repeats bit-identically: the bucket stays at zero tokens and the
-  /// refill elapsed time is the constant gap, so this produces the
-  /// exact state `k` scalar acquire() calls would.
-  void skip_steady(std::uint64_t k, std::uint64_t stall_ns,
-                   SimClock::Nanos last_cmd_ns) {
-    tokens_ = 0.0;
-    last_ns_ = last_cmd_ns + stall_ns;
-    total_stall_ns_ += k * stall_ns;
-  }
+  /// The limiter's fixed point for commands sent `service_ns` after
+  /// the previous one's stall: the last acquire was `service_ns` before
+  /// `now_ns`, and one acquire(now_ns) would leave the tokens unchanged.
+  /// acquire() depends only on the tokens and that gap, so from there
+  /// every later acquire repeats bit-identically.  A drained bucket
+  /// (each command stalls the same) and a full one that refills faster
+  /// than commands drain it (none stalls) are both fixed points.
+  /// Returns the repeating stall, or nullopt off the fixed point.  Pure.
+  [[nodiscard]] std::optional<std::uint64_t> steady_stall(
+      SimClock::Nanos now_ns, std::uint64_t service_ns) const;
 
-  [[nodiscard]] std::uint64_t total_stall_ns() const {
-    return total_stall_ns_;
+  /// Commit a run of acquires from the fixed point steady_stall() found,
+  /// each stalling `stall_ns`, the last at `last_cmd_ns`: the state that
+  /// many acquire() calls would leave (the tokens never change).
+  void skip_steady(SimClock::Nanos last_cmd_ns, std::uint64_t stall_ns) {
+    last_ns_ = last_cmd_ns + stall_ns;
   }
-  [[nodiscard]] const RateLimiterConfig& config() const { return config_; }
 
  private:
   RateLimiterConfig config_;
   double tokens_ = 0.0;
   SimClock::Nanos last_ns_ = 0;
-  std::uint64_t total_stall_ns_ = 0;
 };
 
 }  // namespace rhsd

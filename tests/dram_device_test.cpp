@@ -41,6 +41,45 @@ void HammerPair(DramDevice& dram, const DramConfig& c, std::uint64_t left,
   }
 }
 
+TEST(CmdTimes, ArithmeticProgression) {
+  const CmdTimes t{1000, 625, 8};  // 1000, 1625, ..., 5375
+  EXPECT_EQ(t[0], 1000u);
+  EXPECT_EQ(t[7], 1000u + 7 * 625);
+  const CmdTimes mid = t.sub(3, 4);
+  EXPECT_EQ(mid.t0, t[3]);
+  EXPECT_EQ(mid.stride, 625u);
+  EXPECT_EQ(mid.count, 4u);
+  EXPECT_EQ(mid[3], t[6]);
+  EXPECT_EQ(t.sub(8, 0).count, 0u);
+
+  // first_at_or_after: at or before t0 is command 0; an exact term is
+  // its own index; between terms rounds up; past the last is count.
+  EXPECT_EQ(t.first_at_or_after(0), 0u);
+  EXPECT_EQ(t.first_at_or_after(1000), 0u);
+  EXPECT_EQ(t.first_at_or_after(1001), 1u);
+  EXPECT_EQ(t.first_at_or_after(1625), 1u);
+  EXPECT_EQ(t.first_at_or_after(1000 + 5 * 625), 5u);
+  EXPECT_EQ(t.first_at_or_after(1000 + 5 * 625 + 1), 6u);
+  EXPECT_EQ(t.first_at_or_after(t[7]), 7u);
+  EXPECT_EQ(t.first_at_or_after(t[7] + 1), 8u);
+  EXPECT_EQ(t.first_at_or_after(~0ull / 2), 8u);
+
+  // Stride 0: every command at t0.
+  const CmdTimes flat{500, 0, 5};
+  EXPECT_EQ(flat[4], 500u);
+  EXPECT_EQ(flat.sub(2, 3).t0, 500u);
+  EXPECT_EQ(flat.first_at_or_after(500), 0u);
+  EXPECT_EQ(flat.first_at_or_after(501), 5u);
+
+  // Count 0: no command at or after any time.
+  const CmdTimes none{500, 625, 0};
+  EXPECT_EQ(none.first_at_or_after(0), 0u);
+  EXPECT_EQ(none.first_at_or_after(500), 0u);
+  EXPECT_EQ(none.first_at_or_after(10'000), 0u);
+  const CmdTimes none_flat{500, 0, 0};
+  EXPECT_EQ(none_flat.first_at_or_after(501), 0u);
+}
+
 TEST(DramDevice, ReadsZeroByDefault) {
   SimClock clock;
   auto dram = MakeDevice(clock);

@@ -339,7 +339,9 @@ ScrubWalkTotals RunScrubRounds(bool ecc) {
     const std::uint64_t victim = victims[round % victims.size()];
     const std::size_t events_before = dram.flip_events().size();
     clock.advance_ns(dram.refresh_window_ns());
-    dram.hammer_pair(victim - 1, victim + 1, 20000);
+    const std::uint64_t aggressors[2] = {victim - 1, victim + 1};
+    EXPECT_TRUE(dram.hammer_pattern(aggressors, 40000, 1,
+                                    {clock.now_ns(), 0, 40000}, {}));
 
     // An LBA whose row this round's flips did not touch: a change aimed
     // there is missed by a walk of the flipped rows alone.

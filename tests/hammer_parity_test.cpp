@@ -1,10 +1,11 @@
 // Bit-exactness of the closed-form hammer replay.
 //
 // Every test drives two identically configured devices — one through
-// the batched entry points (hammer_pair / hammer_row / read and write
-// with a touch count, which replay 1- and 2-row patterns through the
-// same core as hammer_pattern, and submit_pattern down the whole
-// stack), one through the scalar reference path — and requires *identical*
+// the batched entry points (hammer_pattern, read and write with a touch
+// count, which replay their row as the 1-row pattern, and
+// submit_pattern down the whole stack), one through the scalar
+// reference path (hammer_pattern_scalar, single-touch accesses, the
+// scalar deadline loop of read() calls) — and requires *identical*
 // outcomes: the same DramStats, the same FlipEvent sequence (order
 // included), and the same bytes in every row.  This is the contract
 // that lets the FTL and the attack orchestrator use the replay without
@@ -13,7 +14,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
+#include <initializer_list>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,22 +99,29 @@ void RunParity(DramConfig config, Fn&& fn) {
   ExpectSameOutcome(*batched, *scalar);
 }
 
-void HammerPairEither(DramDevice& d, std::uint64_t a, std::uint64_t b,
-                      std::uint64_t pairs, bool batched) {
+/// `n_cmds` commands of the row pattern `rows`, one activation each, at
+/// the current time: hammer_pattern() (batched) or its scalar oracle.
+void HammerEither(DramDevice& d, std::initializer_list<std::uint64_t> rows,
+                  std::uint64_t n_cmds, bool batched) {
+  const std::span<const std::uint64_t> pattern(rows.begin(), rows.size());
   if (batched) {
-    d.hammer_pair(a, b, pairs);
+    ASSERT_TRUE(d.hammer_pattern(pattern, n_cmds, 1,
+                                 {d.clock().now_ns(), 0, n_cmds}, {}));
   } else {
-    d.hammer_pair_scalar(a, b, pairs);
+    d.hammer_pattern_scalar(pattern, n_cmds, 1);
   }
 }
 
+/// Double-sided hammering: `pairs` alternating activations of a and b.
+void HammerPairEither(DramDevice& d, std::uint64_t a, std::uint64_t b,
+                      std::uint64_t pairs, bool batched) {
+  HammerEither(d, {a, b}, 2 * pairs, batched);
+}
+
+/// One-location hammering: `n` back-to-back activations of one row.
 void HammerRowEither(DramDevice& d, std::uint64_t row, std::uint64_t n,
                      bool batched) {
-  if (batched) {
-    d.hammer_row(row, n);
-  } else {
-    d.hammer_row_scalar(row, n);
-  }
+  HammerEither(d, {row}, n, batched);
 }
 
 TEST(HammerParity, DoubleSidedClosedPageAcrossSeeds) {
@@ -127,7 +139,7 @@ TEST(HammerParity, FlipsActuallyHappen) {
   SimClock clock;
   auto d = MakeDevice(BaseConfig(3), clock);
   d->poke(DramAddr(10 * 512), std::vector<std::uint8_t>(512, 0xFF));
-  d->hammer_pair(9, 11, 5000);
+  HammerPairEither(*d, 9, 11, 5000, /*batched=*/true);
   EXPECT_GT(d->stats().bitflips, 0u);
 }
 
@@ -254,7 +266,7 @@ TEST(HammerParity, TrrFiresAndStillFlips) {
   SimClock clock;
   auto probe = MakeDevice(c, clock);
   probe->poke(DramAddr(10 * 512), std::vector<std::uint8_t>(512, 0xFF));
-  probe->hammer_pair(9, 11, 6000);
+  HammerPairEither(*probe, 9, 11, 6000, /*batched=*/true);
   EXPECT_GT(probe->stats().bitflips, 0u);
   EXPECT_GT(probe->stats().trr_refreshes, 0u);
 
@@ -265,7 +277,7 @@ TEST(HammerParity, TrrFiresAndStillFlips) {
   tight.mitigations.trr_config = TestTrr(600);
   SimClock clock2;
   auto probe2 = MakeDevice(tight, clock2);
-  probe2->hammer_pair(9, 11, 6000);
+  HammerPairEither(*probe2, 9, 11, 6000, /*batched=*/true);
   EXPECT_EQ(probe2->stats().bitflips, 0u);
   EXPECT_GT(probe2->stats().trr_refreshes, 0u);
 }
@@ -285,7 +297,7 @@ TEST(HammerParity, TrrSingleTrackerThrash) {
 
   SimClock clock;
   auto probe = MakeDevice(c, clock);
-  probe->hammer_pair(9, 11, 6000);
+  HammerPairEither(*probe, 9, 11, 6000, /*batched=*/true);
   EXPECT_GT(probe->stats().bitflips, 0u);
   EXPECT_EQ(probe->stats().trr_refreshes, 0u);
 
@@ -296,7 +308,7 @@ TEST(HammerParity, TrrSingleTrackerThrash) {
   });
   SimClock clock2;
   auto probe2 = MakeDevice(c, clock2);
-  probe2->hammer_row(20, 30000);
+  HammerRowEither(*probe2, 20, 30000, /*batched=*/true);
   EXPECT_GT(probe2->stats().trr_refreshes, 0u);
 }
 
@@ -368,7 +380,7 @@ TEST(HammerParity, ParaMatrixSeedsAndBatchSizes) {
   c.mitigations.para_probability = 0.01;
   SimClock clock;
   auto probe = MakeDevice(c, clock);
-  probe->hammer_pair(9, 11, 6000);
+  HammerPairEither(*probe, 9, 11, 6000, /*batched=*/true);
   EXPECT_GT(probe->stats().para_refreshes, 0u);
 }
 
@@ -382,7 +394,7 @@ TEST(HammerParity, ParaRareEnoughToFlip) {
     c.mitigations.para_probability = 0.0004;
     SimClock clock;
     auto probe = MakeDevice(c, clock);
-    probe->hammer_pair(9, 11, 6000);
+    HammerPairEither(*probe, 9, 11, 6000, /*batched=*/true);
     if (probe->stats().bitflips == 0 || probe->stats().para_refreshes == 0) {
       continue;
     }
@@ -447,13 +459,13 @@ TEST(HammerParity, MitigatedParityAcrossThreadCounts) {
     {
       SimClock clock;
       DramDevice d(c, MakeLinearMapper(c.geometry), clock);
-      d.hammer_pair(9, 11, 6000);
+      HammerPairEither(d, 9, 11, 6000, /*batched=*/true);
       fp.batched = fingerprint(d);
     }
     {
       SimClock clock;
       DramDevice d(c, MakeLinearMapper(c.geometry), clock);
-      d.hammer_pair_scalar(9, 11, 6000);
+      HammerPairEither(d, 9, 11, 6000, /*batched=*/false);
       fp.scalar = fingerprint(d);
     }
     return fp;
@@ -745,10 +757,9 @@ TEST(HammerParity, RepeatReadOfUncorrectableWordStopsAfterOneActivation) {
 
 TEST(HammerParity, CacheConfiguredDevice) {
   // A configured CPU cache sits in front of read()/write() only:
-  // hammer_pair() and hammer_row() still replay raw activations through
-  // the pattern core (which must not inherit hammer_pattern()'s no-cache
-  // precondition), and read()/write() with a touch count run cached
-  // spans' repeated touches as scalar ones.
+  // hammer_pattern() still replays raw activations, and read()/write()
+  // with a touch count run cached spans' repeated touches as scalar
+  // ones.
   DramConfig c = BaseConfig(3);  // the seed FlipsActuallyHappen uses
   c.mitigations.cache = CacheConfig{64, 4, 16};
   const auto workload = [](DramDevice& d, bool batched) {
@@ -795,7 +806,7 @@ TEST(HammerParity, HazardAbortRestoresRefreshBaselines) {
     c.mitigations.para_probability = 0.0004;
     SimClock probe_clock;
     auto probe = MakeDevice(c, probe_clock);
-    ASSERT_TRUE(probe->hammer_pattern(rows, kCmds, 1, {{}, 0, 0, kCmds}, {}));
+    ASSERT_TRUE(probe->hammer_pattern(rows, kCmds, 1, {0, 0, kCmds}, {}));
     const auto& flips = probe->flip_events();
     if (probe->stats().para_refreshes == 0 ||
         std::none_of(flips.begin(), flips.end(), [](const FlipEvent& f) {
@@ -808,10 +819,10 @@ TEST(HammerParity, HazardAbortRestoresRefreshBaselines) {
     SimClock clock_b;
     auto aborted = MakeDevice(c, clock_a);
     auto twin = MakeDevice(c, clock_b);
-    EXPECT_FALSE(aborted->hammer_pattern(rows, kCmds, 1, {{}, 0, 0, kCmds},
+    EXPECT_FALSE(aborted->hammer_pattern(rows, kCmds, 1, {0, 0, kCmds},
                                          {&hazard, 1}));
     for (DramDevice* d : {aborted.get(), twin.get()}) {
-      d->hammer_pair(9, 11, kCmds / 2);
+      HammerPairEither(*d, 9, 11, kCmds / 2, /*batched=*/true);
     }
     ExpectSameOutcome(*aborted, *twin);
   }
@@ -862,12 +873,13 @@ TEST(HammerParity, AliasedOppositeCellsFallBackExactly) {
 
 // ---- Full-stack pattern replay parity (submit_pattern) ----
 //
-// Two identically configured SSDs: one pushes `rounds` whole pattern
-// submissions down the stack in a single submit_pattern() call, the
-// other loops single-round submit_pattern() calls round by round.  Everything
-// observable must match: the returned status, the simulated clock, the
-// DRAM stats / flip events / memory image, the FTL and NVMe stats, the
-// read buffer, and the fault injector's per-class op counters and log.
+// Two identically configured SSDs: one pushes the whole hammer loop
+// down the stack in a single deadline-bound submit_pattern() call, the
+// other runs its scalar oracle, `while (now < deadline) for each LBA:
+// read()`.  Everything observable must match: the returned status, the
+// completed rounds, the simulated clock, the DRAM stats / flip events /
+// memory image, the FTL and NVMe stats, the read buffer, and the fault
+// injector's per-class op counters and log.
 
 void ExpectSameFtlStats(const FtlStats& a, const FtlStats& b) {
   EXPECT_EQ(a.host_reads, b.host_reads);
@@ -897,29 +909,51 @@ void ExpectSameNvmeStats(const NvmeStats& a, const NvmeStats& b) {
 struct DriveResult {
   std::string status;
   std::vector<std::uint8_t> buf;
+  std::uint64_t rounds = 0;
 };
 
-DriveResult DriveRounds(SsdDevice& ssd,
-                        std::span<const std::uint64_t> pattern,
-                        std::uint64_t rounds, bool batched) {
-  std::vector<std::uint8_t> buf(kBlockSize);
-  Status st = Status::Ok();
+/// Drive `pattern` on namespace 1 until `deadline_ns`: one batched
+/// submit_pattern() call, or the scalar loop — rounds of one read() per
+/// LBA, a round starting while the clock is before the deadline, up to
+/// the first error.
+DriveResult DriveUntil(SsdDevice& ssd, std::span<const std::uint64_t> pattern,
+                       std::uint64_t deadline_ns, bool batched) {
+  DriveResult r{"", std::vector<std::uint8_t>(kBlockSize), 0};
+  NvmeController& ctrl = ssd.controller();
+  Status st;
   if (batched) {
-    st = ssd.controller().submit_pattern(
-        1, {.slbas = pattern, .out = buf, .rounds = rounds});
+    st = ctrl.submit_pattern(1, {.slbas = pattern,
+                                 .out = r.buf,
+                                 .deadline_ns = deadline_ns,
+                                 .rounds_done = &r.rounds});
   } else {
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      st = ssd.controller().submit_pattern(
-          1, {.slbas = pattern, .out = buf, .rounds = 1});
-      if (!st.ok()) break;
+    while (st.ok() && ssd.clock().now_ns() < deadline_ns) {
+      for (const std::uint64_t slba : pattern) {
+        st = ctrl.read(1, slba, r.buf);
+        if (!st.ok()) break;
+      }
+      if (st.ok()) ++r.rounds;
     }
   }
-  return DriveResult{st.to_string(), std::move(buf)};
+  r.status = st.to_string();
+  return r;
+}
+
+/// The deadline `rounds` rounds of `pattern` reach from now when every
+/// command is an unthrottled unmapped read (a rate limiter, flash reads
+/// or an error fit fewer rounds before it).
+std::uint64_t DeadlineAfterRounds(SsdDevice& ssd,
+                                  std::span<const std::uint64_t> pattern,
+                                  std::uint64_t rounds) {
+  return ssd.clock().now_ns() +
+         rounds * pattern.size() *
+             ssd.controller().config().iops.service_ns(false);
 }
 
 void ExpectSameStack(SsdDevice& batched, SsdDevice& scalar,
                      const DriveResult& rb, const DriveResult& rs) {
   EXPECT_EQ(rb.status, rs.status);
+  EXPECT_EQ(rb.rounds, rs.rounds);
   EXPECT_EQ(rb.buf, rs.buf);
   EXPECT_EQ(batched.clock().now_ns(), scalar.clock().now_ns());
   ExpectSameOutcome(batched.dram(), scalar.dram());
@@ -964,6 +998,8 @@ void PrepStack(SsdDevice& ssd, std::span<const std::uint64_t> pattern,
   }
 }
 
+/// Batched against scalar on `pattern`, with the deadline `rounds`
+/// unthrottled rounds reach (DeadlineAfterRounds).
 void RunStackParity(const SsdConfig& config,
                     std::span<const std::uint64_t> pattern,
                     std::uint64_t rounds,
@@ -979,8 +1015,10 @@ void RunStackParity(const SsdConfig& config,
   }
   PrepStack(batched, trimmed, keep_mapped);
   PrepStack(scalar, trimmed, keep_mapped);
-  const DriveResult rb = DriveRounds(batched, pattern, rounds, true);
-  const DriveResult rs = DriveRounds(scalar, pattern, rounds, false);
+  const std::uint64_t deadline = DeadlineAfterRounds(batched, pattern, rounds);
+  ASSERT_EQ(deadline, DeadlineAfterRounds(scalar, pattern, rounds));
+  const DriveResult rb = DriveUntil(batched, pattern, deadline, true);
+  const DriveResult rs = DriveUntil(scalar, pattern, deadline, false);
   ExpectSameStack(batched, scalar, rb, rs);
 }
 
@@ -1003,7 +1041,10 @@ TEST(PatternReplayParity, FlipsActuallyHappen) {
   std::vector<std::uint8_t> buf(kBlockSize);
   ASSERT_TRUE(ssd.controller()
                   .submit_pattern(
-                      1, {.slbas = pattern, .out = buf, .rounds = 4000})
+                      1, {.slbas = pattern,
+                          .out = buf,
+                          .deadline_ns = DeadlineAfterRounds(ssd, pattern,
+                                                             4000)})
                   .ok());
   EXPECT_GT(ssd.dram().stats().bitflips, 0u);
 }
@@ -1079,17 +1120,20 @@ TEST(PatternReplayParity, CacheConfigSteadyState) {
 }
 
 TEST(PatternReplayParity, RateLimiterCharges) {
+  // The commands before the token bucket drains run scalar; from its
+  // fixed point on every command stalls the same, and chunks replay
+  // with command times service + stall apart.  The deadlines allow the
+  // same command counts as unthrottled rounds would: 2,000 rounds at
+  // 10 us per command (100K IOPS), then 10,000 at 2 us.
   const std::vector<std::uint64_t> pattern = {100, 228};
   SsdConfig c = test::SmallSsd();
   c.seed = 13;
   c.rate_limit = RateLimiterConfig{.max_iops = 100e3, .burst = 8};
-  RunStackParity(c, pattern, 2000);
-  // PARA under §5's token bucket (500K IOPS, burst 64): each chunk's
-  // command times are an explicit head (the burst, then the commands
-  // that find the stall steady) plus an arithmetic tail.
+  RunStackParity(c, pattern, 16 * 2000);
+  // PARA under §5's token bucket (500K IOPS, burst 64).
   c.dram_mitigations.para_probability = 1.0 / 1024;
   c.rate_limit = RateLimiterConfig{.max_iops = 500e3, .burst = 64};
-  RunStackParity(c, pattern, 10000);
+  RunStackParity(c, pattern, 32000);
 }
 
 TEST(PatternReplayParity, ScrubTriggersMidStream) {
@@ -1174,7 +1218,10 @@ TEST(PatternReplayParity, WindowCrossingChunksSplitInsideReplay) {
   std::vector<std::uint8_t> buf(kBlockSize);
   ASSERT_TRUE(probe.controller()
                   .submit_pattern(
-                      1, {.slbas = pattern, .out = buf, .rounds = 2500})
+                      1, {.slbas = pattern,
+                          .out = buf,
+                          .deadline_ns = DeadlineAfterRounds(probe, pattern,
+                                                             2500)})
                   .ok());
   EXPECT_GT(probe.clock().now_ns(), 3 * probe.dram().refresh_window_ns());
 
@@ -1195,8 +1242,9 @@ TEST(PatternReplayParity, WindowCrossingChunksSplitInsideReplay) {
                                ssd->clock().now_ns() % service_ns) %
                               service_ns);
     }
-    const DriveResult rb = DriveRounds(batched, pattern, 2500, true);
-    const DriveResult rs = DriveRounds(scalar, pattern, 2500, false);
+    const std::uint64_t deadline = DeadlineAfterRounds(batched, pattern, 2500);
+    const DriveResult rb = DriveUntil(batched, pattern, deadline, true);
+    const DriveResult rs = DriveUntil(scalar, pattern, deadline, false);
     ExpectSameStack(batched, scalar, rb, rs);
     EXPECT_EQ(batched.clock().now_ns() % 625, 0u);
     EXPECT_GT(batched.clock().now_ns(), 3 * batched.dram().refresh_window_ns());
@@ -1243,13 +1291,15 @@ TEST(PatternReplayParity, RepeatAcrossThreadCounts) {
     {
       SsdDevice ssd(c);
       PrepStack(ssd, pattern);
-      const DriveResult r = DriveRounds(ssd, pattern, 1200, true);
+      const DriveResult r = DriveUntil(
+          ssd, pattern, DeadlineAfterRounds(ssd, pattern, 1200), true);
       fp.batched = fingerprint(ssd, r);
     }
     {
       SsdDevice ssd(c);
       PrepStack(ssd, pattern);
-      const DriveResult r = DriveRounds(ssd, pattern, 1200, false);
+      const DriveResult r = DriveUntil(
+          ssd, pattern, DeadlineAfterRounds(ssd, pattern, 1200), false);
       fp.scalar = fingerprint(ssd, r);
     }
     return fp;
@@ -1271,8 +1321,9 @@ TEST(PatternReplayParity, RepeatAcrossThreadCounts) {
 }
 
 TEST(PatternReplayParity, UntilMatchesScalarDeadlineLoop) {
-  // A deadline-bound submit_pattern() == "while (now < deadline)
-  // submit_pattern(rounds = 1)".
+  // A deadline given in simulated time, 3 ms from the end of the prep,
+  // against the scalar loop "while (now < deadline) for each LBA:
+  // read()".
   const std::vector<std::uint64_t> pattern = {100, 228};
   SsdConfig c = test::SmallSsd();
   c.seed = 18;
@@ -1280,31 +1331,155 @@ TEST(PatternReplayParity, UntilMatchesScalarDeadlineLoop) {
   SsdDevice scalar(c);
   PrepStack(batched, pattern);
   PrepStack(scalar, pattern);
-  const std::uint64_t deadline_b =
-      batched.clock().now_ns() + 3'000'000;  // 3 ms of simulated time
-  const std::uint64_t deadline_s = scalar.clock().now_ns() + 3'000'000;
-  ASSERT_EQ(deadline_b, deadline_s);
+  const std::uint64_t deadline = batched.clock().now_ns() + 3'000'000;
+  ASSERT_EQ(deadline, scalar.clock().now_ns() + 3'000'000);
+  const DriveResult rb = DriveUntil(batched, pattern, deadline, true);
+  const DriveResult rs = DriveUntil(scalar, pattern, deadline, false);
+  EXPECT_GT(rs.rounds, 0u);
+  ExpectSameStack(batched, scalar, rb, rs);
+}
 
-  std::vector<std::uint8_t> bb(kBlockSize);
-  std::uint64_t rounds_done = 0;
-  ASSERT_TRUE(batched.controller()
-                  .submit_pattern(1, {.slbas = pattern,
-                                      .out = bb,
-                                      .deadline_ns = deadline_b,
-                                      .rounds_done = &rounds_done})
-                  .ok());
-  std::vector<std::uint8_t> bs(kBlockSize);
-  std::uint64_t scalar_rounds = 0;
-  while (scalar.clock().now_ns() < deadline_s) {
-    ASSERT_TRUE(scalar.controller()
-                    .submit_pattern(
-                        1, {.slbas = pattern, .out = bs, .rounds = 1})
-                    .ok());
-    ++scalar_rounds;
+TEST(PatternReplayParity, EmptyPatternIsInvalidArgument) {
+  // An empty round would never advance the clock toward the deadline.
+  SsdDevice ssd(test::SmallSsd());
+  std::vector<std::uint8_t> buf(kBlockSize);
+  std::uint64_t rounds = 7;
+  const Status s = ssd.controller().submit_pattern(
+      1, {.slbas = {}, .out = buf, .deadline_ns = 1'000'000,
+          .rounds_done = &rounds});
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rounds, 0u);
+  EXPECT_EQ(ssd.controller().stats().errors, 1u);
+  EXPECT_EQ(ssd.controller().stats().read_cmds, 0u);
+}
+
+TEST(PatternReplayParity, DeadlineDifferentialSweep) {
+  // Seeded draws over the config space, batched submit_pattern() against
+  // the scalar deadline loop: patterns of 1-15 LBAs drawn from a few
+  // distinct ones (so wide patterns repeat LBAs) under deadlines that
+  // cut a round; no rate limiter, or one that stalls from the first
+  // command, stalls after a burst, or never stalls (max_iops above the
+  // 1.6 M/s service rate); TRR, PARA, Half-Double coupling, ECC and a
+  // cache; and NVMe transport, DRAM bit-error, power-loss and scrub
+  // events mid-stream.  A mismatch prints RHSD_DIFF_SEED=<n>; with that
+  // variable set, only that case runs.
+  const std::uint64_t kLbas[] = {100, 228, 356, 484, 612, 740, 868, 996};
+  struct Tally {
+    std::uint64_t flipped = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t cut = 0;  // ended past its deadline: the last round ran over
+  } tally;
+  const auto run_case = [&](std::uint64_t seed) {
+    Rng draw(0xDEAD11E + seed);
+    SsdConfig c = test::SmallSsd();
+    c.seed = draw.next_in(1, 1000);
+    const std::uint64_t width = draw.next_in(1, 15);
+    const std::uint64_t distinct =
+        draw.next_in(1, std::min<std::uint64_t>(width, std::size(kLbas)));
+    std::vector<std::uint64_t> pattern;
+    for (std::uint64_t i = 0; i < width; ++i) {
+      pattern.push_back(kLbas[draw.next_below(distinct)]);
+    }
+    std::string what = "RHSD_DIFF_SEED=" + std::to_string(seed) +
+                       " (width=" + std::to_string(width);
+    switch (draw.next_below(4)) {
+      case 0:
+        break;
+      case 1:  // 10 us per token, one-token bucket: stalls from the start
+        c.rate_limit = RateLimiterConfig{.max_iops = 100e3, .burst = 1};
+        what += " limiter=stall";
+        break;
+      case 2:  // drains after a burst of up to 64 commands
+        c.rate_limit = RateLimiterConfig{
+            .max_iops = 500e3, .burst = static_cast<double>(draw.next_in(2, 64))};
+        what += " limiter=burst";
+        break;
+      default:  // refills 1.25-2.5 tokens per 625 ns command
+        c.rate_limit = RateLimiterConfig{
+            .max_iops = 2e6 * static_cast<double>(draw.next_in(1, 2)),
+            .burst = static_cast<double>(draw.next_in(1, 64))};
+        what += " limiter=never";
+        break;
+    }
+    if (draw.next_below(3) == 0) {
+      c.dram_mitigations.trr = true;
+      c.dram_mitigations.trr_config = TestTrr(draw.next_in(800, 3000));
+      what += " trr";
+    }
+    if (draw.next_below(3) == 0) {
+      c.dram_mitigations.para_probability =
+          1.0 / static_cast<double>(64u << draw.next_below(6));
+      what += " para";
+    }
+    if (draw.next_below(5) == 0) {
+      c.dram_profile.half_double_weight = 0.1;
+      what += " half-double";
+    }
+    if (draw.next_below(3) == 0) {
+      c.dram_mitigations.ecc = true;
+      what += " ecc";
+    }
+    if (draw.next_below(4) == 0) {
+      c.dram_mitigations.cache = CacheConfig{64, 4, 16};
+      what += " cache";
+    }
+    switch (draw.next_below(6)) {
+      case 0:
+        c.fault_plan.add(draw.next_below(2) == 0 ? FaultClass::kNvmeTimeout
+                                                 : FaultClass::kNvmeDrop,
+                         draw.next_in(1, 3000));
+        what += " nvme-fault";
+        break;
+      case 1:
+        c.fault_plan.add(FaultClass::kDramBitError, draw.next_in(1, 6000), 1,
+                         draw.next());
+        what += " dram-fault";
+        break;
+      case 2:
+        c.l2p_journal.enabled = true;
+        c.fault_plan.add(FaultClass::kPowerLoss, draw.next_in(1, 3000));
+        what += " power-loss";
+        break;
+      case 3:
+        c.l2p_journal.enabled = true;
+        c.scrub_interval_ios = draw.next_in(50, 700);
+        what += " scrub";
+        break;
+      default:
+        break;
+    }
+    // Up to ~3,000 unthrottled commands, ending at an arbitrary
+    // nanosecond: inside a round, unless it lands on an edge.
+    const std::uint64_t span_ns =
+        draw.next_in(1, 3000) * 625 + draw.next_below(625);
+    what += " span_ns=" + std::to_string(span_ns) + ")";
+    SCOPED_TRACE(what);
+
+    SsdDevice batched(c);
+    SsdDevice scalar(c);
+    PrepStack(batched, pattern);
+    PrepStack(scalar, pattern);
+    const std::uint64_t deadline = batched.clock().now_ns() + span_ns;
+    ASSERT_EQ(deadline, scalar.clock().now_ns() + span_ns);
+    const DriveResult rb = DriveUntil(batched, pattern, deadline, true);
+    const DriveResult rs = DriveUntil(scalar, pattern, deadline, false);
+    ExpectSameStack(batched, scalar, rb, rs);
+    tally.flipped += scalar.dram().stats().bitflips > 0;
+    tally.failed += rs.status != "OK";
+    tally.cut += rs.status == "OK" && scalar.clock().now_ns() > deadline;
+  };
+  if (const char* env = std::getenv("RHSD_DIFF_SEED")) {
+    run_case(std::strtoull(env, nullptr, 10));
+    return;
   }
-  EXPECT_EQ(rounds_done, scalar_rounds);
-  ExpectSameStack(batched, scalar, DriveResult{"OK", bb},
-                  DriveResult{"OK", bs});
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    run_case(seed);
+    if (HasFailure()) return;  // the failure names the seed to re-run
+  }
+  // Non-vacuity: the sweep flips bits, hits errors and cuts rounds.
+  EXPECT_GT(tally.flipped, 0u);
+  EXPECT_GT(tally.failed, 0u);
+  EXPECT_GT(tally.cut, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "nvme/nvme_controller.hpp"
 #include "test_util.hpp"
@@ -245,6 +246,56 @@ TEST(RateLimiter, LongRunAdmissionRateNeverExceedsConfig) {
   EXPECT_GE(elapsed_s, floor_s);
   // ...and ceil over-stalls by less than 1 ns per command.
   EXPECT_LE(elapsed_s, floor_s + static_cast<double>(kCommands) * 1e-9);
+}
+
+TEST(RateLimiter, SteadyStallFindsTheFixedPoint) {
+  // Commands sent one 625 ns service time after the previous stall:
+  // steady_stall() must report a stall exactly when every later
+  // acquire() repeats it, and skip_steady() must leave the state those
+  // acquires would.
+  constexpr std::uint64_t kService = 625;
+  const auto drive = [](RateLimiter& l, std::uint64_t& now, int n) {
+    for (int i = 0; i < n; ++i) now += l.acquire(now) + kService;
+  };
+
+  // A 4-command burst at 500K IOPS (0.3125 tokens per gap) drains, then
+  // every command stalls the same.
+  RateLimiter drained(RateLimiterConfig{.max_iops = 500e3, .burst = 4});
+  std::uint64_t now = 1'000'000;
+  EXPECT_FALSE(drained.steady_stall(now, kService).has_value());  // idle gap
+  drive(drained, now, 1);
+  EXPECT_FALSE(drained.steady_stall(now, kService).has_value());  // draining
+  drive(drained, now, 10);
+  const std::optional<std::uint64_t> stall =
+      drained.steady_stall(now, kService);
+  ASSERT_TRUE(stall.has_value());
+  EXPECT_GT(*stall, 0u);
+  RateLimiter stepped = drained;
+  std::uint64_t t = now;
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(stepped.acquire(t), *stall);
+    t += *stall + kService;
+  }
+  RateLimiter skipped = drained;
+  skipped.skip_steady(now + 49 * (*stall + kService), *stall);
+  EXPECT_EQ(skipped.steady_stall(t, kService), stall);
+  EXPECT_EQ(skipped.acquire(t + 40), stepped.acquire(t + 40));
+  // Off the fixed point again after an idle gap: the refill is larger.
+  EXPECT_FALSE(stepped.steady_stall(t + 3 * kService, kService).has_value());
+
+  // Faster than the service rate (1.25 tokens per gap): once the bucket
+  // refills to its cap, no command stalls.
+  RateLimiter never(RateLimiterConfig{.max_iops = 2e6, .burst = 8});
+  now = 1'000'000;
+  drive(never, now, 1);
+  EXPECT_FALSE(never.steady_stall(now + kService, kService).has_value());
+  const std::optional<std::uint64_t> zero = never.steady_stall(now, kService);
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_EQ(*zero, 0u);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(never.acquire(now), 0u);
+    now += kService;
+  }
 }
 
 }  // namespace
