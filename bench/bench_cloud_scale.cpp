@@ -141,7 +141,6 @@ ScaleResult RunScale(std::uint32_t tenants, bool quick,
   NvmeController& ctrl = ssd.controller();
 
   EventLoopConfig lc;
-  lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
   NvmeEventLoop loop(ctrl, lc);
 
@@ -280,7 +279,6 @@ MixedResult RunMixed(std::uint32_t tenants, bool quick) {
   NvmeController& ctrl = ssd.controller();
 
   EventLoopConfig lc;
-  lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
   NvmeEventLoop loop(ctrl, lc);
 
@@ -373,7 +371,6 @@ FaultDomainResult RunFaultDomains() {
   SsdDevice ssd(cfg);
 
   EventLoopConfig lc;
-  lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
   NvmeEventLoop loop(ssd.controller(), lc);
   std::vector<std::unique_ptr<NvmeQueuePair>> qps;
@@ -446,7 +443,6 @@ IdleStreamResult RunIdleStreams(std::uint32_t idle, bool quick) {
   CloudHost host(ScaleConfig(2));
   NvmeController& ctrl = host.ssd().controller();
   EventLoopConfig lc;
-  lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = 7;
   NvmeEventLoop loop(ctrl, lc);
   constexpr std::uint32_t kDepth = 16;

@@ -213,7 +213,8 @@ int main() {
   // ---- Flash media reliability sweep ----
   std::printf("\n== flash media: wear vs raw errors vs page ECC ==\n");
   std::printf("(RBER model: base 1e-6 + 2e-7/PE; page ECC corrects up "
-              "to 72 bits)\n\n");
+              "to %u bits)\n\n",
+              Ftl::kPageEccCorrectableBits);
   std::printf("%-10s %14s %14s %12s\n", "P/E cycles", "raw errs/read",
               "reads failed", "of 2000");
   for (const int pe : {0, 1000, 5000, 10000, 20000}) {
@@ -232,7 +233,7 @@ int main() {
       std::uint32_t errors = 0;
       RHSD_CHECK(nand.read(0, 0, out, nullptr, &errors).ok());
       raw += errors;
-      if (errors > 72) ++failed;
+      if (errors > Ftl::kPageEccCorrectableBits) ++failed;
     }
     std::printf("%-10d %14.2f %14d %12s\n", pe, raw / 2000.0, failed,
                 failed == 0 ? "(ECC holds)" : "(data loss)");

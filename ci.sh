@@ -148,7 +148,8 @@ fi
 
 # Trajectory check against the newest archived reports (before this
 # run's report is archived): any *_speedup ratio or *_per_s / *_iops
-# throughput metric regressing by more than 20% fails the gate even while still
+# throughput metric (digits allowed in the name, as in l2p_touch_speedup)
+# regressing by more than 20% fails the gate even while still
 # above its fixed floor, so slow perf erosion can't hide under a
 # generous absolute threshold.  Each key's baseline is its median over
 # the newest three archived reports (those of them that carry the key),
@@ -172,7 +173,7 @@ mapfile -t BASELINES < <(ls -1 bench_history/BENCH_hotpath.*.json \
 if [[ ${#BASELINES[@]} -gt 0 ]]; then
   echo "trajectory baseline: median of ${BASELINES[*]}"
   for KEY in $(sed -n \
-      's/.*"\([a-z_]*_speedup\|[a-z_]*_per_s\|[a-z_]*_iops\)".*/\1/p' \
+      's/.*"\([a-z0-9_]*_speedup\|[a-z0-9_]*_per_s\|[a-z0-9_]*_iops\)".*/\1/p' \
       "${REPORT}"); do
     NEW="$(extract_metric "${REPORT}" "${KEY}")"
     OLD="$(median_metric "${KEY}" "${BASELINES[@]}")"
@@ -261,8 +262,9 @@ gate_floor scrub_walk_speedup 10
 # The FTL's amplified L2P access: DramDevice::read() of a 4-byte entry
 # with 5 touches (one data access, then one 1-row replay of the 5
 # activations) over five 1-touch reads, bare and under TRR + PARA
-# (2.7-3.7x and 1.9-2.4x on 4 vCPUs).
-gate_floor l2p_touch_speedup 2.0
+# (6.5-7.6x and 2.1-2.3x over 4 reports on 4 vCPUs; the bare ratio read
+# 2.7-3.7x before the quiet-row early-out, which the 4.0 floor guards).
+gate_floor l2p_touch_speedup 4.0
 gate_floor l2p_touch_mitigated_speedup 1.3
 
 echo "== ci.sh: all green =="

@@ -82,10 +82,8 @@ StatusOr<EscalationReport> PrivilegeEscalationScenario::run() {
   }
   RHSD_CHECK(execute_binary() == ExecOutcome::kRunsOriginal);
 
-  // Blind polyglot spray over the attacker's own partition.
-  const std::uint64_t spray_blocks =
-      config_.polyglot_blocks != 0 ? config_.polyglot_blocks
-                                   : host_.attacker_tenant().blocks();
+  // Blind polyglot spray over the attacker's whole partition.
+  const std::uint64_t spray_blocks = host_.attacker_tenant().blocks();
   const std::vector<std::uint8_t> polyglot = Polyglot::MakeBlock(
       config_.payload_marker,
       static_cast<std::uint32_t>(host_.victim_tenant().blocks()));

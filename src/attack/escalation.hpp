@@ -30,8 +30,6 @@ struct EscalationConfig {
   std::uint32_t max_cycles = 16;
   double hammer_seconds_per_triple = 0.05;
   std::uint32_t max_triples_per_cycle = 16;
-  /// Attacker polyglot spray size in blocks (0 = whole partition).
-  std::uint64_t polyglot_blocks = 0;
   /// The attacker's payload marker (must keep every 4-byte word small
   /// so the block stays pointer-valid; see Polyglot::MakeBlock).
   std::vector<std::uint8_t> payload_marker;

@@ -33,7 +33,7 @@ enum class StatusCode {
   kResourceExhausted, // no free blocks / inodes / pages
   kFailedPrecondition,// operation not valid in current state
   kUnimplemented,
-  kAborted,           // operation cut short (power loss, host abort)
+  kAborted,           // operation cut short (power loss)
   kDeadlineExceeded,  // command timed out (retries exhausted)
   kUnavailable,       // transient device failure (may succeed on retry)
 };

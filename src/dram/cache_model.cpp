@@ -3,7 +3,6 @@
 namespace rhsd {
 
 CacheModel::CacheModel(CacheConfig config) : config_(config) {
-  RHSD_CHECK(config_.line_bytes > 0);
   RHSD_CHECK(config_.ways > 0);
   RHSD_CHECK(config_.sets > 0);
   lines_.resize(static_cast<std::size_t>(config_.sets) * config_.ways);

@@ -21,12 +21,14 @@
 namespace rhsd {
 
 struct CacheConfig {
-  std::uint32_t line_bytes = 64;
+  /// Every cache line is 64 bytes.
+  static constexpr std::uint32_t kLineBytes = 64;
+
   std::uint32_t ways = 8;
   std::uint32_t sets = 128;  // 64 KiB total with the defaults
 
   [[nodiscard]] std::uint64_t capacity_bytes() const {
-    return static_cast<std::uint64_t>(line_bytes) * ways * sets;
+    return std::uint64_t{kLineBytes} * ways * sets;
   }
 };
 
@@ -69,7 +71,7 @@ class CacheModel {
   };
 
   [[nodiscard]] std::uint64_t line_id(DramAddr addr) const {
-    return addr.value() / config_.line_bytes;
+    return addr.value() / CacheConfig::kLineBytes;
   }
 
   CacheConfig config_;

@@ -92,7 +92,7 @@ double DisturbanceModel::effective_hammer(std::uint64_t left_acts,
                                           std::uint64_t right_acts) const {
   const double hi = static_cast<double>(std::max(left_acts, right_acts));
   const double lo = static_cast<double>(std::min(left_acts, right_acts));
-  return hi + profile_.double_sided_weight * lo;
+  return hi + DramProfile::kDoubleSidedWeight * lo;
 }
 
 }  // namespace rhsd

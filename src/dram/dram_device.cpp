@@ -1035,7 +1035,7 @@ bool DramDevice::reads_replayable(std::span<const DramAddr> entries,
     if (off + bytes > row_bytes) return false;
     if (cache_.has_value()) {
       // One line per touch, resident: a guaranteed hit.
-      const std::uint32_t line = cache_->config().line_bytes;
+      constexpr std::uint32_t line = CacheConfig::kLineBytes;
       if (a / line != (a + bytes - 1) / line || !cache_->contains(addr)) {
         return false;
       }
@@ -1085,7 +1085,7 @@ bool DramDevice::replay_reads(std::span<const DramAddr> entries,
     // stamp of its last touch, the last touch of the last chunk command
     // reading any entry in it (chunk command c reads entries[(start + c)
     // % P]).  A line is handled at its first position in the pattern.
-    const std::uint32_t line = cache_->config().line_bytes;
+    constexpr std::uint32_t line = CacheConfig::kLineBytes;
     const std::uint64_t use_before = cache_->use_counter();
     const std::uint64_t s0 = start % P;
     for (std::uint64_t q = 0; q < P; ++q) {
@@ -1271,7 +1271,7 @@ Status DramDevice::read_once(DramAddr addr, std::span<std::uint8_t> out) {
     bool need_activate = true;
     if (cache_.has_value()) {
       need_activate = false;
-      const std::uint32_t line = cache_->config().line_bytes;
+      constexpr std::uint32_t line = CacheConfig::kLineBytes;
       for (std::uint64_t la = a - (a % line); la < a + chunk; la += line) {
         if (!cache_->access(DramAddr(la))) need_activate = true;
       }
@@ -1311,7 +1311,7 @@ Status DramDevice::write_once(DramAddr addr,
     if (cache_.has_value()) {
       // Write-invalidate, mirroring the paper's modified SPDK which
       // invalidates cached L2P entries on access.
-      const std::uint32_t line = cache_->config().line_bytes;
+      constexpr std::uint32_t line = CacheConfig::kLineBytes;
       for (std::uint64_t la = a - (a % line); la < a + chunk; la += line) {
         cache_->invalidate(DramAddr(la));
       }

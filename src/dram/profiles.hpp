@@ -20,16 +20,17 @@
 namespace rhsd {
 
 struct DramProfile {
+  /// Weight of the weaker aggressor side: H = max + w·min.  w = 3 makes
+  /// a balanced double-sided pattern 4× as effective per access as
+  /// single-sided, matching "single-sided attacks flip fewer bits".
+  static constexpr double kDoubleSidedWeight = 3.0;
+
   std::string name;      // e.g. "DDR4 (new)"
   std::string refs;      // paper citation keys, e.g. "[17, 25]"
   int year = 0;          // publication year in Table 1
   double min_rate_kaccess_s = 3000.0;  // Table 1 column, K accesses/sec
 
   double refresh_interval_ms = 64.0;
-  /// Weight of the weaker aggressor side: H = max + w·min.  w = 3 makes
-  /// a balanced double-sided pattern 4× as effective per access as
-  /// single-sided, matching "single-sided attacks flip fewer bits".
-  double double_sided_weight = 3.0;
 
   /// Manufacturing variation: fraction of rows with any vulnerable cell.
   double vulnerable_row_fraction = 0.25;
@@ -48,7 +49,7 @@ struct DramProfile {
   /// flip (see file comment for the calibration).
   [[nodiscard]] double base_threshold_acts() const {
     const double window_s = refresh_interval_ms * 1e-3;
-    return (1.0 + double_sided_weight) / 2.0 * min_rate_kaccess_s * 1000.0 *
+    return (1.0 + kDoubleSidedWeight) / 2.0 * min_rate_kaccess_s * 1000.0 *
            window_s;
   }
 

@@ -406,7 +406,7 @@ Status Ftl::read(Lba lba, std::span<std::uint8_t> out, FtlIoInfo* info) {
   RHSD_RETURN_IF_ERROR(nand_read_retry(Pba(pba32), out, &oob, &raw_errors));
   ++stats_.flash_reads;
   stats_.flash_raw_bit_errors += raw_errors;
-  if (raw_errors > config_.page_ecc_correctable_bits) {
+  if (raw_errors > kPageEccCorrectableBits) {
     ++stats_.flash_ecc_uncorrectable;
     return Corruption("uncorrectable flash error reading LBA " +
                       std::to_string(lba.value()) + " (" +

@@ -38,10 +38,6 @@ struct FtlConfig {
   std::uint64_t device_key = 0;  // for the hashed layout
   /// DRAM touches per L2P access (paper's 5× amplification; 1 = none).
   std::uint32_t hammers_per_io = 1;
-  /// Page-level BCH-style ECC budget: NAND reads whose sampled raw bit
-  /// errors exceed this count fail as Corruption ("uncorrectable flash
-  /// error").  Only meaningful when the NAND has a reliability model.
-  std::uint32_t page_ecc_correctable_bits = 72;
   /// §5 mitigation ("block data integrity [41] … relying on the block's
   /// LBA"): verify the per-page reference tag (OOB LPN) on reads, so a
   /// misdirected mapping surfaces as Corruption instead of wrong data.
@@ -143,6 +139,11 @@ struct PatternReplayPlan {
 
 class Ftl {
  public:
+  /// Page-level BCH-style ECC budget: NAND reads whose sampled raw bit
+  /// errors exceed this count fail as Corruption ("uncorrectable flash
+  /// error").  Only a NAND with a reliability model produces raw errors.
+  static constexpr std::uint32_t kPageEccCorrectableBits = 72;
+
   /// `nand`, `dram` must outlive the FTL.  The DRAM must be large enough
   /// to hold the table.
   Ftl(FtlConfig config, NandDevice& nand, DramDevice& dram);

@@ -59,7 +59,7 @@ struct NandLatency {
 /// its DRAM-side attack with flash-cell disturbance attacks ([8, 28]);
 /// this model provides that other side: the raw bit-error rate grows
 /// with program/erase wear and with read disturb, and the *controller's*
-/// page ECC (see FtlConfig::page_ecc_correctable_bits) decides when the
+/// page ECC (see Ftl::kPageEccCorrectableBits) decides when the
 /// accumulated errors become uncorrectable.  Disabled by default.
 struct NandReliability {
   /// RBER of a fresh page (errors per bit per read). 0 disables.

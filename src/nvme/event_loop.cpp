@@ -5,26 +5,16 @@
 #include <cstddef>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace rhsd {
 
-const char* to_string(ArbitrationPolicy policy) {
-  switch (policy) {
-    case ArbitrationPolicy::kRoundRobin:
-      return "round_robin";
-    case ArbitrationPolicy::kWeighted:
-      return "weighted";
-  }
-  return "unknown";
-}
-
 NvmeEventLoop::NvmeEventLoop(NvmeController& controller,
                              EventLoopConfig config)
-    : controller_(controller), config_(config), rng_(config.seed) {}
+    : controller_(controller), config_(config) {}
 
-std::uint32_t NvmeEventLoop::attach(NvmeQueuePair& qp, std::uint32_t weight) {
-  RHSD_CHECK_MSG(weight >= 1, "arbitration weight must be >= 1");
-  streams_.push_back(Stream{&qp, weight});
+std::uint32_t NvmeEventLoop::attach(NvmeQueuePair& qp) {
+  streams_.push_back(Stream{&qp});
   return static_cast<std::uint32_t>(streams_.size() - 1);
 }
 
@@ -53,47 +43,24 @@ int NvmeEventLoop::pick_stream() {
   if (n == 0) return -1;
   // A stream is ready when it has work — a queued submission and
   // completion-ring space — and it is not serving a quarantine penalty.
-  // Only streams with their work_ bit set can have work.
+  // Only streams with their work_ bit set can have work.  The pick is
+  // the first ready stream after cursor_, wrapping through cursor_
+  // itself: the cyclic order (cursor_ + k) % n for k = 1..n.
+  const auto first_ready = [&](std::size_t from, std::size_t end) {
+    std::size_t i = next_with_work(from, end);
+    while (i < end && streams_[i].penalty != 0) {
+      i = next_with_work(i + 1, end);
+    }
+    return i;
+  };
   const auto arbitrate = [&]() -> int {
-    if (config_.policy == ArbitrationPolicy::kRoundRobin) {
-      // The first ready stream after cursor_, wrapping through cursor_
-      // itself: the cyclic order (cursor_ + k) % n for k = 1..n.
-      const auto first_ready = [&](std::size_t from, std::size_t end) {
-        std::size_t i = next_with_work(from, end);
-        while (i < end && streams_[i].penalty != 0) {
-          i = next_with_work(i + 1, end);
-        }
-        return i;
-      };
-      std::size_t i = first_ready(cursor_ + 1, n);
-      if (i == n) {
-        i = first_ready(0, cursor_ + 1);
-        if (i == cursor_ + 1) return -1;
-      }
-      cursor_ = i;
-      return static_cast<int>(i);
+    std::size_t i = first_ready(cursor_ + 1, n);
+    if (i == n) {
+      i = first_ready(0, cursor_ + 1);
+      if (i == cursor_ + 1) return -1;
     }
-    // kWeighted: one seeded draw per successful pick, proportional to
-    // the attach weights of the currently ready streams, walked in
-    // index order.
-    std::uint64_t total = 0;
-    for (std::size_t i = next_with_work(0, n); i < n;
-         i = next_with_work(i + 1, n)) {
-      if (streams_[i].penalty == 0) total += streams_[i].weight;
-    }
-    if (total == 0) return -1;
-    std::uint64_t r = rng_.next_below(total);
-    for (std::size_t i = next_with_work(0, n); i < n;
-         i = next_with_work(i + 1, n)) {
-      if (streams_[i].penalty != 0) continue;
-      if (r < streams_[i].weight) {
-        cursor_ = i;
-        return static_cast<int>(i);
-      }
-      r -= streams_[i].weight;
-    }
-    RHSD_CHECK_MSG(false, "weighted draw out of range");
-    return -1;
+    cursor_ = i;
+    return static_cast<int>(i);
   };
   int pick = arbitrate();
   if (pick < 0) {
@@ -149,8 +116,7 @@ void NvmeEventLoop::process_one(std::uint32_t stream) {
   qp.process(1);
   ++stats_.commands;
   observe_device();
-  if (config_.quarantine &&
-      qp.queue_stats().retry_exhausted != exhausted_before) {
+  if (qp.queue_stats().retry_exhausted != exhausted_before) {
     apply_quarantine(stream);
   }
 }
@@ -159,20 +125,16 @@ void NvmeEventLoop::apply_quarantine(std::uint32_t stream) {
   Stream& st = streams_[stream];
   ++st.failures;
   const std::uint32_t shift = std::min(st.failures - 1, 31u);
-  std::uint64_t penalty =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(
-                                  config_.quarantine_base_picks)
-                                  << shift,
-                              config_.quarantine_cap_picks);
-  // Seeded jitter decorrelates tenants that fail in lockstep.  It runs
-  // on its own SplitMix64 stream — never rng_ — so quarantine does not
-  // perturb the kWeighted draw sequence.
+  std::uint64_t penalty = std::min<std::uint64_t>(
+      std::uint64_t{kQuarantineBasePicks} << shift, kQuarantineCapPicks);
+  // Seeded jitter decorrelates tenants that fail in lockstep: a
+  // SplitMix64 draw keyed by (seed, stream, failures).
   std::uint64_t mix = config_.seed ^
                       (0x9E3779B97F4A7C15ull * (stream + 1ull)) ^
                       (0xBF58476D1CE4E5B9ull * st.failures);
-  penalty += SplitMix64(mix) % (config_.quarantine_base_picks + 1ull);
+  penalty += SplitMix64(mix) % (kQuarantineBasePicks + 1ull);
   st.penalty = penalty;
-  if (penalty > 0) penalized_.push_back(stream);
+  penalized_.push_back(stream);
   ++stats_.quarantines;
 }
 

@@ -3,11 +3,11 @@
 // §4.1 runs a victim and an attacker VM against one shared SSD; a real
 // cloud host multiplexes *many* tenants' submission queues into the one
 // device-side command stream.  The event loop models that multiplexer:
-// it arbitrates across attached NvmeQueuePairs with a deterministic
-// policy (round-robin or seed-driven weighted draw), so the interleaved
-// command order — and therefore every downstream effect, from service
-// timing to which DRAM rows the L2P lookups hammer — is a pure function
-// of the submitted streams, the policy, and the seed.
+// it arbitrates across attached NvmeQueuePairs round-robin (NVMe's
+// default arbitration), so the interleaved command order — and
+// therefore every downstream effect, from service timing to which DRAM
+// rows the L2P lookups hammer — is a pure function of the submitted
+// streams and the seed (which only the quarantine jitter reads).
 //
 // Each pick runs exactly one command through the queue pair's own
 // machinery (NvmeQueuePair::process), in pick order, so an injected
@@ -24,39 +24,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "nvme/queue_pair.hpp"
 
 namespace rhsd {
 
-/// How the loop picks the next queue pair among those with a pending
-/// submission and completion-ring space.
-enum class ArbitrationPolicy {
-  /// NVMe's default: cycle through the ready streams in attach order.
-  kRoundRobin,
-  /// Seed-driven draw proportional to each stream's attach weight
-  /// (weighted round-robin with randomized rotation — the shape of
-  /// NVMe WRR arbitration without modeling its per-class registers).
-  kWeighted,
-};
-
-[[nodiscard]] const char* to_string(ArbitrationPolicy policy);
-
 struct EventLoopConfig {
-  ArbitrationPolicy policy = ArbitrationPolicy::kRoundRobin;
-  /// Seeds the kWeighted draws (and the quarantine backoff jitter);
-  /// irrelevant for kRoundRobin with quarantine off.
+  /// Seeds the quarantine backoff jitter.
   std::uint64_t seed = 1;
-  /// Per-tenant failure domains: a stream whose command exhausts its
-  /// queue pair's retry policy (a transport-faulted command the host
-  /// gave up on) is skipped by arbitration for a deterministic number
-  /// of picks — seeded, capped exponential backoff — instead of
-  /// stalling every tenant behind its next head-of-line retry storm.
-  bool quarantine = true;
-  /// First quarantine lasts about this many picks; each further failure
-  /// doubles it (capped), plus a seeded jitter in [0, base].
-  std::uint32_t quarantine_base_picks = 8;
-  std::uint32_t quarantine_cap_picks = 256;
 };
 
 struct EventLoopStats {
@@ -78,9 +52,18 @@ class NvmeEventLoop {
   NvmeEventLoop(const NvmeEventLoop&) = delete;
   NvmeEventLoop& operator=(const NvmeEventLoop&) = delete;
 
-  /// Register a queue pair (not owned).  `weight` biases kWeighted
-  /// arbitration; must be >= 1.  Returns the stream index.
-  std::uint32_t attach(NvmeQueuePair& qp, std::uint32_t weight = 1);
+  /// Per-tenant failure domains: a stream whose command exhausts its
+  /// queue pair's retry policy (a transport-faulted command the host
+  /// gave up on) is skipped by arbitration for a deterministic number
+  /// of picks instead of stalling every tenant behind its next
+  /// head-of-line retry storm.  The first quarantine lasts
+  /// kQuarantineBasePicks; each further failure doubles it, capped at
+  /// kQuarantineCapPicks, plus a seeded jitter in [0, base].
+  static constexpr std::uint32_t kQuarantineBasePicks = 8;
+  static constexpr std::uint32_t kQuarantineCapPicks = 256;
+
+  /// Register a queue pair (not owned).  Returns the stream index.
+  std::uint32_t attach(NvmeQueuePair& qp);
 
   /// Process submissions until no attached stream is ready (every
   /// submission ring empty or completion ring full).  Completions stay
@@ -88,24 +71,23 @@ class NvmeEventLoop {
   /// of commands retired.
   std::uint64_t run_until_idle();
 
-  [[nodiscard]] const EventLoopConfig& config() const { return config_; }
   [[nodiscard]] const EventLoopStats& stats() const { return stats_; }
 
  private:
   struct Stream {
     NvmeQueuePair* qp = nullptr;
-    std::uint32_t weight = 1;
     /// Quarantine state: remaining picks to skip and consecutive
     /// failures (drives the exponential backoff).
     std::uint64_t penalty = 0;
     std::uint32_t failures = 0;
   };
 
-  /// Next stream per the arbitration policy; -1 when none is ready.
-  /// Walks the set bits of work_ (64 streams per word) and the entries
-  /// of penalized_, never all of streams_: a round-robin pick costs
-  /// O(1) amortized plus O(quarantined streams); a weighted pick visits
-  /// the streams with work twice (total, then the draw's walk).
+  /// The first ready stream after the last one served, round-robin
+  /// (when every stream with work is quarantined, the smallest penalty
+  /// is released first); -1 when no stream has work.  Walks the set
+  /// bits of work_ (64 streams per word) and the entries of penalized_,
+  /// never all of streams_: a pick costs O(1) amortized plus
+  /// O(quarantined streams).
   int pick_stream();
 
   /// True when stream `i` has a queued submission and room in its
@@ -148,8 +130,7 @@ class NvmeEventLoop {
   /// this list instead of every stream; an entry a forced release
   /// zeroed leaves the list at that pick's drain.
   std::vector<std::uint32_t> penalized_;
-  std::size_t cursor_ = 0;  // last stream served (round-robin)
-  Rng rng_;                 // kWeighted draws
+  std::size_t cursor_ = 0;  // last stream served
   int last_health_ = -1;    // observe_device() latch (-1 = unobserved)
   EventLoopStats stats_;
 };

@@ -65,29 +65,6 @@ Status NvmeQueuePair::submit(NvmeCommand command) {
   return Status::Ok();
 }
 
-Status NvmeQueuePair::abort(std::uint16_t cid) {
-  for (std::uint32_t k = 0; k < sq_count_; ++k) {
-    if (sq_[slot(sq_head_, k)].cid != cid) continue;
-    if (cq_count_ >= depth_) {
-      return ResourceExhausted("completion queue " + std::to_string(qid_) +
-                               " full: poll() before aborting");
-    }
-    // Close the gap: the commands behind it move up one slot, in order,
-    // and the vacated last slot is reset.
-    for (; k + 1 < sq_count_; ++k) {
-      sq_[slot(sq_head_, k)] = std::move(sq_[slot(sq_head_, k + 1)]);
-    }
-    sq_[slot(sq_head_, k)] = NvmeCommand{};
-    --sq_count_;
-    ++stats_.aborts;
-    cq_[slot(cq_head_, cq_count_++)] = NvmeCompletion{
-        cid, Aborted("command " + std::to_string(cid) + " aborted by host"),
-        controller_.clock().now_ns()};
-    return Status::Ok();
-  }
-  return NotFound("no queued command with cid " + std::to_string(cid));
-}
-
 Status NvmeQueuePair::execute_once(const NvmeCommand& command) {
   switch (command.op) {
     case NvmeCommand::Op::kRead:

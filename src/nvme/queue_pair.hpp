@@ -12,8 +12,9 @@
 // Both rings are fixed arrays of `depth` slots, allocated once at
 // construction, so a command costs no allocation of the queue pair's
 // own (a cloud host keeps one pair per tenant and cycles every slot many
-// times).  A slot is reset when its command is processed or aborted,
-// which releases the write payload it held.
+// times).  Commands leave the submission ring only at its head; a slot
+// is reset when its command is processed, which releases the write
+// payload it held.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,6 @@ struct NvmeQueueStats {
   std::uint64_t timeouts = 0;  // attempts that timed out device-side
   std::uint64_t drops = 0;     // attempts that vanished in transit
   std::uint64_t retries = 0;   // re-submissions after a failed attempt
-  std::uint64_t aborts = 0;    // commands removed via abort()
   /// Commands that returned a retryable transport status on their final
   /// attempt — the host gave up.  The event loop treats a delta here as
   /// the tenant's failure-domain signal (quarantine trigger).
@@ -100,12 +100,6 @@ class NvmeQueuePair {
   /// full (caller must process()/poll() first — queue-depth
   /// back-pressure, exactly what bounds real io_uring pipelines).
   Status submit(NvmeCommand command);
-
-  /// Remove a not-yet-processed command from the submission ring and
-  /// post an Aborted completion for it (NVMe Abort).  NotFound if no
-  /// such cid is queued; ResourceExhausted, leaving the command queued,
-  /// when the completion ring is full.
-  Status abort(std::uint16_t cid);
 
   /// Ring the doorbell: the controller consumes up to `max_commands`
   /// submissions in order, executes them against the device (advancing

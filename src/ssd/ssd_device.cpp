@@ -59,7 +59,7 @@ SsdDevice::SsdDevice(SsdConfig config) : config_(std::move(config)) {
   nand_ = std::make_unique<NandDevice>(
       NandGeometry::ForCapacity(config_.capacity_bytes,
                                 config_.op_fraction),
-      config_.nand_reliability, config_.seed);
+      NandReliability{}, config_.seed);
 
   FtlConfig ftl_config;
   ftl_config.num_lbas = config_.num_lbas();
@@ -68,7 +68,6 @@ SsdDevice::SsdDevice(SsdConfig config) : config_(std::move(config)) {
   ftl_config.hammers_per_io = config_.hammers_per_io;
   ftl_config.t10_reference_tag = config_.t10_reference_tag;
   ftl_config.xts_encryption = config_.xts_encryption;
-  ftl_config.page_ecc_correctable_bits = config_.page_ecc_correctable_bits;
   ftl_config.journal = config_.l2p_journal;
   ftl_config.scrub_interval_ios = config_.scrub_interval_ios;
   // Attach faults to the media models before the FTL touches them so

@@ -26,10 +26,6 @@ namespace rhsd {
 struct SsdConfig {
   std::uint64_t capacity_bytes = 1 * kGiB;
   double op_fraction = 0.125;  // NAND over-provisioning
-  /// Flash media error model (off by default) and the controller's
-  /// per-page ECC budget against it.
-  NandReliability nand_reliability;
-  std::uint32_t page_ecc_correctable_bits = 72;
 
   DramGeometry dram_geometry = DramGeometry::PaperTestbed();
   DramProfile dram_profile = DramProfile::Testbed();

@@ -1,23 +1,16 @@
-// Arbitration fairness under an adversarial tenant: a flooder with a
-// high arbitration weight drives a dense, retry-defeating transport
-// storm while a small victim tenant tries to make progress.  The
-// victim's retry policy rides through any window that lands on it
-// (cheap 100 us attempts), so every quarantine in these runs belongs
-// to the flooder and the victim completes error-free.  Without failure
-// domains each flooder retry storm head-of-line-blocks the shared
-// command stream (each timed-out attempt burns the 1 ms host timeout
-// on the simulated clock); with quarantine on, the loop skips the
-// flooder for a bounded number of picks after each exhausted retry.
-//
-// What that buys the victim differs by policy, and the assertions
-// follow the mechanism rather than a single wall-clock number:
-//  - round-robin already alternates picks, so no victim gap ever holds
-//    more than one storm; quarantine instead removes whole storms from
-//    the victim's critical path, shortening its total completion time.
-//  - weighted arbitration can hand the flooder consecutive picks, so
-//    without quarantine two storms can pile into one victim gap; the
-//    penalty makes that impossible, collapsing the victim's worst
-//    inter-completion gap (== its p99 tail) to a single storm.
+// Arbitration fairness under an adversarial tenant: a flooder drives a
+// dense, retry-defeating transport storm while a small victim tenant
+// tries to make progress.  The victim's retry policy rides through any
+// window that lands on it (cheap 100 us attempts), so every quarantine
+// in these runs belongs to the flooder and the victim completes
+// error-free.  Round-robin already alternates picks, so no victim gap
+// holds more than one flooder command; each of the flooder's retry
+// storms still costs the shared command stream 4 ms of the simulated
+// clock (four 1 ms host timeouts).  Quarantine removes whole storms
+// from the victim's critical path: after each exhausted retry the loop
+// hands the victim at least NvmeEventLoop::kQuarantineBasePicks
+// consecutive picks (or all it has queued) before the flooder runs
+// again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,41 +61,46 @@ std::uint64_t FlooderStormNs() {
   return storm_ns;
 }
 
+/// One retired command, as the loop picked it.
+struct Pick {
+  std::uint64_t completed_ns = 0;
+  bool flooder = false;
+  bool failed = false;
+};
+
 struct FairnessResult {
   std::vector<std::uint64_t> victim_completions_ns;  // in cqe order
   std::uint64_t victim_errors = 0;
+  /// Each run_until_idle() call's picks in pick order, i.e. by
+  /// completion time (every command advances the simulated clock).
+  std::vector<std::vector<Pick>> calls;
   EventLoopStats loop;
 };
 
-FairnessResult RunFlood(bool quarantine, std::uint64_t seed,
-                        ArbitrationPolicy policy) {
+FairnessResult RunFlood(std::uint64_t seed) {
   SsdConfig cfg = test::SmallSsd();  // two equal partitions
   cfg.dram_profile = DramProfile::Invulnerable();
   cfg.fault_plan = DropStorm();
   SsdDevice ssd(cfg);
 
   EventLoopConfig lc;
-  lc.policy = policy;
   lc.seed = seed;
-  lc.quarantine = quarantine;
-  lc.quarantine_base_picks = 32;
-  lc.quarantine_cap_picks = 512;
   NvmeEventLoop loop(ssd.controller(), lc);
 
-  // Stream 0: the flooder — heavy weight, storms exhaust its retries.
+  // Stream 0: the flooder — storms exhaust its retries.
   NvmeQueuePair flooder(ssd.controller(), 1, kDepth);
   NvmeRetryPolicy fp;
   fp.max_attempts = 4;
   flooder.set_retry_policy(fp);
-  loop.attach(flooder, /*weight=*/8);
-  // Stream 1: the victim — light weight, rides through storms with
-  // cheap retries so it never exhausts (and never gets quarantined).
+  loop.attach(flooder);
+  // Stream 1: the victim — rides through storms with cheap retries so
+  // it never exhausts (and never gets quarantined).
   NvmeQueuePair victim(ssd.controller(), 2, kDepth);
   NvmeRetryPolicy vp;
   vp.max_attempts = 8;
   vp.timeout_ns = 100'000;
   victim.set_retry_policy(vp);
-  loop.attach(victim, /*weight=*/1);
+  loop.attach(victim);
 
   FairnessResult res;
   std::vector<std::uint8_t> fbuf(kBlockSize);
@@ -129,12 +127,19 @@ FairnessResult RunFlood(bool quarantine, std::uint64_t seed,
                          victim.sq_inflight() > 0;
     if (!pending) break;
     loop.run_until_idle();
-    while (flooder.poll()) {
+    std::vector<Pick> call;
+    while (auto cqe = flooder.poll()) {
+      call.push_back({cqe->completed_ns, true, !cqe->status.ok()});
     }
     while (auto cqe = victim.poll()) {
+      call.push_back({cqe->completed_ns, false, !cqe->status.ok()});
       res.victim_completions_ns.push_back(cqe->completed_ns);
       if (!cqe->status.ok()) ++res.victim_errors;
     }
+    std::sort(call.begin(), call.end(), [](const Pick& a, const Pick& b) {
+      return a.completed_ns < b.completed_ns;
+    });
+    res.calls.push_back(std::move(call));
   }
   res.loop = loop.stats();
   return res;
@@ -148,52 +153,38 @@ std::uint64_t WorstGap(const std::vector<std::uint64_t>& times) {
   return worst;
 }
 
-std::uint64_t Percentile99Gap(const std::vector<std::uint64_t>& times) {
-  std::vector<std::uint64_t> gaps;
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    gaps.push_back(times[i] - times[i - 1]);
-  }
-  if (gaps.empty()) return 0;
-  std::sort(gaps.begin(), gaps.end());
-  return gaps[(gaps.size() * 99) / 100];
-}
-
 TEST(ArbitrationFairness, QuarantineRestoresVictimTailLatency) {
   for (const std::uint64_t seed : {3ull, 7ull}) {
-    for (const ArbitrationPolicy policy :
-         {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "seed=" << seed << " policy=" << to_string(policy));
-      const FairnessResult off = RunFlood(/*quarantine=*/false, seed, policy);
-      const FairnessResult on = RunFlood(/*quarantine=*/true, seed, policy);
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const FairnessResult res = RunFlood(seed);
+    // Every victim command completes, error-free: only the flooder
+    // exhausts retries, so quarantine never hits the victim.
+    ASSERT_EQ(res.victim_completions_ns.size(), kVictimCmds);
+    EXPECT_EQ(res.victim_errors, 0u);
+    EXPECT_GT(res.loop.quarantines, 0u);
 
-      // Both runs complete every victim command, error-free: only the
-      // flooder exhausts retries, so quarantine never hits the victim.
-      ASSERT_EQ(off.victim_completions_ns.size(), kVictimCmds);
-      ASSERT_EQ(on.victim_completions_ns.size(), kVictimCmds);
-      EXPECT_EQ(off.victim_errors, 0u);
-      EXPECT_EQ(on.victim_errors, 0u);
-      // The storm actually exhausted the flooder's retries, and only
-      // the quarantine run acted on it.
-      EXPECT_EQ(off.loop.quarantines, 0u);
-      EXPECT_GT(on.loop.quarantines, 0u);
-
-      if (policy == ArbitrationPolicy::kRoundRobin) {
-        // Alternation already caps each victim gap at one storm; the
-        // win is fewer storms on the victim's critical path, i.e. a
-        // strictly earlier final completion.
-        EXPECT_LT(on.victim_completions_ns.back(),
-                  off.victim_completions_ns.back());
-      } else {
-        // Weighted arbitration hands the flooder back-to-back picks,
-        // so without quarantine two full storms pile into a single
-        // victim gap; the penalty collapses the tail to one storm.
-        EXPECT_LT(WorstGap(on.victim_completions_ns),
-                  WorstGap(off.victim_completions_ns));
-        EXPECT_LT(Percentile99Gap(on.victim_completions_ns),
-                  Percentile99Gap(off.victim_completions_ns));
+    // After each exhausted flooder retry, the victim runs the call's next
+    // kQuarantineBasePicks picks, or all it has left in the call, before
+    // the flooder runs again (alternation alone would give it one).
+    std::uint64_t storms = 0;
+    for (const std::vector<Pick>& call : res.calls) {
+      for (std::size_t k = 0; k < call.size(); ++k) {
+        if (!call[k].flooder || !call[k].failed) continue;
+        ++storms;
+        std::size_t victim_left = 0;
+        for (std::size_t j = k + 1; j < call.size(); ++j) {
+          victim_left += call[j].flooder ? 0 : 1;
+        }
+        std::size_t run = 0;
+        while (k + 1 + run < call.size() && !call[k + 1 + run].flooder) {
+          ++run;
+        }
+        EXPECT_GE(run, std::min<std::size_t>(
+                           NvmeEventLoop::kQuarantineBasePicks, victim_left))
+            << "storm " << storms;
       }
     }
+    EXPECT_EQ(storms, res.loop.quarantines);
   }
 }
 
@@ -202,9 +193,7 @@ TEST(ArbitrationFairness, QuarantineRestoresVictimTailLatency) {
 // consecutive victim completions the clock can advance by at most one
 // flooder retry storm (the command that triggered the quarantine) plus
 // the victim's own worst-case ride-through of a window that lands on
-// it — never by several storms back to back.  The same bound is
-// violated by the unquarantined weighted runs in the test above
-// (two-storm pileups), so this pins the mechanism with teeth.
+// it — never by several storms back to back.
 TEST(ArbitrationFairness, VictimPickLatencyIsBounded) {
   // Victim ride-through of a 4-drop window: 4 cheap timeouts plus
   // backoffs before the 5th attempt succeeds.
@@ -217,17 +206,13 @@ TEST(ArbitrationFairness, VictimPickLatencyIsBounded) {
   }
   const std::uint64_t bound = FlooderStormNs() + victim_ride_ns;
   for (const std::uint64_t seed : {3ull, 7ull, 10ull, 36ull}) {
-    for (const ArbitrationPolicy policy :
-         {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "seed=" << seed << " policy=" << to_string(policy));
-      const FairnessResult on = RunFlood(/*quarantine=*/true, seed, policy);
-      ASSERT_EQ(on.victim_completions_ns.size(), kVictimCmds);
-      EXPECT_EQ(on.victim_errors, 0u);
-      EXPECT_LE(WorstGap(on.victim_completions_ns), bound)
-          << "victim stalled " << WorstGap(on.victim_completions_ns)
-          << " ns behind the flooder (bound " << bound << " ns)";
-    }
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const FairnessResult res = RunFlood(seed);
+    ASSERT_EQ(res.victim_completions_ns.size(), kVictimCmds);
+    EXPECT_EQ(res.victim_errors, 0u);
+    EXPECT_LE(WorstGap(res.victim_completions_ns), bound)
+        << "victim stalled " << WorstGap(res.victim_completions_ns)
+        << " ns behind the flooder (bound " << bound << " ns)";
   }
 }
 
@@ -246,7 +231,7 @@ TEST(ArbitrationFairness, PenaltyDrainsExactlyOneTickPerPick) {
   // mix-constant * failures); replicate it to predict the flooder's
   // first penalty exactly.
   constexpr std::uint64_t kSeed = 11;
-  constexpr std::uint32_t kBase = 8;
+  constexpr std::uint32_t kBase = NvmeEventLoop::kQuarantineBasePicks;
   std::uint64_t mix = kSeed ^ (0x9E3779B97F4A7C15ull * 1ull) ^
                       (0xBF58476D1CE4E5B9ull * 1ull);
   const std::uint64_t penalty = kBase + SplitMix64(mix) % (kBase + 1ull);
@@ -259,20 +244,16 @@ TEST(ArbitrationFairness, PenaltyDrainsExactlyOneTickPerPick) {
   cfg.fault_plan = plan;
   SsdDevice ssd(cfg);
   EventLoopConfig lc;
-  lc.policy = ArbitrationPolicy::kRoundRobin;
   lc.seed = kSeed;
-  lc.quarantine = true;
-  lc.quarantine_base_picks = kBase;
-  lc.quarantine_cap_picks = 512;
   NvmeEventLoop loop(ssd.controller(), lc);
 
   NvmeQueuePair flooder(ssd.controller(), 1, kDepth);
   NvmeRetryPolicy fp;
   fp.max_attempts = 4;
   flooder.set_retry_policy(fp);
-  loop.attach(flooder, /*weight=*/1);
+  loop.attach(flooder);
   NvmeQueuePair victim(ssd.controller(), 2, kDepth);
-  loop.attach(victim, /*weight=*/1);
+  loop.attach(victim);
 
   std::vector<std::uint8_t> fbuf(kBlockSize);
   std::vector<std::uint8_t> vbuf(kBlockSize);
@@ -345,11 +326,7 @@ TEST(ArbitrationFairness, ForcedReleaseKeepsFullyQuarantinedLoopFlowing) {
     cfg.fault_plan = plan;
     SsdDevice ssd(cfg);
     EventLoopConfig lc;
-    lc.policy = ArbitrationPolicy::kRoundRobin;
     lc.seed = 11;
-    lc.quarantine = true;
-    lc.quarantine_base_picks = 32;
-    lc.quarantine_cap_picks = 512;
     NvmeEventLoop loop(ssd.controller(), lc);
     NvmeQueuePair a(ssd.controller(), 1, kDepth);
     NvmeQueuePair b(ssd.controller(), 2, kDepth);
@@ -357,8 +334,8 @@ TEST(ArbitrationFairness, ForcedReleaseKeepsFullyQuarantinedLoopFlowing) {
     rp.max_attempts = 1;
     a.set_retry_policy(rp);
     b.set_retry_policy(rp);
-    loop.attach(a, /*weight=*/1);
-    loop.attach(b, /*weight=*/1);
+    loop.attach(a);
+    loop.attach(b);
     std::vector<std::uint8_t> abuf(kBlockSize);
     std::vector<std::uint8_t> bbuf(kBlockSize);
     constexpr std::uint64_t kPerStream = 10;
@@ -410,31 +387,28 @@ TEST(ArbitrationFairness, ForcedReleaseKeepsFullyQuarantinedLoopFlowing) {
 // ---------------------------------------------------------------------
 // Differential arbitration.  A reference arbiter, written as the plain
 // linear scan over every stream, predicts the loop's pick sequence:
-// the ready test and round-robin cursor, the two-pass weighted walk on
-// its own Rng(seed), the per-pick penalty drain over all streams, the
-// forced release of the smallest penalty (lowest index on ties), and
-// the penalty formula PenaltyDrainsExactlyOneTickPerPick replicates.
-// Each seed draws the stream count (1, 63, 64, 65 and > 1024 among
-// them), per-stream depths and weights, the policy, partial polling
-// (completion rings left full across calls), transport drop storms
-// against mostly 1-attempt retry policies (forced releases), and
-// quarantine_base_picks = 0.  The loop's picks are recovered by sorting completions by completed_ns;
-// the retryable final statuses feed the reference's quarantine
-// triggers.  RHSD_ARB_SEED=<n> re-runs one seed.
+// the ready test and round-robin cursor, the per-pick penalty drain
+// over all streams, the forced release of the smallest penalty (lowest
+// index on ties), and the penalty formula at the loop's base and cap
+// that PenaltyDrainsExactlyOneTickPerPick replicates.  Each seed draws
+// the stream count (1, 63, 64, 65 and > 1024 among them), per-stream
+// depths, partial polling (completion rings left full across calls),
+// and sparse or dense transport drop storms against mostly 1-attempt
+// retry policies (forced releases, and penalties doubled to the cap).  The loop's picks are recovered by sorting
+// completions by completed_ns; the retryable final statuses feed the
+// reference's quarantine triggers.  RHSD_ARB_SEED=<n> re-runs one seed.
 
 constexpr std::uint64_t kArbSeeds = 45;
 
 struct ArbCase {
   std::uint64_t seed = 0;
   std::uint32_t streams = 0;
-  ArbitrationPolicy policy = ArbitrationPolicy::kRoundRobin;
-  bool quarantine = true;
-  std::uint32_t base = 0;
-  std::uint32_t cap = 0;
   bool vulnerable = false;
+  /// Drop windows a few ops apart instead of about horizon / 48 apart:
+  /// a stream fails pick after pick and its penalty doubles to the cap.
+  bool dense_storm = false;
   std::uint32_t per_stream = 0;  // command budget per stream
   std::vector<std::uint32_t> depth;
-  std::vector<std::uint32_t> weight;
   std::vector<std::uint32_t> attempts;
 };
 
@@ -446,19 +420,12 @@ ArbCase DrawArbCase(std::uint64_t seed) {
   c.streams = seed % 3 == 0
                   ? kSpecial[(seed / 3) % 5]
                   : static_cast<std::uint32_t>(rng.next_in(2, 130));
-  c.policy = rng.next_bool(0.5) ? ArbitrationPolicy::kWeighted
-                                : ArbitrationPolicy::kRoundRobin;
-  c.quarantine = rng.next_bool(0.85);
-  c.base = rng.next_bool(0.25) ? 0
-                               : static_cast<std::uint32_t>(
-                                     rng.next_in(1, 24));
-  c.cap = static_cast<std::uint32_t>(rng.next_in(1, 200));
   c.vulnerable = rng.next_bool(0.3);
+  c.dense_storm = rng.next_bool(0.25);
   c.per_stream = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(2, rng.next_in(1500, 3000) / c.streams));
   for (std::uint32_t i = 0; i < c.streams; ++i) {
     c.depth.push_back(static_cast<std::uint32_t>(rng.next_in(2, 16)));
-    c.weight.push_back(static_cast<std::uint32_t>(rng.next_in(1, 8)));
     c.attempts.push_back(rng.next_bool(0.7)
                              ? 1
                              : static_cast<std::uint32_t>(
@@ -476,7 +443,7 @@ class ReferenceArbiter {
   };
 
   explicit ReferenceArbiter(const ArbCase& c)
-      : c_(c), rng_(c.seed), streams_(c.streams) {}
+      : c_(c), streams_(c.streams) {}
 
   void submit(std::uint32_t s, std::uint16_t cid) {
     streams_[s].sq.push_back(cid);
@@ -495,11 +462,12 @@ class ReferenceArbiter {
       st.sq.pop_front();
       ++st.cq;
       picks->push_back(p);
-      if (c_.quarantine && retryable(p)) quarantine(p.stream);
+      if (retryable(p)) quarantine(p.stream);
     }
   }
 
   std::uint64_t quarantines = 0;
+  std::uint64_t capped = 0;  // penalties whose doubling hit the cap
   std::uint64_t releases = 0;
   std::uint64_t forced_releases = 0;
 
@@ -520,31 +488,13 @@ class ReferenceArbiter {
 
   int arbitrate() {
     const std::size_t n = streams_.size();
-    if (c_.policy == ArbitrationPolicy::kRoundRobin) {
-      for (std::size_t k = 1; k <= n; ++k) {
-        const std::size_t i = (cursor_ + k) % n;
-        if (ready(i)) {
-          cursor_ = i;
-          return static_cast<int>(i);
-        }
-      }
-      return -1;
-    }
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ready(i)) total += c_.weight[i];
-    }
-    if (total == 0) return -1;
-    std::uint64_t r = rng_.next_below(total);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!ready(i)) continue;
-      if (r < c_.weight[i]) {
+    for (std::size_t k = 1; k <= n; ++k) {
+      const std::size_t i = (cursor_ + k) % n;
+      if (ready(i)) {
         cursor_ = i;
         return static_cast<int>(i);
       }
-      r -= c_.weight[i];
     }
-    ADD_FAILURE() << "reference weighted draw out of range";
     return -1;
   }
 
@@ -575,18 +525,19 @@ class ReferenceArbiter {
   void quarantine(std::uint32_t s) {
     St& st = streams_[s];
     ++st.failures;
+    constexpr std::uint64_t kBase = NvmeEventLoop::kQuarantineBasePicks;
+    constexpr std::uint64_t kCap = NvmeEventLoop::kQuarantineCapPicks;
     const std::uint32_t shift = std::min(st.failures - 1, 31u);
-    std::uint64_t penalty = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(c_.base) << shift, c_.cap);
+    std::uint64_t penalty = std::min(kBase << shift, kCap);
+    capped += penalty == kCap ? 1 : 0;
     std::uint64_t mix = c_.seed ^ (0x9E3779B97F4A7C15ull * (s + 1ull)) ^
                         (0xBF58476D1CE4E5B9ull * st.failures);
-    penalty += SplitMix64(mix) % (c_.base + 1ull);
+    penalty += SplitMix64(mix) % (kBase + 1);
     st.penalty = penalty;
     ++quarantines;
   }
 
   const ArbCase& c_;
-  Rng rng_;
   std::vector<St> streams_;
   std::size_t cursor_ = 0;
 };
@@ -596,6 +547,7 @@ struct ArbOutcome {
   std::uint64_t picks = 0;
   std::uint64_t forced_releases = 0;
   std::uint64_t quarantines = 0;
+  std::uint64_t capped = 0;
 };
 
 /// Drives one seeded case through the loop, replays it through the
@@ -614,17 +566,13 @@ ArbOutcome RunArbCase(std::uint64_t seed) {
     plan.add(rng.next_bool(0.8) ? FaultClass::kNvmeDrop
                                 : FaultClass::kNvmeTimeout,
              at, count);
-    at += count + 1 + rng.next_below(horizon / 24 + 8);
+    at += count + 1 + rng.next_below(c.dense_storm ? 3 : horizon / 24 + 8);
   }
   cfg.fault_plan = plan;
   SsdDevice ssd(cfg);
 
   EventLoopConfig lc;
-  lc.policy = c.policy;
   lc.seed = seed;
-  lc.quarantine = c.quarantine;
-  lc.quarantine_base_picks = c.base;
-  lc.quarantine_cap_picks = c.cap;
   NvmeEventLoop loop(ssd.controller(), lc);
 
   std::vector<std::unique_ptr<NvmeQueuePair>> qps;
@@ -636,7 +584,7 @@ ArbOutcome RunArbCase(std::uint64_t seed) {
     NvmeRetryPolicy rp;
     rp.max_attempts = c.attempts[i];
     qps.back()->set_retry_policy(rp);
-    loop.attach(*qps.back(), c.weight[i]);
+    loop.attach(*qps.back());
   }
 
   // Host actions in order, replayed through the reference afterwards
@@ -793,6 +741,7 @@ ArbOutcome RunArbCase(std::uint64_t seed) {
   out.picks = expected.size();
   out.forced_releases = ref.forced_releases;
   out.quarantines = ref.quarantines;
+  out.capped = ref.capped;
   return out;
 }
 
@@ -805,17 +754,20 @@ TEST(ArbitrationFairness, DifferentialPicksMatchLinearScanReference) {
   std::uint64_t picks = 0;
   std::uint64_t forced = 0;
   std::uint64_t quarantines = 0;
+  std::uint64_t capped = 0;
   for (std::uint64_t seed = 0; seed < kArbSeeds; ++seed) {
     const ArbOutcome o = RunArbCase(seed);
     if (!o.match) return;  // the failure names the seed to re-run
     picks += o.picks;
     forced += o.forced_releases;
     quarantines += o.quarantines;
+    capped += o.capped;
   }
   // The draws exercised what they are for.
   EXPECT_GT(picks, 0u);
   EXPECT_GT(quarantines, 0u);
   EXPECT_GT(forced, 0u);
+  EXPECT_GT(capped, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@ namespace rhsd {
 namespace {
 
 TEST(Cache, MissThenHit) {
-  CacheModel cache(CacheConfig{64, 2, 4});
+  CacheModel cache(CacheConfig{2, 4});
   EXPECT_FALSE(cache.access(DramAddr(0)));
   EXPECT_TRUE(cache.access(DramAddr(0)));
   EXPECT_TRUE(cache.access(DramAddr(63)));   // same line
@@ -19,7 +19,7 @@ TEST(Cache, MissThenHit) {
 
 TEST(Cache, LruEvictionWithinSet) {
   // 2-way, 1 set: third distinct line evicts the least recently used.
-  CacheModel cache(CacheConfig{64, 2, 1});
+  CacheModel cache(CacheConfig{2, 1});
   EXPECT_FALSE(cache.access(DramAddr(0)));    // A
   EXPECT_FALSE(cache.access(DramAddr(64)));   // B
   EXPECT_TRUE(cache.access(DramAddr(0)));     // A again (B is LRU)
@@ -31,7 +31,7 @@ TEST(Cache, LruEvictionWithinSet) {
 TEST(Cache, SetsIsolateLines) {
   // 1-way, 2 sets: alternating lines land in different sets and both
   // stay resident.
-  CacheModel cache(CacheConfig{64, 1, 2});
+  CacheModel cache(CacheConfig{1, 2});
   EXPECT_FALSE(cache.access(DramAddr(0)));   // set 0
   EXPECT_FALSE(cache.access(DramAddr(64)));  // set 1
   EXPECT_TRUE(cache.access(DramAddr(0)));
@@ -39,7 +39,7 @@ TEST(Cache, SetsIsolateLines) {
 }
 
 TEST(Cache, InvalidateDropsLine) {
-  CacheModel cache(CacheConfig{64, 2, 4});
+  CacheModel cache(CacheConfig{2, 4});
   (void)cache.access(DramAddr(0));
   EXPECT_TRUE(cache.access(DramAddr(0)));
   cache.invalidate(DramAddr(32));  // same line as 0
@@ -47,13 +47,13 @@ TEST(Cache, InvalidateDropsLine) {
 }
 
 TEST(Cache, InvalidateMissingLineIsNoop) {
-  CacheModel cache(CacheConfig{64, 2, 4});
+  CacheModel cache(CacheConfig{2, 4});
   cache.invalidate(DramAddr(0));  // nothing cached yet
   EXPECT_FALSE(cache.access(DramAddr(0)));
 }
 
 TEST(Cache, CapacityBytes) {
-  EXPECT_EQ((CacheConfig{64, 8, 128}).capacity_bytes(), 64u * 1024);
+  EXPECT_EQ((CacheConfig{8, 128}).capacity_bytes(), 64u * 1024);
 }
 
 TEST(Cache, RepeatedAccessPatternFullyAbsorbed) {
@@ -72,9 +72,8 @@ TEST(Cache, RepeatedAccessPatternFullyAbsorbed) {
 }
 
 TEST(Cache, RejectsZeroedConfig) {
-  EXPECT_THROW(CacheModel(CacheConfig{0, 1, 1}), CheckFailure);
-  EXPECT_THROW(CacheModel(CacheConfig{64, 0, 1}), CheckFailure);
-  EXPECT_THROW(CacheModel(CacheConfig{64, 1, 0}), CheckFailure);
+  EXPECT_THROW(CacheModel(CacheConfig{0, 1}), CheckFailure);
+  EXPECT_THROW(CacheModel(CacheConfig{1, 0}), CheckFailure);
 }
 
 }  // namespace

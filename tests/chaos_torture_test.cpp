@@ -10,7 +10,7 @@
 //   2. Acknowledged writes survive power loss intact, or the recovery
 //      explicitly names their LBA in lost_lbas.
 //   3. The whole run — statuses, completion times, recovered state —
-//      is a pure function of (seed, policy).
+//      is a pure function of the seed.
 //
 // Each storm prints a CHAOS_DIGEST line (an order-sensitive FNV-1a hash
 // of every completion and the final device view); ci.sh runs the binary
@@ -118,7 +118,7 @@ struct StormResult {
 /// bit errors in the L2P are the paper's own attack, not a harness
 /// bug).
 StormResult RunStorm(const FaultPlan& plan, std::uint64_t seed,
-                     ArbitrationPolicy policy, bool check_data,
+                     bool check_data,
                      std::uint32_t retry_attempts = 1,
                      bool mitigated = false) {
   SsdConfig cfg = test::SmallSsd();
@@ -136,7 +136,6 @@ StormResult RunStorm(const FaultPlan& plan, std::uint64_t seed,
 
   SsdDevice ssd(cfg);
   EventLoopConfig lc;
-  lc.policy = policy;
   lc.seed = seed;
   NvmeEventLoop loop(ssd.controller(), lc);
 
@@ -147,7 +146,7 @@ StormResult RunStorm(const FaultPlan& plan, std::uint64_t seed,
     NvmeRetryPolicy rp;
     rp.max_attempts = retry_attempts;
     qps[t]->set_retry_policy(rp);
-    loop.attach(*qps[t], 1 + t % 3);
+    loop.attach(*qps[t]);
   }
 
   const auto scripts = ChaosScripts(kCmdsPerTenant, per, seed);
@@ -253,10 +252,9 @@ StormResult RunStorm(const FaultPlan& plan, std::uint64_t seed,
 }
 
 void PrintDigest(const std::string& storm, std::uint64_t seed,
-                 ArbitrationPolicy policy, std::uint64_t digest) {
+                 std::uint64_t digest) {
   std::cout << "CHAOS_DIGEST storm=" << storm << " seed=" << seed
-            << " policy=" << to_string(policy) << " digest=" << std::hex
-            << digest << std::dec << "\n";
+            << " digest=" << std::hex << digest << std::dec << "\n";
 }
 
 // Storm 1: NAND faults (read/program/erase) plus a transport storm,
@@ -271,16 +269,11 @@ TEST(ChaosTorture, MediaAndTransportStormKeepsTenantsIsolated) {
   rates.nvme_timeout = 0.008;
   rates.nvme_drop = 0.008;
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
-  for (const ArbitrationPolicy policy :
-       {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
-    const StormResult storm = RunStorm(plan, seed, policy,
-                                     /*check_data=*/true,
+  const StormResult storm = RunStorm(plan, seed, /*check_data=*/true,
                                      /*retry_attempts=*/2);
-    EXPECT_GT(storm.injected, 0u) << "storm never fired";
-    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
-    PrintDigest("media_transport", seed, policy, storm.digest);
-  }
+  EXPECT_GT(storm.injected, 0u) << "storm never fired";
+  for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+  PrintDigest("media_transport", seed, storm.digest);
 }
 
 // Storm 2: a dense retry-defeating transport storm drives tenants into
@@ -291,15 +284,10 @@ TEST(ChaosTorture, TransportStormQuarantinesWithoutCollateral) {
   rates.nvme_drop = 0.04;
   rates.nvme_timeout = 0.02;
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
-  for (const ArbitrationPolicy policy :
-       {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
-    const StormResult storm =
-        RunStorm(plan, seed, policy, /*check_data=*/true);
-    EXPECT_GT(storm.loop.quarantines, 0u) << "storm never exhausted a retry";
-    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
-    PrintDigest("transport_quarantine", seed, policy, storm.digest);
-  }
+  const StormResult storm = RunStorm(plan, seed, /*check_data=*/true);
+  EXPECT_GT(storm.loop.quarantines, 0u) << "storm never exhausted a retry";
+  for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+  PrintDigest("transport_quarantine", seed, storm.digest);
 }
 
 // Storm 3: DRAM bit errors in the L2P region — the physical analogue
@@ -313,14 +301,9 @@ TEST(ChaosTorture, DramErrorCascadeIsDeterministic) {
   rates.nand_read = 0.005;
   rates.nvme_drop = 0.005;
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
-  for (const ArbitrationPolicy policy :
-       {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
-    const StormResult storm =
-        RunStorm(plan, seed, policy, /*check_data=*/false);
-    EXPECT_GT(storm.injected, 0u);
-    PrintDigest("dram_cascade", seed, policy, storm.digest);
-  }
+  const StormResult storm = RunStorm(plan, seed, /*check_data=*/false);
+  EXPECT_GT(storm.injected, 0u);
+  PrintDigest("dram_cascade", seed, storm.digest);
 }
 
 // Storm 4: the media/transport mix with TRR + PARA live, with the
@@ -332,19 +315,14 @@ TEST(ChaosTorture, MitigatedStormStaysDeterministic) {
   rates.nvme_timeout = 0.008;
   rates.nvme_drop = 0.008;
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/1500);
-  for (const ArbitrationPolicy policy :
-       {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
-    const StormResult storm = RunStorm(plan, seed, policy,
-                                     /*check_data=*/true,
+  const StormResult storm = RunStorm(plan, seed, /*check_data=*/true,
                                      /*retry_attempts=*/2,
                                      /*mitigated=*/true);
-    EXPECT_GT(storm.injected, 0u) << "storm never fired";
-    EXPECT_GT(storm.trr_refreshes, 0u) << "TRR never engaged";
-    EXPECT_GT(storm.para_refreshes, 0u) << "PARA never engaged";
-    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
-    PrintDigest("mitigated_mix", seed, policy, storm.digest);
-  }
+  EXPECT_GT(storm.injected, 0u) << "storm never fired";
+  EXPECT_GT(storm.trr_refreshes, 0u) << "TRR never engaged";
+  EXPECT_GT(storm.para_refreshes, 0u) << "PARA never engaged";
+  for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+  PrintDigest("mitigated_mix", seed, storm.digest);
 }
 
 // ---------------------------------------------------------------------
@@ -411,8 +389,7 @@ struct ChaosRig {
 /// Run the chaos scripts through lives separated by power losses:
 /// submit, run, and whenever the device dies, reboot + recover and
 /// verify every acknowledged write is intact or named in lost_lbas.
-StormResult RunPowerLossStorm(const FaultPlan& plan, std::uint64_t seed,
-                              ArbitrationPolicy policy) {
+StormResult RunPowerLossStorm(const FaultPlan& plan, std::uint64_t seed) {
   ChaosRig rig(plan);
   const auto scripts =
       ChaosScripts(/*per_tenant=*/80, kLbasPerTenant, seed);
@@ -431,11 +408,10 @@ StormResult RunPowerLossStorm(const FaultPlan& plan, std::uint64_t seed,
   // controller they reference) are recreated on reboot.
   for (;;) {
     EventLoopConfig lc;
-    lc.policy = policy;
     lc.seed = seed;
     NvmeEventLoop loop(*rig.ctrl, lc);
     for (std::uint64_t t = 0; t < kPlTenants; ++t) {
-      loop.attach(*rig.qps[t], 1 + t % 3);
+      loop.attach(*rig.qps[t]);
     }
     bool all_done = false;
     for (;;) {
@@ -537,14 +513,10 @@ TEST(ChaosTorture, PowerLossRebootLoopPreservesAcknowledgedWrites) {
   FaultRates rates;
   rates.power_losses = 3.0;
   const FaultPlan plan = FaultPlan::Random(seed, rates, /*horizon=*/600);
-  for (const ArbitrationPolicy policy :
-       {ArbitrationPolicy::kRoundRobin, ArbitrationPolicy::kWeighted}) {
-    SCOPED_TRACE(::testing::Message() << "policy=" << to_string(policy));
-    const StormResult storm = RunPowerLossStorm(plan, seed, policy);
-    EXPECT_GT(storm.injected, 0u) << "no power loss fired";
-    for (const std::string& v : storm.violations) ADD_FAILURE() << v;
-    PrintDigest("power_loss", seed, policy, storm.digest);
-  }
+  const StormResult storm = RunPowerLossStorm(plan, seed);
+  EXPECT_GT(storm.injected, 0u) << "no power loss fired";
+  for (const std::string& v : storm.violations) ADD_FAILURE() << v;
+  PrintDigest("power_loss", seed, storm.digest);
 }
 
 }  // namespace

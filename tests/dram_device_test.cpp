@@ -418,7 +418,7 @@ TEST(DramDevice, ManySidedEvadesTrr) {
 TEST(DramDevice, CacheAbsorbsRepeatedAccesses) {
   SimClock clock;
   DramConfig c = SmallConfig();
-  c.mitigations.cache = CacheConfig{64, 4, 16};
+  c.mitigations.cache = CacheConfig{4, 16};
   auto dram = MakeDevice(clock, c);
   std::uint8_t byte;
   for (int i = 0; i < 10000; ++i) {
@@ -434,7 +434,7 @@ TEST(DramDevice, CacheAbsorbsRepeatedAccesses) {
 TEST(DramDevice, WritesBypassCacheAndStillActivate) {
   SimClock clock;
   DramConfig c = SmallConfig();
-  c.mitigations.cache = CacheConfig{64, 4, 16};
+  c.mitigations.cache = CacheConfig{4, 16};
   auto dram = MakeDevice(clock, c);
   std::uint8_t value = 1;
   for (int i = 0; i < 100; ++i) {

@@ -761,7 +761,7 @@ TEST(HammerParity, CacheConfiguredDevice) {
   // with a touch count run cached spans' repeated touches as scalar
   // ones.
   DramConfig c = BaseConfig(3);  // the seed FlipsActuallyHappen uses
-  c.mitigations.cache = CacheConfig{64, 4, 16};
+  c.mitigations.cache = CacheConfig{4, 16};
   const auto workload = [](DramDevice& d, bool batched) {
     d.poke(DramAddr(10 * 512), std::vector<std::uint8_t>(512, 0xFF));
     HammerPairEither(d, 9, 11, 5000, batched);
@@ -1115,7 +1115,7 @@ TEST(PatternReplayParity, CacheConfigSteadyState) {
   const std::vector<std::uint64_t> pattern = {100, 228};
   SsdConfig c = test::SmallSsd();
   c.seed = 12;
-  c.dram_mitigations.cache = CacheConfig{64, 4, 16};
+  c.dram_mitigations.cache = CacheConfig{4, 16};
   RunStackParity(c, pattern, 2000);
 }
 
@@ -1174,7 +1174,7 @@ TEST(PatternReplayParity, DramBitErrorsMidStream) {
       SsdConfig c = test::SmallSsd();
       c.seed = 16;
       c.dram_mitigations.ecc = ecc;
-      if (cache) c.dram_mitigations.cache = CacheConfig{64, 4, 16};
+      if (cache) c.dram_mitigations.cache = CacheConfig{4, 16};
       c.fault_plan.add(FaultClass::kDramBitError, 900, 1, 0x15);
       c.fault_plan.add(FaultClass::kDramBitError, 2400, 1, 0x2A);
       RunStackParity(c, pattern, 1500);
@@ -1420,7 +1420,7 @@ TEST(PatternReplayParity, DeadlineDifferentialSweep) {
       what += " ecc";
     }
     if (draw.next_below(4) == 0) {
-      c.dram_mitigations.cache = CacheConfig{64, 4, 16};
+      c.dram_mitigations.cache = CacheConfig{4, 16};
       what += " cache";
     }
     switch (draw.next_below(6)) {

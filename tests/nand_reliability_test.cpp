@@ -97,40 +97,53 @@ TEST(NandReliabilityModel, ReadDisturbAccumulatesAndErasesReset) {
 }
 
 TEST(FtlFlashEcc, BudgetSeparatesCorrectableFromFatal) {
-  SimClock clock;
-  DramConfig dc;
-  dc.geometry = test::SmallDram();
-  dc.profile = DramProfile::Invulnerable();
-  DramDevice dram(dc, MakeLinearMapper(dc.geometry), clock);
-  NandReliability reliability;
-  reliability.base_rber = 2e-4;  // mean ~6.5 raw errors per page
-  NandDevice nand(SmallGeometry(), reliability, 11);
-  FtlConfig fc;
-  fc.num_lbas = 64;
-  fc.page_ecc_correctable_bits = 40;  // plenty: reads succeed
-  Ftl ftl(fc, nand, dram);
-  ASSERT_TRUE(ftl.write(Lba(1), Page(0x5A)).ok());
-  std::vector<std::uint8_t> out(kBlockSize);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(ftl.read(Lba(1), out).ok());
-  }
-  EXPECT_GT(ftl.stats().flash_raw_bit_errors, 500u);
-  EXPECT_EQ(ftl.stats().flash_ecc_uncorrectable, 0u);
-  EXPECT_EQ(out, Page(0x5A));  // always corrected
+  // Page ECC corrects up to Ftl::kPageEccCorrectableBits raw bit errors
+  // per read.  A 4 KiB page holds 32,768 bits, so an RBER of 2e-4 means
+  // ~6.5 raw errors per read, far below the budget, and 4e-3 means ~131,
+  // far above it.
+  static_assert(Ftl::kPageEccCorrectableBits == 72);
+  struct Outcome {
+    int failures = 0;
+    FtlStats stats;
+    std::vector<std::uint8_t> last;  // the last successful read
+  };
+  const auto run = [](double rber) {
+    SimClock clock;
+    DramConfig dc;
+    dc.geometry = test::SmallDram();
+    dc.profile = DramProfile::Invulnerable();
+    DramDevice dram(dc, MakeLinearMapper(dc.geometry), clock);
+    NandReliability reliability;
+    reliability.base_rber = rber;
+    NandDevice nand(SmallGeometry(), reliability, 11);
+    FtlConfig fc;
+    fc.num_lbas = 64;
+    Ftl ftl(fc, nand, dram);
+    Outcome o;
+    EXPECT_TRUE(ftl.write(Lba(1), Page(0x5A)).ok());
+    std::vector<std::uint8_t> out(kBlockSize);
+    for (int i = 0; i < 200; ++i) {
+      if (ftl.read(Lba(1), out).ok()) {
+        o.last = out;
+      } else {
+        ++o.failures;
+      }
+    }
+    o.stats = ftl.stats();
+    return o;
+  };
 
-  // A tiny budget makes the same media unusable.
-  SimClock clock2;
-  DramDevice dram2(dc, MakeLinearMapper(dc.geometry), clock2);
-  NandDevice nand2(SmallGeometry(), reliability, 11);
-  fc.page_ecc_correctable_bits = 2;
-  Ftl ftl2(fc, nand2, dram2);
-  ASSERT_TRUE(ftl2.write(Lba(1), Page(0x5A)).ok());
-  int failures = 0;
-  for (int i = 0; i < 200; ++i) {
-    if (!ftl2.read(Lba(1), out).ok()) ++failures;
-  }
-  EXPECT_GT(failures, 100);
-  EXPECT_GT(ftl2.stats().flash_ecc_uncorrectable, 100u);
+  const Outcome low = run(2e-4);
+  EXPECT_EQ(low.failures, 0);
+  EXPECT_GT(low.stats.flash_raw_bit_errors, 500u);
+  EXPECT_EQ(low.stats.flash_ecc_uncorrectable, 0u);
+  EXPECT_EQ(low.last, Page(0x5A));  // always corrected
+
+  // The same media past the budget is unusable.
+  const Outcome high = run(4e-3);
+  EXPECT_GT(high.failures, 190);
+  EXPECT_EQ(high.stats.flash_ecc_uncorrectable,
+            static_cast<std::uint64_t>(high.failures));
 }
 
 TEST(FtlFlashEcc, DeterministicPerSeed) {

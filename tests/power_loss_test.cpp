@@ -426,7 +426,7 @@ std::string RunEvCrashTrial(std::uint64_t crash_index) {
   lc.seed = 0x5EED;
   NvmeEventLoop loop(*rig.ctrl, lc);
   for (std::uint64_t t = 0; t < kEvTenants; ++t) {
-    loop.attach(*rig.qps[t], /*weight=*/1 + t);
+    loop.attach(*rig.qps[t]);
   }
 
   // last acknowledged write cid per (tenant, slba); ~0u = none tracked.

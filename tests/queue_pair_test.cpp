@@ -163,48 +163,6 @@ TEST(QueuePair, DroppedCommandWithoutRetryIsUnavailable) {
   EXPECT_EQ(rig.ftl->debug_lookup(Lba(5)), kUnmappedPba32);
 }
 
-TEST(QueuePair, AbortRemovesQueuedCommand) {
-  QpRig rig;
-  NvmeQueuePair qp(*rig.controller, 1, 8);
-  ASSERT_TRUE(qp.submit(NvmeCommand::Write(1, 1, 3, Block(0x11))).ok());
-  ASSERT_TRUE(qp.submit(NvmeCommand::Write(2, 1, 4, Block(0x22))).ok());
-
-  ASSERT_TRUE(qp.abort(2).ok());
-  EXPECT_EQ(qp.abort(2).code(), StatusCode::kNotFound);
-  EXPECT_EQ(qp.queue_stats().aborts, 1u);
-
-  auto completions = qp.drain();
-  ASSERT_EQ(completions.size(), 2u);
-  // The abort completion was posted immediately, ahead of cid 1.
-  EXPECT_EQ(completions[0].cid, 2u);
-  EXPECT_EQ(completions[0].status.code(), StatusCode::kAborted);
-  EXPECT_EQ(completions[1].cid, 1u);
-  EXPECT_TRUE(completions[1].status.ok());
-  // The aborted write never reached the device.
-  EXPECT_EQ(rig.ftl->debug_lookup(Lba(4)), kUnmappedPba32);
-  EXPECT_NE(rig.ftl->debug_lookup(Lba(3)), kUnmappedPba32);
-}
-
-TEST(QueuePair, AbortWithFullCompletionRingLeavesCommandQueued) {
-  QpRig rig;
-  NvmeQueuePair qp(*rig.controller, 1, /*depth=*/2);
-  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(1, 1)).ok());
-  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(2, 1)).ok());
-  EXPECT_EQ(qp.process(), 2u);  // the completion ring is now full
-  ASSERT_TRUE(qp.submit(NvmeCommand::Flush(3, 1)).ok());
-
-  EXPECT_EQ(qp.abort(3).code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(qp.cq_pending(), qp.depth());
-  EXPECT_EQ(qp.sq_inflight(), 1u);
-  EXPECT_EQ(qp.queue_stats().aborts, 0u);
-
-  // Once a completion is polled the abort goes through.
-  ASSERT_TRUE(qp.poll().has_value());
-  ASSERT_TRUE(qp.abort(3).ok());
-  EXPECT_EQ(qp.sq_inflight(), 0u);
-  EXPECT_EQ(qp.cq_pending(), qp.depth());
-}
-
 TEST(QueuePair, ProcessRespectsCompletionRingCapacity) {
   QpRig rig;
   NvmeQueuePair qp(*rig.controller, 1, /*depth=*/2);
@@ -255,8 +213,8 @@ TEST(QueuePair, ProcessMaxCommandsBound) {
 }
 
 /// Reference model of the queue pair's contract on two std::deques:
-/// bounded submission and completion queues, in-order processing on its
-/// own device, and an abort that erases from the middle.
+/// bounded submission and completion queues and in-order processing on
+/// its own device.
 class DequeQueuePair {
  public:
   DequeQueuePair(NvmeController& controller, std::uint32_t depth)
@@ -266,16 +224,6 @@ class DequeQueuePair {
     if (sq_.size() >= depth_) return StatusCode::kResourceExhausted;
     sq_.push_back(std::move(command));
     return StatusCode::kOk;
-  }
-  StatusCode abort(std::uint16_t cid) {
-    for (auto it = sq_.begin(); it != sq_.end(); ++it) {
-      if (it->cid != cid) continue;
-      if (cq_.size() >= depth_) return StatusCode::kResourceExhausted;
-      sq_.erase(it);
-      cq_.push_back({cid, Aborted("aborted"), controller_.clock().now_ns()});
-      return StatusCode::kOk;
-    }
-    return StatusCode::kNotFound;
   }
   std::uint32_t process(std::uint32_t max_commands) {
     std::uint32_t n = 0;
@@ -313,8 +261,7 @@ class DequeQueuePair {
   const std::deque<NvmeCommand>& sq() const { return sq_; }
   std::size_t cq_size() const { return cq_.size(); }
   /// True when the ring's live slots run past its last slot: processing
-  /// advances the head one slot per command, an abort moves only the
-  /// slots behind the removed one.
+  /// advances the head one slot per command.
   bool sq_wrapped() const { return popped_ % depth_ + sq_.size() > depth_; }
 
  private:
@@ -325,7 +272,7 @@ class DequeQueuePair {
   std::uint64_t popped_ = 0;
 };
 
-// Random submit / process(k) / poll / abort sequences at depths 2-32,
+// Random submit / process(k) / poll sequences at depths 2-32,
 // each case until its submission ring has wrapped 3 x depth times, the
 // rings on one device and the deque model on an identical second one.
 // Every completion (cid, code, time, and a read's bytes), sq_inflight,
@@ -333,7 +280,7 @@ class DequeQueuePair {
 // mismatch prints RHSD_DIFF_SEED=<n>; with that variable set, only that
 // case runs.
 TEST(QueuePair, RingMatchesDequeReference) {
-  std::uint64_t wrapped_aborts[3] = {0, 0, 0};  // head, middle, tail
+  std::uint64_t sq_wrapped_steps = 0;
   std::uint64_t cq_full_steps = 0;
   const auto run_case = [&](std::uint64_t seed) {
     const std::string what = "RHSD_DIFF_SEED=" + std::to_string(seed);
@@ -361,7 +308,8 @@ TEST(QueuePair, RingMatchesDequeReference) {
     };
     while (submitted < target && !::testing::Test::HasFailure()) {
       if (ref.cq_size() == depth) ++cq_full_steps;
-      const std::uint64_t op = draw.next_below(10);
+      if (ref.sq_wrapped()) ++sq_wrapped_steps;
+      const std::uint64_t op = draw.next_below(9);
       if (op < 4) {
         // Submit: 60 % reads, 20 % writes, 10 % trims, 10 % flushes; an
         // slba past the 64-block namespace fails with OutOfRange.
@@ -389,25 +337,11 @@ TEST(QueuePair, RingMatchesDequeReference) {
                                     : static_cast<std::uint32_t>(
                                           draw.next_below(depth + 2));
         EXPECT_EQ(qp.process(k), ref.process(k)) << what;
-      } else if (op < 9) {
+      } else {
         const std::uint64_t polls = draw.next_below(depth + 1);
         for (std::uint64_t i = 0; i < polls; ++i) {
           expect_same(qp.poll(), ref.poll());
         }
-      } else {
-        // Abort the head, a middle command, the tail, or an absent cid.
-        const std::deque<NvmeCommand>& sq = ref.sq();
-        const std::uint64_t where = draw.next_below(4);
-        std::uint16_t cid = next_cid;  // never submitted
-        if (!sq.empty() && where < 3) {
-          const std::size_t k =
-              where == 0 ? 0 : where == 1 ? sq.size() / 2 : sq.size() - 1;
-          cid = sq[k].cid;
-          if (ref.sq_wrapped() && ref.cq_size() < depth) {
-            ++wrapped_aborts[where];
-          }
-        }
-        EXPECT_EQ(qp.abort(cid).code(), ref.abort(cid)) << what;
       }
       const NvmeCommand* head = qp.peek_submission();
       EXPECT_EQ(qp.sq_inflight(), ref.sq().size()) << what;
@@ -438,9 +372,7 @@ TEST(QueuePair, RingMatchesDequeReference) {
     run_case(seed);
     if (HasFailure()) return;  // the failure names the seed to re-run
   }
-  EXPECT_GT(wrapped_aborts[0], 0u);
-  EXPECT_GT(wrapped_aborts[1], 0u);
-  EXPECT_GT(wrapped_aborts[2], 0u);
+  EXPECT_GT(sq_wrapped_steps, 0u);
   EXPECT_GT(cq_full_steps, 0u);
 }
 
